@@ -72,7 +72,6 @@ from .model import (
     split_profile,
     strict_upper_mask,
     strictly_prefers,
-    upper_contour_sample,
     validate_spec,
 )
 from .solver import (
@@ -119,7 +118,6 @@ __all__ = [
     "strict_upper_mask",
     "feasible_region",
     "sample_contour",
-    "upper_contour_sample",
     "validate_spec",
     # expressions
     "parse_expression",

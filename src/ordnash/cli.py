@@ -23,7 +23,7 @@ from .corpus import (
 )
 from .errors import OrdnashError
 from .gamefile import game_digest, load_game, save_game
-from .model import split_profile, upper_contour_sample, validate_spec
+from .model import sample_contour, split_profile, validate_spec
 from .report import (
     build_report,
     certificate_payload,
@@ -291,7 +291,7 @@ def _run_trivial_pref(game, seed):
     for _ in range(16):
         profile = split_profile(game, rng.uniform(-1.0, 1.0, game.total_dim))
         for player in range(game.n_players):
-            if upper_contour_sample(game, player, profile, 200, seed):
+            if sample_contour(game, player, profile, 200, seed).size:
                 empty_everywhere = False
     ok &= empty_everywhere
 

@@ -245,6 +245,14 @@ def contour_polyhedron(
     return None
 
 
+def _stack_samples(samples) -> np.ndarray:
+    """Samples as rows of one array: an (m, dim) array or a sequence of Blocks/rows."""
+    if isinstance(samples, np.ndarray):
+        return np.atleast_2d(samples.astype(np.float64, copy=False))
+    rows = [s.array if isinstance(s, Block) else np.asarray(s, float) for s in samples]
+    return np.vstack(rows) if rows else np.empty((0, 0))
+
+
 def sampled_separating_direction(
     samples,
     xblock: Block,
@@ -259,13 +267,7 @@ def sampled_separating_direction(
     :class:`SeparatorError` when ||z|| falls below ``norm_tol``: the hull of
     the samples already surrounds the point, so no separator exists.
     """
-    if isinstance(samples, np.ndarray):
-        pts = np.atleast_2d(samples.astype(np.float64, copy=False))
-    else:
-        rows = [s.array if isinstance(s, Block) else np.asarray(s, float) for s in samples]
-        if not rows:
-            return None
-        pts = np.vstack(rows)
+    pts = _stack_samples(samples)
     if pts.shape[0] == 0:
         return None
     diffs = pts - xblock.array
@@ -285,13 +287,7 @@ def cone_membership(
     tol: float = 1e-7,
 ) -> bool:
     """Does ``direction`` make a nonpositive (within tol) product with every sample offset?"""
-    if isinstance(samples, np.ndarray):
-        pts = np.atleast_2d(samples.astype(np.float64, copy=False))
-    else:
-        rows = [s.array if isinstance(s, Block) else np.asarray(s, float) for s in samples]
-        if not rows:
-            return True
-        pts = np.vstack(rows)
+    pts = _stack_samples(samples)
     if pts.shape[0] == 0:
         return True
     offsets = pts - xblock.array

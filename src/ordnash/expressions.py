@@ -11,7 +11,8 @@ Grammar (infix, conventional precedence):
 
 Variables are the profile coordinates ``x1 .. xn`` (1-based in the surface
 syntax, 0-based internally).  Exponents are restricted to integer literals so
-expressions stay real-valued on all of R^n.
+expressions stay real-valued on all of R^n.  Nesting is capped at
+``MAX_DEPTH`` levels (see there).
 
 Two evaluation routes are provided on purpose: :meth:`Expr.evaluate` walks the
 tree (reference semantics), while :func:`compile_expression` emits a plain
@@ -176,6 +177,12 @@ class Power(Expr):
         return f"({self.base._emit()} ** {self.exponent})"
 
 
+# Cap on the expression tree depth, and on the nesting of parentheses and
+# unary minus while parsing.  The tree walks (evaluate, variables, _emit) and
+# the parser recurse once per level, and compile_expression emits one bracket
+# per level, which CPython refuses beyond 200.
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:"
     r"(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
@@ -207,6 +214,20 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # open parentheses and unary minus being parsed
+        self.depths: dict[int, int] = {}  # id(node) -> tree depth; leaves are 1
+
+    def capped(self, depth: int, position: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExpressionError(f"expression nests deeper than {MAX_DEPTH} levels", position)
+        return depth
+
+    def node(self, cls, position: int, *parts):
+        """Build ``cls(*parts)``, refusing a tree deeper than MAX_DEPTH."""
+        made = cls(*parts)
+        depth = 1 + max(self.depths.get(id(p), 1) for p in parts if isinstance(p, Expr))
+        self.depths[id(made)] = self.capped(depth, position)
+        return made
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -235,7 +256,7 @@ class _Parser:
         while (token := self.peek()) is not None and token[1] in "+-":
             self.advance()
             right = self.term()
-            node = Add(node, right) if token[1] == "+" else Sub(node, right)
+            node = self.node(Add if token[1] == "+" else Sub, token[2], node, right)
         return node
 
     def term(self) -> Expr:
@@ -243,21 +264,24 @@ class _Parser:
         while (token := self.peek()) is not None and token[1] in "*/":
             self.advance()
             right = self.factor()
-            node = Mul(node, right) if token[1] == "*" else Div(node, right)
+            node = self.node(Mul if token[1] == "*" else Div, token[2], node, right)
         return node
 
     def factor(self) -> Expr:
         token = self.peek()
         if token is not None and token[0] == "op" and token[1] == "-":
             self.advance()
-            return Negate(self.factor())
+            self.nesting = self.capped(self.nesting + 1, token[2])
+            operand = self.factor()
+            self.nesting -= 1
+            return self.node(Negate, token[2], operand)
         return self.power()
 
     def power(self) -> Expr:
         node = self.atom()
         while (token := self.peek()) is not None and token[1] == "^":
             self.advance()
-            node = Power(node, self.integer_exponent())
+            node = self.node(Power, token[2], node, self.integer_exponent())
         return node
 
     def integer_exponent(self) -> int:
@@ -281,8 +305,10 @@ class _Parser:
                 raise ExpressionError("variables are numbered from x1", position)
             return Variable(index - 1)
         if kind == "op" and text == "(":
+            self.nesting = self.capped(self.nesting + 1, position)
             node = self.expr()
             self.expect_op(")")
+            self.nesting -= 1
             return node
         raise ExpressionError(f"unexpected token {text!r}", position)
 
@@ -290,7 +316,8 @@ class _Parser:
 def parse_expression(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
-    Raises :class:`ExpressionError` with the offending position on bad input.
+    Raises :class:`ExpressionError` with the offending position on bad input,
+    including input nested deeper than ``MAX_DEPTH``.
     """
     if not text or not text.strip():
         raise ExpressionError("empty expression", 0)

@@ -158,7 +158,8 @@ def game_from_dict(data: dict) -> GameSpec:
         dim = _require(entry, "dim", where)
         box = _require(entry, "box", where)
         pref_data = _require(entry, "preference", where)
-        if not isinstance(dim, int) or dim < 1:
+        # bool is an int subclass, but "dim": true is not a dimension.
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise GameFormatError(f"{where}: 'dim' must be a positive integer")
         try:
             box_tuple = tuple((float(lo), float(hi)) for lo, hi in box)

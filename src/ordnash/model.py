@@ -47,7 +47,6 @@ __all__ = [
     "strictly_prefers",
     "strict_upper_mask",
     "feasible_region",
-    "upper_contour_sample",
     "sample_contour",
     "validate_spec",
 ]
@@ -316,19 +315,10 @@ class FeasibleRegion:
     forced_empty: bool = False
 
     def contains(self, point: np.ndarray, tol: float = _FEAS_TOL) -> bool:
-        y = np.asarray(point, dtype=np.float64)
-        if self.forced_empty:
-            return False
-        if np.any(y < self.lo - tol) or np.any(y > self.hi + tol):
-            return False
-        if self.normals.size:
-            slack = self.normals @ y - self.offsets
-            if np.any(slack > tol * np.maximum(1.0, np.abs(self.offsets))):
-                return False
-        return True
+        return bool(self.contains_many(point, tol)[0])
 
     def contains_many(self, points: np.ndarray, tol: float = _FEAS_TOL) -> np.ndarray:
-        """Vectorized :meth:`contains` over rows of an (m, dim) array."""
+        """Which rows of an (m, dim) array lie in the region, within ``tol``."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if self.forced_empty:
             return np.zeros(pts.shape[0], dtype=bool)
@@ -401,10 +391,11 @@ def split_profile(game: GameSpec, vector: Sequence[float]) -> Profile:
     return Profile(blocks)
 
 
-def _batch_profiles(game: GameSpec, player: PlayerId, own: np.ndarray, x: Profile) -> np.ndarray:
-    """Stacked profiles (m, n) equal to x with the own block replaced row-wise."""
-    own = np.atleast_2d(np.asarray(own, dtype=np.float64))
-    batch = np.tile(x.stacked, (own.shape[0], 1))
+def _batch_profiles(
+    game: GameSpec, player: PlayerId, own: np.ndarray, point: np.ndarray
+) -> np.ndarray:
+    """Stacked profiles (m, n) equal to ``point`` with the own block replaced row-wise."""
+    batch = np.tile(point, (own.shape[0], 1))
     batch[:, game.own_slice(player)] = own
     return batch
 
@@ -419,6 +410,19 @@ def _utility_values(pref: UtilityPreference, batch: np.ndarray) -> np.ndarray:
     return values
 
 
+def _contour_rows(
+    pref: HalfspaceContour, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """HalfspaceContour rows at each of the (k, n) profiles: A (k, rows, dim), b (k, rows)."""
+    a = np.array([[c.evaluate(points) for c in row.parsed_coeffs] for row in pref.rows])
+    b = np.array([row.parsed_offset.evaluate(points) for row in pref.rows])
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise EvaluationError("contour row evaluated to a non-finite value")
+    # One C-ordered (rows, dim) matrix per profile, the layout of a single
+    # profile's rows, so that ``y @ A.T`` rounds alike for one or many profiles.
+    return np.ascontiguousarray(a.transpose(2, 0, 1)), b.T
+
+
 def evaluate_contour_rows(
     game: GameSpec, player: PlayerId, x: Profile
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -426,17 +430,8 @@ def evaluate_contour_rows(
     pref = game.players[player].preference
     if not isinstance(pref, HalfspaceContour):
         raise GameFormatError("player preference has no contour rows")
-    point = x.stacked
-    a_rows = []
-    b_vals = []
-    for row in pref.rows:
-        coeffs = [float(np.asarray(c.evaluate(point))) for c in row.parsed_coeffs]
-        offset = float(np.asarray(row.parsed_offset.evaluate(point)))
-        if not all(np.isfinite(coeffs)) or not np.isfinite(offset):
-            raise EvaluationError("contour row evaluated to a non-finite value")
-        a_rows.append(coeffs)
-        b_vals.append(offset)
-    return np.array(a_rows), np.array(b_vals)
+    a, b = _contour_rows(pref, x.stacked[None, :])
+    return a[0], b[0]
 
 
 def _threshold_band_weak(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -444,15 +439,20 @@ def _threshold_band_weak(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (z[..., 0] >= 0.0) & (z[..., 1] >= w[..., 1])
 
 
-def strict_upper_mask(
-    game: GameSpec, player: PlayerId, candidates: np.ndarray, x: Profile
+def _strict_upper_table(
+    game: GameSpec, player: PlayerId, candidates: np.ndarray, profiles: np.ndarray
 ) -> np.ndarray:
-    """Vectorized strict preference: which candidate own-blocks beat ``x``.
+    """Strict preference of ``player`` between own-block candidates and profiles.
 
-    ``candidates`` is an (m, dim) array of own blocks for ``player``; returns a
-    boolean array of length m.
+    ``candidates`` is an (m, dim) array of own blocks and ``profiles`` a
+    (k, n) array of stacked profiles that share their rival coordinates and
+    differ only in the own block.  Entry (i, j) of the (k, m) result says
+    whether the player, at ``profiles[i]``, strictly prefers moving to
+    ``candidates[j]``.  Expressions are evaluated only at the given profiles
+    and at the candidates placed into their shared rival coordinates.
     """
     own = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+    points = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
     if own.shape[1] != game.dims[player]:
         raise ProfileError(
             f"candidates have dimension {own.shape[1]}, "
@@ -461,33 +461,42 @@ def strict_upper_mask(
     pref = game.players[player].preference
 
     if isinstance(pref, TrivialZero):
-        return np.zeros(own.shape[0], dtype=bool)
+        return np.zeros((points.shape[0], own.shape[0]), dtype=bool)
 
     if isinstance(pref, CoordinateOrder):
-        current = x.block(player).array
-        return np.all(own > current, axis=1)
+        current = points[:, game.own_slice(player)]
+        return np.all(own[None, :, :] > current[:, None, :], axis=2)
 
     if isinstance(pref, UtilityPreference):
-        batch = _batch_profiles(game, player, own, x)
-        base = _utility_values(pref, x.stacked[None, :])[0]
-        return _utility_values(pref, batch) > base
+        base = _utility_values(pref, points)
+        values = _utility_values(pref, _batch_profiles(game, player, own, points[0]))
+        return values[None, :] > base[:, None]
 
     if isinstance(pref, HalfspaceContour):
-        a, b = evaluate_contour_rows(game, player, x)
-        return np.all(own @ a.T < b, axis=1)
+        a, b = _contour_rows(pref, points)
+        return np.all(own[None, :, :] @ a.transpose(0, 2, 1) < b[:, None, :], axis=2)
 
     if isinstance(pref, ThresholdBand):
         if game.total_dim != 2:
             raise GameFormatError(
                 "ThresholdBand preference requires a two-coordinate game"
             )
-        batch = _batch_profiles(game, player, own, x)
-        base = np.broadcast_to(x.stacked, batch.shape)
-        forward = _threshold_band_weak(batch, base)
-        backward = _threshold_band_weak(base, batch)
-        return forward & ~backward
+        batch = _batch_profiles(game, player, own, points[0])[None, :, :]
+        base = points[:, None, :]
+        return _threshold_band_weak(batch, base) & ~_threshold_band_weak(base, batch)
 
     raise GameFormatError(f"unknown preference variant {type(pref).__name__}")
+
+
+def strict_upper_mask(
+    game: GameSpec, player: PlayerId, candidates: np.ndarray, x: Profile
+) -> np.ndarray:
+    """Vectorized strict preference: which candidate own-blocks beat ``x``.
+
+    ``candidates`` is an (m, dim) array of own blocks for ``player``; returns a
+    boolean array of length m.  This is :func:`_strict_upper_table` at one profile.
+    """
+    return _strict_upper_table(game, player, candidates, x.stacked[None, :])[0]
 
 
 def strictly_prefers(
@@ -548,11 +557,14 @@ def sample_contour(
     seed: int,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
     max_attempts: int | None = None,
-) -> list[Block]:
+) -> np.ndarray:
     """Seeded rejection sample of the strict upper contour set over ``bounds``.
 
-    Returns up to ``count`` accepted points in draw order; fewer (possibly
-    none) when the contour set misses the sampling box or is thin.
+    Draws ``max_attempts`` (default ``max(20 * count, 2000)``) uniform points
+    from ``bounds`` (default: the player's box) and returns the first
+    ``count`` that ``player`` strictly prefers at ``x``, in draw order, as one
+    (m, dim) float64 array.  ``m`` is below ``count`` (possibly 0, shape
+    ``(0, dim)``) when the contour set misses the sampling box or is thin.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -561,20 +573,12 @@ def sample_contour(
     else:
         lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
     if count == 0:
-        return []
+        return np.empty((0, game.dims[player]))
     attempts = max_attempts if max_attempts is not None else max(20 * count, 2000)
     rng = np.random.default_rng(seed)
     draws = rng.uniform(lo, hi, size=(attempts, lo.size))
     mask = strict_upper_mask(game, player, draws, x)
-    accepted = draws[mask][:count]
-    return [Block(player, tuple(row)) for row in accepted]
-
-
-def upper_contour_sample(
-    game: GameSpec, player: PlayerId, x: Profile, count: int, seed: int
-) -> list[Block]:
-    """Sample the strict upper contour set restricted to the player's box."""
-    return sample_contour(game, player, x, count, seed)
+    return draws[mask][:count]
 
 
 def _probe_profiles(game: GameSpec, count: int, seed: int) -> np.ndarray:

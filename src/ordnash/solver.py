@@ -27,7 +27,6 @@ import numpy as np
 from scipy.stats import qmc
 
 from .cones import (
-    ConeGenerators,
     Direction,
     Provenance,
     contour_polyhedron,
@@ -41,7 +40,6 @@ from .errors import (
     SeparatorError,
 )
 from .model import (
-    BoxOnly,
     CoordinateOrder,
     FeasibleRegion,
     GameSpec,
@@ -52,8 +50,8 @@ from .model import (
     TrivialZero,
     UtilityPreference,
     feasible_region,
+    sample_contour,
     split_profile,
-    upper_contour_sample,
 )
 
 __all__ = [
@@ -67,7 +65,6 @@ __all__ = [
     "solve_svip",
 ]
 
-_FEAS_TOL = 1e-9
 _DYKSTRA_CYCLES = 200
 _DYKSTRA_MOVE_TOL = 1e-12
 _ADAPT_WINDOW = 8
@@ -196,9 +193,9 @@ def selection_T(
 def _sampled_selection(
     game: GameSpec, player: PlayerId, x: Profile, count: int, seed: int
 ) -> tuple[Direction, Provenance]:
-    samples = upper_contour_sample(game, player, x, count, seed)
+    samples = sample_contour(game, player, x, count, seed)
     dim = game.dims[player]
-    if not samples:
+    if samples.size == 0:
         return Direction.zero(player, dim), Provenance.FULL_SPACE
     try:
         d = sampled_separating_direction(samples, x.block(player))
@@ -251,7 +248,8 @@ def project_feasible(region: FeasibleRegion, point) -> np.ndarray:
     )
 
 
-def _check_profile_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
+def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
+    """Each player's feasible region at ``x``; raises if a block lies outside its own."""
     regions = []
     for player in range(game.n_players):
         region = feasible_region(game, player, x.rivals(player))
@@ -264,28 +262,16 @@ def _check_profile_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
     return regions
 
 
-def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -> float:
-    """Distance from ``x`` to the projected step taken with size ``alpha``."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    g = _stack_operator(game, operator_value)
-    regions = _check_profile_feasible(game, x)
-    target = x.stacked - alpha * g
-    moved = np.empty_like(target)
-    for player, region in enumerate(regions):
-        sl = game.own_slice(player)
-        moved[sl] = project_feasible(region, target[sl])
-    return float(np.linalg.norm(x.stacked - moved))
-
-
 def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
+    """One stacked vector from a Selection, a list of Directions or an array."""
     if isinstance(operator_value, Selection):
-        return operator_value.stacked
-    if isinstance(operator_value, (list, tuple)) and operator_value and isinstance(
+        g = operator_value.stacked
+    elif isinstance(operator_value, (list, tuple)) and operator_value and isinstance(
         operator_value[0], Direction
     ):
-        return np.concatenate([d.array for d in operator_value])
-    g = np.asarray(operator_value, dtype=np.float64).ravel()
+        g = np.concatenate([d.array for d in operator_value])
+    else:
+        g = np.asarray(operator_value, dtype=np.float64).ravel()
     if g.size != game.total_dim:
         raise ValueError(
             f"operator value has {g.size} coordinates, game has {game.total_dim}"
@@ -293,16 +279,25 @@ def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
     return g
 
 
+def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -> float:
+    """Distance from ``x`` to the projected step taken with size ``alpha``."""
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    g = _stack_operator(game, operator_value)
+    _require_feasible(game, x)
+    point = x.stacked
+    moved = _ProjectionKit(game).project_blocks(point, point - alpha * g)
+    return float(np.linalg.norm(point - moved))
+
+
 def fixed_point_step(game: GameSpec, x: Profile, cfg: SolverConfig) -> Profile:
     """One projected step: every player moves simultaneously, rivals fixed at x."""
     sel = selection_T(game, x, sample_seed=cfg.seed)
-    regions = _check_profile_feasible(game, x)
-    target = x.stacked - cfg.step * sel.stacked
-    moved = np.empty_like(target)
-    for player, region in enumerate(regions):
-        sl = game.own_slice(player)
-        moved[sl] = project_feasible(region, target[sl])
-    return split_profile(game, moved)
+    _require_feasible(game, x)
+    point = x.stacked
+    return split_profile(
+        game, _ProjectionKit(game).project_blocks(point, point - cfg.step * sel.stacked)
+    )
 
 
 class _ProjectionKit:

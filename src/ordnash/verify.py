@@ -16,9 +16,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cones import Direction, sampled_separating_direction
-from .errors import GridBudgetError, InfeasiblePointError, SeparatorError
+from .cones import sampled_separating_direction
+from .errors import EvaluationError, GridBudgetError, SeparatorError
 from .model import (
+    _FEAS_TOL,
     BoxOnly,
     GameSpec,
     PlayerId,
@@ -26,12 +27,19 @@ from .model import (
     SharedLinear,
     TrivialZero,
     UtilityPreference,
+    _strict_upper_table,
     feasible_region,
     sample_contour,
     split_profile,
     strict_upper_mask,
 )
-from .solver import SolverConfig, project_feasible, solve_svip
+from .solver import (
+    SolverConfig,
+    _require_feasible,
+    _stack_operator,
+    project_feasible,
+    solve_svip,
+)
 
 __all__ = [
     "Certificate",
@@ -46,7 +54,9 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 10_000_000
-_FEAS_TOL = 1e-9
+# Entry cap of one evaluation chunk: rows of the utility tensor, or one
+# (live, pool) strict-preference table of the generic enumeration.
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -72,30 +82,28 @@ def grid_coordinates(lo: float, hi: float, h: float) -> np.ndarray:
     return pts
 
 
-def player_grid(game: GameSpec, player: PlayerId, h: float) -> np.ndarray:
-    """All grid points of one player's box, shape (m, dim), last axis fastest."""
-    lo, hi = game.player_box(player)
-    axes = [grid_coordinates(l, u, h) for l, u in zip(lo, hi)]
-    total = int(np.prod([a.size for a in axes]))
-    if total > _GRID_BUDGET:
-        raise GridBudgetError(
-            f"player grid would have {total} points, budget is {_GRID_BUDGET}"
-        )
+def _cartesian(axes: list[np.ndarray]) -> np.ndarray:
+    """All points of the lattice spanned by ``axes``, shape (m, len(axes)), last axis fastest."""
+    if not axes:
+        return np.empty((1, 0))
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _require_feasible(game: GameSpec, x: Profile):
-    regions = []
-    for player in range(game.n_players):
-        region = feasible_region(game, player, x.rivals(player))
-        if not region.contains(x.block(player).array):
-            raise InfeasiblePointError(
-                f"player {player} block {x.block(player).values} violates its "
-                f"feasible set; cannot certify an infeasible point"
-            )
-        regions.append(region)
-    return regions
+def _grid_axes(lo, hi, h: float, what: str) -> list[np.ndarray]:
+    """Per-coordinate grids of the box [lo, hi], refusing more than the point budget."""
+    axes = [grid_coordinates(float(l), float(u), h) for l, u in zip(lo, hi)]
+    total = int(np.prod([a.size for a in axes]))
+    if total > _GRID_BUDGET:
+        raise GridBudgetError(
+            f"{what} grid would have {total} points, budget is {_GRID_BUDGET}"
+        )
+    return axes
+
+
+def player_grid(game: GameSpec, player: PlayerId, h: float) -> np.ndarray:
+    """All grid points of one player's box, shape (m, dim), last axis fastest."""
+    return _cartesian(_grid_axes(*game.player_box(player), h, "player"))
 
 
 def check_gne_grid(game: GameSpec, x: Profile, h: float) -> Certificate:
@@ -195,16 +203,7 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
     m >= -tol.  A zero operator value passes vacuously.
     """
     regions = _require_feasible(game, x)
-    if isinstance(operator_value, (list, tuple)) and operator_value and isinstance(
-        operator_value[0], Direction
-    ):
-        g = np.concatenate([d.array for d in operator_value])
-    else:
-        g = np.asarray(operator_value, dtype=np.float64).ravel()
-    if g.size != game.total_dim:
-        raise ValueError(
-            f"operator value has {g.size} coordinates, game has {game.total_dim}"
-        )
+    g = _stack_operator(game, operator_value)
     norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return Certificate(
@@ -240,20 +239,6 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
     )
 
 
-def _profile_axes(game: GameSpec, h: float) -> list[np.ndarray]:
-    axes = []
-    for lo, hi in zip(game.box_lo, game.box_hi):
-        axes.append(grid_coordinates(float(lo), float(hi), h))
-    total = 1
-    for a in axes:
-        total *= a.size
-    if total > _GRID_BUDGET:
-        raise GridBudgetError(
-            f"profile grid would have {total} points, budget is {_GRID_BUDGET}"
-        )
-    return axes
-
-
 def _feasible_tensor(game: GameSpec, axes: list[np.ndarray]) -> np.ndarray | None:
     """Boolean tensor over the profile grid for shared constraints, else None."""
     if isinstance(game.constraints, BoxOnly):
@@ -275,24 +260,16 @@ def _utility_tensor(
     """Utility values over the whole profile grid, evaluated in chunks."""
     shape = tuple(a.size for a in axes)
     pref = game.players[player].preference
-    grids = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([grid.ravel() for grid in grids], axis=1)
+    flat = _cartesian(axes)
     out = np.empty(flat.shape[0])
-    chunk = 1 << 20
-    for start in range(0, flat.shape[0], chunk):
-        out[start : start + chunk] = pref.fn(flat[start : start + chunk])
+    for start in range(0, flat.shape[0], _CHUNK_ENTRIES):
+        rows = slice(start, start + _CHUNK_ENTRIES)
+        out[rows] = pref.fn(flat[rows])
     if not np.all(np.isfinite(out)):
-        from .errors import EvaluationError
-
         raise EvaluationError(
             f"utility of player {player} is non-finite on the grid"
         )
     return out.reshape(shape)
-
-
-def _own_axes_span(game: GameSpec, player: PlayerId) -> tuple[int, ...]:
-    sl = game.own_slice(player)
-    return tuple(range(sl.start, sl.stop))
 
 
 def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate]]:
@@ -302,7 +279,7 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
     utility/box family is evaluated tensor-wise; other preference variants go
     through the generic strict-preference oracle.
     """
-    axes = _profile_axes(game, h)
+    axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
     feasible = _feasible_tensor(game, axes)
     shape = tuple(a.size for a in axes)
 
@@ -319,7 +296,8 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
             values = _utility_tensor(game, player, axes)
             if feasible is not None:
                 values = np.where(feasible, values, -np.inf)
-            own_axes = _own_axes_span(game, player)
+            sl = game.own_slice(player)
+            own_axes = tuple(range(sl.start, sl.stop))
             best = values.max(axis=own_axes, keepdims=True)
             # A strictly larger feasible value along the own axes means the
             # player can improve; equality (including ties) does not.
@@ -346,55 +324,47 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
 def _generic_equilibria(
     game: GameSpec, axes: list[np.ndarray], feasible: np.ndarray | None
 ) -> np.ndarray:
+    """Grid equilibria through the strict-preference oracle, for any preference.
+
+    A profile stays an equilibrium candidate ("live") while no player has a
+    feasible own grid point it strictly prefers there.  Players are taken in
+    order.  For one player and one grid point of the rivals, the feasible
+    region and its own grid pool are built once, and all live own points of
+    that rival point are decided at once from a (live, pool) preference table,
+    chunked to at most ``_CHUNK_ENTRIES`` entries.  Only live profiles are
+    evaluated.  Returns the indices of the surviving profiles, in grid order.
+    """
     shape = tuple(a.size for a in axes)
-    total = int(np.prod(shape))
-    equilibrium = np.ones(shape, dtype=bool)
-    if feasible is not None:
-        equilibrium &= feasible
+    equilibrium = np.ones(shape, dtype=bool) if feasible is None else feasible.copy()
     for player in range(game.n_players):
         if isinstance(game.players[player].preference, TrivialZero):
             continue  # nothing is ever strictly preferred
-        own_axes = _own_axes_span(game, player)
-        own_sizes = [shape[a] for a in own_axes]
-        own_points = np.stack(
-            [m.ravel() for m in np.meshgrid(*[axes[a] for a in own_axes], indexing="ij")],
-            axis=1,
-        )
-        rival_axes = [a for a in range(len(shape)) if a not in own_axes]
-        rival_iter = itertools.product(*[range(shape[a]) for a in rival_axes]) if rival_axes else [()]
-        for rival_idx in rival_iter:
-            for own_flat, own in enumerate(own_points):
-                idx = _merge_index(own_flat, own_sizes, own_axes, rival_idx, rival_axes)
-                if not equilibrium[idx]:
-                    continue
-                profile_vec = np.array(
-                    [axes[k][i] for k, i in enumerate(idx)], dtype=np.float64
-                )
-                profile = split_profile(game, profile_vec)
-                region = feasible_region(game, player, profile.rivals(player))
-                pool_mask = region.contains_many(own_points)
-                if not np.any(pool_mask):
-                    continue
-                better = strict_upper_mask(
-                    game, player, own_points[pool_mask], profile
-                )
-                if np.any(better):
-                    equilibrium[idx] = False
-    if total and feasible is None and equilibrium.all() and any(
-        not isinstance(p.preference, TrivialZero) for p in game.players
-    ):
-        pass  # nothing special: every point can legitimately be an equilibrium
+        sl = game.own_slice(player)
+        own_points = _cartesian(axes[sl])
+        rival_axes = axes[: sl.start] + axes[sl.stop :]
+        # View (before, own, after): own axes are contiguous in the profile.
+        before = int(np.prod(shape[: sl.start]))
+        live_view = equilibrium.reshape(before, own_points.shape[0], -1)
+        after = live_view.shape[2]
+        for rival_flat, rivals in enumerate(_cartesian(rival_axes)):
+            i, k = divmod(rival_flat, after)
+            live = np.flatnonzero(live_view[i, :, k])
+            if live.size == 0:
+                continue
+            region = feasible_region(game, player, rivals)
+            pool = own_points[region.contains_many(own_points)]
+            if pool.shape[0] == 0:
+                continue
+            profiles = np.empty((live.size, game.total_dim))
+            profiles[:, : sl.start] = rivals[: sl.start]
+            profiles[:, sl] = own_points[live]
+            profiles[:, sl.stop :] = rivals[sl.start :]
+            chunk = max(1, _CHUNK_ENTRIES // pool.shape[0])
+            for start in range(0, live.size, chunk):
+                rows = slice(start, start + chunk)
+                table = _strict_upper_table(game, player, pool, profiles[rows])
+                live_view[i, live[rows][table.any(axis=1)], k] = False
     return np.argwhere(equilibrium)
-
-
-def _merge_index(own_flat, own_sizes, own_axes, rival_idx, rival_axes):
-    own_multi = np.unravel_index(own_flat, own_sizes) if own_sizes else ()
-    idx = [0] * (len(own_axes) + len(rival_axes))
-    for axis, value in zip(own_axes, own_multi):
-        idx[axis] = int(value)
-    for axis, value in zip(rival_axes, rival_idx):
-        idx[axis] = int(value)
-    return tuple(idx)
 
 
 def theorem1_property(
@@ -476,7 +446,7 @@ def theorem2_property(
                     seed,
                     bounds=_inflated_bounds(game, player),
                 )
-                if not samples:
+                if samples.size == 0:
                     empty_contour = True
                     break
                 try:

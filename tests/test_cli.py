@@ -142,6 +142,23 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", str(path)])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 5000 + "x1" + ")" * 5000, "+".join(["x1"] * 20_000)],
+        ids=["nested-parentheses", "flat-sum"],
+    )
+    def test_deep_expression_exit_one_with_report(self, runner, tmp_path, expr):
+        game = json.loads(dumps_game(EXAMPLES["coordinate-pref"]()))
+        game["players"][0]["preference"] = {"type": "Utility", "expr": expr}
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(game))
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["exit_code"] == 1
+        assert "nests deeper than" in report["error"]
+        assert "at position" in report["error"]
+
     def test_bad_solver_flag_exit_one(self, runner, coordinate_file):
         result = runner.invoke(main, ["solve", coordinate_file, "--step", "0"])
         assert result.exit_code == 1

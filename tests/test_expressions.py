@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ordnash.errors import ExpressionError
 from ordnash.expressions import (
+    MAX_DEPTH,
     Literal,
     Mul,
     Negate,
@@ -73,6 +74,30 @@ class TestErrors:
         with pytest.raises(ExpressionError) as err:
             parse_expression("1 + $")
         assert "position 4" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("(" * 5000 + "x1" + ")" * 5000, MAX_DEPTH),
+            ("+".join(["x1"] * 20_000), 3 * MAX_DEPTH - 1),
+            ("-" * 5000 + "x1", MAX_DEPTH),
+            ("x1" + "^1" * 500, 2 + 2 * (MAX_DEPTH - 1)),
+        ],
+    )
+    def test_depth_cap_reports_position(self, text, position):
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert err.value.position == position
+        assert f"deeper than {MAX_DEPTH} levels" in str(err.value)
+
+    def test_depth_at_the_cap_compiles(self):
+        values = np.ones((3, 1))
+        flat = parse_expression("+".join(["x1"] * MAX_DEPTH))
+        np.testing.assert_array_equal(compile_expression(flat)(values), [float(MAX_DEPTH)] * 3)
+        nested = parse_expression("-" * (MAX_DEPTH - 1) + "x1")
+        assert compile_expression(nested)(values)[0] == -1.0
+        wrapped = parse_expression("(" * MAX_DEPTH + "x1" + ")" * MAX_DEPTH)
+        assert wrapped == Variable(0)
 
     def test_trailing_input_position(self):
         with pytest.raises(ExpressionError) as err:

@@ -145,6 +145,21 @@ class TestParseErrors:
             game_from_dict(data)
         assert "dim" in str(err.value)
 
+    def test_boolean_dim_rejected(self):
+        data = {
+            "players": [
+                {
+                    "dim": True,
+                    "box": [[-1.0, 1.0]],
+                    "preference": {"type": "TrivialZero"},
+                }
+            ],
+            "constraints": {"type": "BoxOnly"},
+        }
+        with pytest.raises(GameFormatError) as err:
+            game_from_dict(data)
+        assert "'dim' must be a positive integer" in str(err.value)
+
     def test_box_arity_mismatch_located(self):
         data = {
             "players": [

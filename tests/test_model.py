@@ -29,7 +29,6 @@ from ordnash.model import (
     split_profile,
     strict_upper_mask,
     strictly_prefers,
-    upper_contour_sample,
     validate_spec,
 )
 
@@ -291,18 +290,18 @@ class TestFeasibleRegion:
 class TestSampleContour:
     def test_deterministic_and_inside_contour(self, pull_game):
         x = split_profile(pull_game, [1.0, 0.0])
-        first = upper_contour_sample(pull_game, 0, x, count=50, seed=9)
-        second = upper_contour_sample(pull_game, 0, x, count=50, seed=9)
-        assert [b.values for b in first] == [b.values for b in second]
+        first = sample_contour(pull_game, 0, x, count=50, seed=9)
+        second = sample_contour(pull_game, 0, x, count=50, seed=9)
+        np.testing.assert_array_equal(first, second)
         assert len(first) == 50
-        for block in first:
-            assert strictly_prefers(pull_game, 0, block.array, x)
-            assert -1.0 <= block.values[0] <= 1.0
+        for row in first:
+            assert strictly_prefers(pull_game, 0, row, x)
+            assert -1.0 <= row[0] <= 1.0
 
     def test_empty_contour_yields_nothing(self):
         game = example_trivial_pref()
         x = split_profile(game, [0.2, -0.2])
-        assert upper_contour_sample(game, 0, x, count=10, seed=0) == []
+        assert sample_contour(game, 0, x, count=10, seed=0).shape == (0, 1)
 
     def test_custom_bounds_extend_the_box(self, pull_game):
         x = split_profile(pull_game, [1.0, 0.0])
@@ -310,11 +309,55 @@ class TestSampleContour:
             pull_game, 0, x, count=200, seed=1,
             bounds=(np.array([-3.0]), np.array([3.0])),
         )
-        values = np.array([b.values[0] for b in wide])
+        values = wide[:, 0]
         # theta_1(y, 0) > theta_1(1, 0) iff |y| < 1, so samples stay in (-1, 1)
         # even though the sampling box is wider.
         assert np.all(np.abs(values) < 1.0)
         assert values.min() < -0.5
+
+    @pytest.mark.parametrize(
+        "game, coords, player, count, bounds",
+        [
+            (make_pull_to_half_rival(), [1.0, 0.0], 0, 50, None),
+            (example_coordinate_pref(), [0.2, -0.4], 1, 30, None),
+            (example_lhc_remark()[2], [-0.5, 0.3], 0, 100, None),
+            (
+                GameSpec((PlayerSpec(2, ((-1.0, 1.0),) * 2, CoordinateOrder()),)),
+                [0.1, -0.3],
+                0,
+                40,
+                (np.array([-2.0, -2.0]), np.array([2.0, 2.0])),
+            ),
+            (make_pull_to_half_rival(), [0.0, 0.0], 0, 5000, None),
+        ],
+    )
+    def test_array_contract_matches_seeded_draws(
+        self, game, coords, player, count, bounds
+    ):
+        x = split_profile(game, coords)
+        seed = 17
+        samples = sample_contour(game, player, x, count=count, seed=seed, bounds=bounds)
+        dim = game.dims[player]
+        assert isinstance(samples, np.ndarray)
+        assert samples.dtype == np.float64
+        assert samples.ndim == 2 and samples.shape[1] == dim
+        lo, hi = game.player_box(player) if bounds is None else bounds
+        draws = np.random.default_rng(seed).uniform(
+            lo, hi, size=(max(20 * count, 2000), dim)
+        )
+        expected = draws[strict_upper_mask(game, player, draws, x)][:count]
+        np.testing.assert_array_equal(samples, expected)
+
+    def test_empty_results_keep_the_block_dimension(self):
+        blocks = GameSpec((PlayerSpec(2, ((-1.0, 1.0),) * 2, CoordinateOrder()),))
+        corner = split_profile(blocks, [1.0, 1.0])
+        for count in (0, 25):
+            empty = sample_contour(blocks, 0, corner, count=count, seed=3)
+            assert empty.shape == (0, 2)
+            assert empty.dtype == np.float64
+        # At the origin the pull game's strict contour set is empty too.
+        pull = make_pull_to_half_rival()
+        assert sample_contour(pull, 0, split_profile(pull, [0.0, 0.0]), 10, 0).shape == (0, 1)
 
     def test_count_validation(self, pull_game):
         x = split_profile(pull_game, [0.0, 0.0])

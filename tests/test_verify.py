@@ -1,6 +1,8 @@
 """Verification layer: grid certificates, exact variational checks, bridge
 properties between solver output and grid equilibria, continuity probes."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,21 @@ from ordnash.corpus import (
     random_concave_quadratic,
 )
 from ordnash.errors import GridBudgetError, InfeasiblePointError
-from ordnash.model import split_profile
+from ordnash.model import (
+    BoxOnly,
+    ContourRow,
+    CoordinateOrder,
+    GameSpec,
+    HalfspaceContour,
+    PlayerSpec,
+    SharedLinear,
+    ThresholdBand,
+    TrivialZero,
+    UtilityPreference,
+    feasible_region,
+    split_profile,
+    strictly_prefers,
+)
 from ordnash.solver import SolverConfig
 from ordnash.verify import (
     brute_force_gne,
@@ -234,6 +250,121 @@ class TestBruteForce:
     def test_budget_guard(self, pull_game):
         with pytest.raises(GridBudgetError):
             brute_force_gne(pull_game, h=1e-5)
+
+
+def _reference_equilibria(game, h):
+    """Naive grid enumeration: one profile, one player, one deviation at a time."""
+    axes = [grid_coordinates(lo, hi, h) for lo, hi in zip(game.box_lo, game.box_hi)]
+    grids = [player_grid(game, p, h) for p in range(game.n_players)]
+    found = []
+    for vector in itertools.product(*axes):
+        x = split_profile(game, vector)
+        regions = [feasible_region(game, p, x.rivals(p)) for p in range(game.n_players)]
+        if not all(
+            region.contains(x.block(p).array) for p, region in enumerate(regions)
+        ):
+            continue
+        improvable = any(
+            region.contains(y) and strictly_prefers(game, p, y, x)
+            for p, region in enumerate(regions)
+            for y in grids[p]
+        )
+        if not improvable:
+            found.append(tuple(float(v) for v in vector))
+    return found
+
+
+def _random_rows(rng, total_dim):
+    """One or two seeded shared rows a x <= b that keep part of the box feasible."""
+    a = np.round(rng.uniform(0.2, 1.0, (int(rng.integers(1, 3)), total_dim)), 2)
+    b = np.round(rng.uniform(0.1, 0.6, a.shape[0]) * a.sum(axis=1), 2)
+    return SharedLinear(tuple(map(tuple, a)), tuple(b))
+
+
+def _away(coefficient, own):
+    """Open halfspace {y : c y < c own} with c = ``coefficient`` at the profile.
+
+    The player wants to move against the sign of c, which depends on the
+    profile; where c is 0 the set is empty.
+    """
+    return ContourRow((coefficient,), f"({coefficient})*{own}")
+
+
+def _generic_game(family, seed, shared):
+    rng = np.random.default_rng(seed)
+    box = ((-1.0, 1.0),)
+    # Grid-aligned thresholds, so that some profiles zero a coefficient.
+    c = [float(v) for v in rng.choice([-0.5, -0.25, 0.0, 0.25, 0.5], 3)]
+    if family == "coordinate":
+        players = [PlayerSpec(1, box, CoordinateOrder()) for _ in range(2)]
+    elif family == "threshold-band":
+        players = [PlayerSpec(1, box, ThresholdBand()) for _ in range(2)]
+    elif family == "halfspace":
+        players = [
+            PlayerSpec(1, box, HalfspaceContour((_away(f"x2-{c[0]}", "x1"),))),
+            PlayerSpec(
+                1,
+                box,
+                HalfspaceContour((_away(f"x1-{c[1]}", "x2"), ContourRow(("1",), "x2+0.5"))),
+            ),
+        ]
+    elif family == "trivial":
+        players = [
+            PlayerSpec(1, box, TrivialZero()),
+            PlayerSpec(1, box, HalfspaceContour((_away(f"x1-{c[0]}", "x2"),))),
+        ]
+    elif family == "utility-halfspace":
+        players = [
+            PlayerSpec(1, box, UtilityPreference(f"-(x1-{c[0]}*x2-{c[1]})^2")),
+            PlayerSpec(1, box, HalfspaceContour((_away(f"x1-{c[2]}", "x2"),))),
+        ]
+    else:  # a two-coordinate block
+        players = [
+            PlayerSpec(2, box * 2, CoordinateOrder()),
+            PlayerSpec(1, box, HalfspaceContour((_away(f"x1+x2-{c[0]}", "x3"),))),
+        ]
+    total_dim = sum(p.dim for p in players)
+    constraints = _random_rows(rng, total_dim) if shared else BoxOnly()
+    return GameSpec(tuple(players), constraints)
+
+
+class TestGenericEnumeration:
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize(
+        "family",
+        ["coordinate", "threshold-band", "halfspace", "trivial", "utility-halfspace", "blocks"],
+    )
+    def test_matches_naive_reference(self, family, seed, shared):
+        game = _generic_game(family, seed, shared)
+        h = 0.5 if family == "blocks" else 0.25
+        found = [tuple(float(v) for v in p.stacked) for p, _ in brute_force_gne(game, h)]
+        assert found == _reference_equilibria(game, h)
+
+    def test_only_live_profiles_are_evaluated(self):
+        # Player 1's utility divides by zero at x1 in {-1, 0}, and player 0
+        # already rules those profiles out, so they are never evaluated.
+        box = ((-1.0, 1.0),)
+        game = GameSpec(
+            (
+                PlayerSpec(1, box, CoordinateOrder()),
+                PlayerSpec(1, box, UtilityPreference("x2/(x1*(x1+1))")),
+            )
+        )
+        found = [tuple(p.stacked) for p, _ in brute_force_gne(game, 1.0)]
+        assert found == [(1.0, 1.0)] == _reference_equilibria(game, 1.0)
+
+    def test_chunked_tables_match_one_table(self, monkeypatch):
+        from ordnash import verify
+
+        game = _generic_game("halfspace", 3, True)
+        whole = brute_force_gne(game, 0.1)
+        monkeypatch.setattr(verify, "_CHUNK_ENTRIES", 7)
+        chunked = brute_force_gne(game, 0.1)
+        assert [p.stacked.tolist() for p, _ in chunked] == [
+            p.stacked.tolist() for p, _ in whole
+        ]
+        assert whole
 
 
 class TestSolverToGridBridge:
