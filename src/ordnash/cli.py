@@ -66,15 +66,15 @@ def main():
     """Ordinal-preference game solver and verifier."""
 
 
-def _finish(command, arguments, *, seed, digest, solution, certificates,
-            warnings, error, exit_code, started, out):
+def _finish(command, arguments, *, seed, exit_code, started, out, digest=None,
+            solution=None, certificates=(), warnings=(), error=None):
     report = build_report(
         command,
         arguments,
         seed=seed,
         game_digest=digest,
         solution=solution,
-        certificates=certificates,
+        certificates=list(certificates),
         warnings=warnings,
         error=error,
         exit_code=exit_code,
@@ -138,17 +138,13 @@ def solve(file, step, tol, max_iters, restarts, seed, grid, out):
             solution=solution_payload(solution),
             certificates=[certificate_payload(cert)],
             warnings=warnings,
-            error=None,
             exit_code=exit_code,
             started=started,
             out=out,
         )
     except OrdnashError as err:
-        _finish(
-            "solve", arguments, seed=seed, digest=None, solution=None,
-            certificates=[], warnings=[], error=str(err), exit_code=1,
-            started=started, out=out,
-        )
+        _finish("solve", arguments, seed=seed, error=str(err), exit_code=1,
+                started=started, out=out)
 
 
 @main.command()
@@ -173,20 +169,14 @@ def verify(file, point, grid, out):
             arguments,
             seed=None,
             digest=game_digest(game),
-            solution=None,
             certificates=[certificate_payload(cert)],
-            warnings=[],
-            error=None,
             exit_code=0 if cert.passed else 2,
             started=started,
             out=out,
         )
     except OrdnashError as err:
-        _finish(
-            "verify", arguments, seed=None, digest=None, solution=None,
-            certificates=[], warnings=[], error=str(err), exit_code=1,
-            started=started, out=out,
-        )
+        _finish("verify", arguments, seed=None, error=str(err), exit_code=1,
+                started=started, out=out)
 
 
 @main.command()
@@ -262,21 +252,15 @@ def theorems(suite, instances, step, tol, max_iters, restarts, seed, grid, out):
             "theorems",
             arguments,
             seed=seed,
-            digest=None,
-            solution=None,
             certificates=certificates,
             warnings=warnings,
-            error=None,
             exit_code=0 if passed else 2,
             started=started,
             out=out,
         )
     except OrdnashError as err:
-        _finish(
-            "theorems", arguments, seed=seed, digest=None, solution=None,
-            certificates=[], warnings=[], error=str(err), exit_code=1,
-            started=started, out=out,
-        )
+        _finish("theorems", arguments, seed=seed, error=str(err), exit_code=1,
+                started=started, out=out)
 
 
 def _run_trivial_pref(game, seed):
@@ -507,20 +491,15 @@ def examples(name, run_checks, dump, seed, out):
             arguments,
             seed=seed,
             digest=game_digest(game),
-            solution=None,
             certificates=certificates,
             warnings=warnings,
-            error=None,
             exit_code=0 if ok else 2,
             started=started,
             out=out,
         )
     except OrdnashError as err:
-        _finish(
-            "examples", arguments, seed=seed, digest=None, solution=None,
-            certificates=[], warnings=[], error=str(err), exit_code=1,
-            started=started, out=out,
-        )
+        _finish("examples", arguments, seed=seed, error=str(err), exit_code=1,
+                started=started, out=out)
 
 
 if __name__ == "__main__":

@@ -95,6 +95,13 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
+def _number(value) -> float:
+    # float() would also take "1" and True; a problem file must spell numbers.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _parse_preference(data, where: str):
     tag = _require(data, "type", where)
     if tag == "Utility":
@@ -138,8 +145,8 @@ def _parse_constraints(data, where: str):
         b = _require(data, "b", where)
         try:
             return SharedLinear(
-                a=tuple(tuple(float(v) for v in row) for row in a),
-                b=tuple(float(v) for v in b),
+                a=tuple(tuple(_number(v) for v in row) for row in a),
+                b=tuple(_number(v) for v in b),
             )
         except (TypeError, ValueError) as err:
             raise GameFormatError(f"{where}: bad SharedLinear data: {err}") from err
@@ -162,7 +169,7 @@ def game_from_dict(data: dict) -> GameSpec:
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise GameFormatError(f"{where}: 'dim' must be a positive integer")
         try:
-            box_tuple = tuple((float(lo), float(hi)) for lo, hi in box)
+            box_tuple = tuple((_number(lo), _number(hi)) for lo, hi in box)
         except (TypeError, ValueError) as err:
             raise GameFormatError(f"{where}: bad box data: {err}") from err
         pref = _parse_preference(pref_data, f"{where} preference")

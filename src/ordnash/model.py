@@ -219,6 +219,11 @@ class SharedLinear:
             )
         if len(self.a) == 0:
             raise ValueError("SharedLinear needs at least one row")
+        widths = sorted({len(row) for row in self.a})
+        if len(widths) > 1:
+            raise ValueError(f"constraint rows have unequal lengths {widths}")
+        if not (np.isfinite(self.matrix).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("constraint rows and offsets must be finite")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -299,6 +304,28 @@ class GameSpec:
         sl = self.own_slice(player)
         return self.box_lo[sl], self.box_hi[sl]
 
+    @cached_property
+    def _row_split(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per player, the shared rows as :func:`feasible_region` reads them:
+        rival columns of A, own columns of the binding rows, and the indices
+        of the binding rows and of the others (read-only; regions share them)."""
+        split = []
+        for player in range(self.n_players):
+            own = np.zeros(self.total_dim, dtype=bool)
+            own[self.own_slice(player)] = True
+            a_own = self.constraints.matrix[:, own]
+            binds = np.max(np.abs(a_own), axis=1) > 1e-15
+            parts = (
+                self.constraints.matrix[:, ~own],
+                a_own[binds],
+                np.flatnonzero(binds),
+                np.flatnonzero(~binds),
+            )
+            for part in parts:
+                part.flags.writeable = False
+            split.append(parts)
+        return tuple(split)
+
 
 @dataclass
 class FeasibleRegion:
@@ -334,16 +361,21 @@ class FeasibleRegion:
     def is_empty(self) -> bool:
         if self.forced_empty or np.any(self.lo > self.hi):
             return True
-        if self.normals.size == 0:
-            return False
+        return self.normals.size > 0 and self.linear_min(np.zeros(self.lo.size)) is None
+
+    def linear_min(self, c: np.ndarray) -> np.ndarray | None:
+        """A minimizer of ``<c, y>`` over the region from one HiGHS LP, exact
+        on any shape up to the solver's tolerances; None if there is none."""
+        if self.forced_empty:
+            return None
         result = linprog(
-            c=np.zeros(self.lo.size),
+            c=c,
             A_ub=self.normals,
             b_ub=self.offsets,
             bounds=list(zip(self.lo, self.hi)),
             method="highs",
         )
-        return result.status != 0
+        return result.x if result.status == 0 else None
 
 
 @dataclass(frozen=True)
@@ -512,9 +544,13 @@ def strictly_prefers(
 def feasible_region(
     game: GameSpec, player: PlayerId, rivals: Sequence[float]
 ) -> FeasibleRegion:
-    """Feasible set of ``player`` with the rivals fixed at ``rivals``.
+    """Feasible set K_i(x_-i) of ``player`` with the rivals fixed at ``rivals``.
 
-    ``rivals`` concatenates the other players' blocks in player order.
+    ``rivals`` concatenates the other players' blocks in player order.  The
+    solver projects onto these regions and the verifier checks against them.
+    A shared row binds the player when its largest own coefficient exceeds
+    1e-15 in absolute value; a row that does not is decided by the rivals
+    alone, and if they violate it the region is ``forced_empty``.
     """
     rivals = np.asarray(rivals, dtype=np.float64).ravel()
     expected = game.total_dim - game.dims[player]
@@ -526,27 +562,10 @@ def feasible_region(
     if isinstance(game.constraints, BoxOnly):
         return FeasibleRegion(lo.copy(), hi.copy(), np.empty((0, lo.size)), np.empty(0))
 
-    shared = game.constraints
-    sl = game.own_slice(player)
-    rival_cols = np.ones(game.total_dim, dtype=bool)
-    rival_cols[sl] = False
-    a_own = shared.matrix[:, sl]
-    b_eff = shared.rhs - shared.matrix[:, rival_cols] @ rivals
-
-    normals = []
-    offsets = []
-    forced_empty = False
-    for a_row, b_row in zip(a_own, b_eff):
-        if np.max(np.abs(a_row)) <= 1e-15:
-            # Row does not involve this player; rivals alone decide it.
-            if b_row < -_FEAS_TOL:
-                forced_empty = True
-            continue
-        normals.append(a_row)
-        offsets.append(b_row)
-    normals_arr = np.array(normals) if normals else np.empty((0, lo.size))
-    offsets_arr = np.array(offsets) if offsets else np.empty(0)
-    return FeasibleRegion(lo.copy(), hi.copy(), normals_arr, offsets_arr, forced_empty)
+    rival_a, normals, binding, other = game._row_split[player]
+    offsets = game.constraints.rhs - rival_a @ rivals
+    forced_empty = other.size > 0 and bool(np.min(offsets[other]) < -_FEAS_TOL)
+    return FeasibleRegion(lo.copy(), hi.copy(), normals, offsets[binding], forced_empty)
 
 
 def sample_contour(

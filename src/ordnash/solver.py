@@ -7,7 +7,10 @@ problem when the natural residual
 
     r(x) = || x - Proj_{K(x)}(x - step * g(x)) ||
 
-vanishes, where the projection is taken player by player with rivals fixed.
+vanishes, where the projection is taken player by player with rivals fixed:
+player i's block goes onto K_i(x_-i) = ``model.feasible_region(game, i,
+rivals)``, the same map the verifier checks against (a plain clip on box-only
+games, Dykstra's alternating projections once shared rows bind).
 
 ``solve_svip`` iterates the projected step from several seeded interior
 starting points.  Because the operator values are unit-scale, a constant step
@@ -40,6 +43,7 @@ from .errors import (
     SeparatorError,
 )
 from .model import (
+    BoxOnly,
     CoordinateOrder,
     FeasibleRegion,
     GameSpec,
@@ -206,14 +210,9 @@ def _sampled_selection(
     return d, Provenance.SAMPLED
 
 
-def _project_box_halfspaces(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    point: np.ndarray,
-) -> np.ndarray:
-    """Dykstra alternating projections onto box and halfspaces."""
+def _project_box_halfspaces(region: FeasibleRegion, point: np.ndarray) -> np.ndarray:
+    """Dykstra alternating projections onto the region's box and halfspaces."""
+    lo, hi, normals, offsets = region.lo, region.hi, region.normals, region.offsets
     if normals.size == 0:
         return np.clip(point, lo, hi)
     sets = 1 + normals.shape[0]
@@ -242,10 +241,7 @@ def project_feasible(region: FeasibleRegion, point) -> np.ndarray:
     """Euclidean projection onto a feasible region (box and halfspaces)."""
     if region.is_empty:
         raise InfeasibleRegionError("infeasible constraint set")
-    p = np.asarray(point, dtype=np.float64)
-    return _project_box_halfspaces(
-        region.lo, region.hi, region.normals, region.offsets, p
-    )
+    return _project_box_halfspaces(region, np.asarray(point, dtype=np.float64))
 
 
 def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
@@ -279,15 +275,41 @@ def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
     return g
 
 
+def _project_blocks(game: GameSpec, x: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Project each player's target block onto its feasible set, rivals fixed at ``x``."""
+    if isinstance(game.constraints, BoxOnly):
+        return np.clip(target, game.box_lo, game.box_hi)
+    out = np.empty_like(target)
+    for player in range(game.n_players):
+        sl = game.own_slice(player)
+        rivals = np.concatenate((x[: sl.start], x[sl.stop :]))
+        out[sl] = _project_box_halfspaces(feasible_region(game, player, rivals), target[sl])
+    return out
+
+
+def _residual(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float) -> float:
+    """Natural residual ``||x - Proj_K(x)(x - step * g)||`` at the stacked profile ``x``."""
+    return float(np.linalg.norm(x - _project_blocks(game, x, x - step * g)))
+
+
+def _joint_region(game: GameSpec) -> FeasibleRegion:
+    """The self-consistent feasible set {x in box : A x <= b} over all coordinates."""
+    if isinstance(game.constraints, SharedLinear):
+        normals, offsets = game.constraints.matrix, game.constraints.rhs
+    else:
+        normals, offsets = np.empty((0, game.total_dim)), np.empty(0)
+    return FeasibleRegion(
+        game.box_lo.copy(), game.box_hi.copy(), normals.copy(), offsets.copy()
+    )
+
+
 def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -> float:
     """Distance from ``x`` to the projected step taken with size ``alpha``."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     g = _stack_operator(game, operator_value)
     _require_feasible(game, x)
-    point = x.stacked
-    moved = _ProjectionKit(game).project_blocks(point, point - alpha * g)
-    return float(np.linalg.norm(point - moved))
+    return _residual(game, x.stacked, g, alpha)
 
 
 def fixed_point_step(game: GameSpec, x: Profile, cfg: SolverConfig) -> Profile:
@@ -296,72 +318,21 @@ def fixed_point_step(game: GameSpec, x: Profile, cfg: SolverConfig) -> Profile:
     _require_feasible(game, x)
     point = x.stacked
     return split_profile(
-        game, _ProjectionKit(game).project_blocks(point, point - cfg.step * sel.stacked)
+        game, _project_blocks(game, point, point - cfg.step * sel.stacked)
     )
 
 
-class _ProjectionKit:
-    """Pre-sliced constraint data for the solver's inner loop."""
-
-    def __init__(self, game: GameSpec):
-        self.game = game
-        self.lo = game.box_lo
-        self.hi = game.box_hi
-        self.shared = isinstance(game.constraints, SharedLinear)
-        if self.shared:
-            shared: SharedLinear = game.constraints
-            self.matrix = shared.matrix
-            self.rhs = shared.rhs
-            self.own_cols = []
-            self.rival_cols = []
-            for player in range(game.n_players):
-                mask = np.zeros(game.total_dim, dtype=bool)
-                mask[game.own_slice(player)] = True
-                self.own_cols.append(self.matrix[:, mask])
-                self.rival_cols.append(self.matrix[:, ~mask])
-
-    def project_blocks(self, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Project each player's target block, rivals fixed at ``x``."""
-        game = self.game
-        out = np.empty_like(target)
-        for player in range(game.n_players):
-            sl = game.own_slice(player)
-            lo, hi = self.lo[sl], self.hi[sl]
-            if not self.shared:
-                out[sl] = np.clip(target[sl], lo, hi)
-                continue
-            rivals = np.delete(x, np.arange(sl.start, sl.stop))
-            offsets = self.rhs - self.rival_cols[player] @ rivals
-            normals = self.own_cols[player]
-            live = np.linalg.norm(normals, axis=1) > 1e-15
-            out[sl] = _project_box_halfspaces(
-                lo, hi, normals[live], offsets[live], target[sl]
-            )
-        return out
-
-    def global_region(self) -> FeasibleRegion:
-        """The self-consistent feasible set {x in box : A x <= b}."""
-        game = self.game
-        if not self.shared:
-            return FeasibleRegion(
-                self.lo.copy(), self.hi.copy(), np.empty((0, game.total_dim)), np.empty(0)
-            )
-        return FeasibleRegion(
-            self.lo.copy(), self.hi.copy(), self.matrix.copy(), self.rhs.copy()
-        )
-
-
-def _starting_points(game: GameSpec, cfg: SolverConfig, kit: _ProjectionKit) -> np.ndarray:
+def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
     sampler = qmc.Halton(d=game.total_dim, scramble=True, seed=cfg.seed)
     unit = sampler.random(cfg.restarts)
     lo, hi = game.box_lo, game.box_hi
     points = lo + (0.1 + 0.8 * unit) * (hi - lo)  # keep starts interior to the box
-    region = kit.global_region()
+    region = _joint_region(game)
     if region.is_empty:
         raise InfeasibleRegionError(
             "infeasible constraint set: no feasible starting point exists"
         )
-    if kit.shared:
+    if isinstance(game.constraints, SharedLinear):
         points = np.array([project_feasible(region, p) for p in points])
     return points
 
@@ -369,12 +340,10 @@ def _starting_points(game: GameSpec, cfg: SolverConfig, kit: _ProjectionKit) -> 
 def _run_single(
     game: GameSpec,
     cfg: SolverConfig,
-    kit: _ProjectionKit,
     start: np.ndarray,
 ) -> tuple[np.ndarray, Selection, float, int, bool, list[tuple[int, float]]]:
-    n_players = game.n_players
     x = start.copy()
-    alpha = np.full(n_players, cfg.step)
+    alpha = np.full(game.n_players, cfg.step)
     anchor = x.copy()
     trace: list[tuple[int, float]] = []
     sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
@@ -383,8 +352,7 @@ def _run_single(
     it = 0
     for it in range(1, cfg.max_iters + 1):
         g = sel.stacked
-        reference = kit.project_blocks(x, x - cfg.step * g)
-        residual = float(np.linalg.norm(x - reference))
+        residual = _residual(game, x, g, cfg.step)
         trace.append((it, residual))
         if residual <= cfg.tol:
             converged = True
@@ -392,14 +360,10 @@ def _run_single(
 
         # Per-player working steps; the reference residual above always uses
         # the configured step, so damping cannot fake convergence.
-        target = x.copy()
-        for player in range(n_players):
-            sl = game.own_slice(player)
-            target[sl] = x[sl] - alpha[player] * g[sl]
-        x = kit.project_blocks(x, target)
+        x = _project_blocks(game, x, x - np.repeat(alpha, game.dims) * g)
 
         if it % _ADAPT_WINDOW == 0:
-            for player in range(n_players):
+            for player in range(game.n_players):
                 sl = game.own_slice(player)
                 net = float(np.linalg.norm(x[sl] - anchor[sl]))
                 budget = _ADAPT_WINDOW * alpha[player]
@@ -411,14 +375,12 @@ def _run_single(
 
         sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
 
-    if converged and kit.shared:
+    if converged and isinstance(game.constraints, SharedLinear):
         # The Jacobi update can leave a converged point a residual-sized
         # distance outside the self-consistent region; polish it back in.
-        region = kit.global_region()
-        x = project_feasible(region, x)
+        x = project_feasible(_joint_region(game), x)
         sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
-        reference = kit.project_blocks(x, x - cfg.step * sel.stacked)
-        residual = float(np.linalg.norm(x - reference))
+        residual = _residual(game, x, sel.stacked, cfg.step)
         converged = residual <= cfg.tol
     return x, sel, residual, it, converged, trace
 
@@ -430,12 +392,11 @@ def solve_svip(game: GameSpec, cfg: SolverConfig | None = None) -> SvipSolution:
     and configuration always reproduce the same solution and trace.
     """
     cfg = cfg or SolverConfig()
-    kit = _ProjectionKit(game)
-    starts = _starting_points(game, cfg, kit)
+    starts = _starting_points(game, cfg)
     best: tuple[float, int] | None = None
     best_payload = None
     for restart, start in enumerate(starts):
-        x, sel, residual, iters, converged, trace = _run_single(game, cfg, kit, start)
+        x, sel, residual, iters, converged, trace = _run_single(game, cfg, start)
         if best is None or residual < best[0]:
             best = (residual, restart)
             best_payload = (x, sel, residual, iters, converged, trace, restart)

@@ -19,12 +19,10 @@ import numpy as np
 from .cones import sampled_separating_direction
 from .errors import EvaluationError, GridBudgetError, SeparatorError
 from .model import (
-    _FEAS_TOL,
     BoxOnly,
     GameSpec,
     PlayerId,
     Profile,
-    SharedLinear,
     TrivialZero,
     UtilityPreference,
     _strict_upper_table,
@@ -35,9 +33,9 @@ from .model import (
 )
 from .solver import (
     SolverConfig,
+    _joint_region,
     _require_feasible,
     _stack_operator,
-    project_feasible,
     solve_svip,
 )
 
@@ -151,10 +149,8 @@ def _polytope_vertices(
 ) -> np.ndarray:
     """Vertices of {lo <= y <= hi, normals y <= offsets} by basis enumeration."""
     dim = lo.size
-    rows = [np.vstack([np.eye(dim), -np.eye(dim), normals])]
-    rhs = [np.concatenate([hi, -lo, offsets])]
-    a_all = np.vstack(rows)
-    b_all = np.concatenate(rhs)
+    a_all = np.vstack([np.eye(dim), -np.eye(dim), normals])
+    b_all = np.concatenate([hi, -lo, offsets])
     vertices = []
     scale = np.maximum(1.0, np.abs(b_all))
     for combo in itertools.combinations(range(a_all.shape[0]), dim):
@@ -170,37 +166,37 @@ def _polytope_vertices(
 def _exact_linear_min(
     region, g: np.ndarray, fallback: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Minimize <g, y> over a feasible region; exact for the supported shapes."""
+    """Minimize <g, y> over a feasible region, exactly on every shape.
+
+    A box is solved by its best corner and a small polytope (at most 3 dims
+    and 4 rows) by vertex enumeration; any other shape, or a small one
+    without vertices, takes one HiGHS LP.  ``fallback`` is returned when the
+    LP finds no optimum.
+    """
     if region.normals.shape[0] == 0:
         y = _box_linear_min(region.lo, region.hi, g)
         return float(g @ y), y
     if region.lo.size <= 3 and region.normals.shape[0] <= 4:
         vertices = _polytope_vertices(region.lo, region.hi, region.normals, region.offsets)
-        if vertices.shape[0] == 0:
-            return float(g @ fallback), fallback
-        values = vertices @ g
-        best = int(np.argmin(values))
-        return float(values[best]), vertices[best]
-    # Projected subgradient fallback for shapes outside the exact path.
-    y = fallback.copy()
-    best_y = y.copy()
-    best_val = float(g @ y)
-    step = float(np.max(region.hi - region.lo))
-    for _ in range(200):
-        y = project_feasible(region, y - step * g)
-        val = float(g @ y)
-        if val < best_val:
-            best_val, best_y = val, y.copy()
-        step *= 0.9
-    return best_val, best_y
+        if vertices.shape[0]:
+            values = vertices @ g
+            best = int(np.argmin(values))
+            return float(values[best]), vertices[best]
+    y = region.linear_min(g)
+    if y is None:
+        y = fallback
+    return float(g @ y), y
 
 
 def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) -> Certificate:
     """Exact variational-inequality check of a point and operator value.
 
     Normalizes the stacked operator value to unit norm, then computes
-    m = min over feasible y of <g, y - x>, player by player.  Passes when
-    m >= -tol.  A zero operator value passes vacuously.
+    m = min over feasible y of <g, y - x>, player by player over
+    ``model.feasible_region`` with the rivals at ``x``.  Each minimum is
+    exact: a box corner, a vertex of a small polytope, or one HiGHS LP for
+    any larger shape.  Passes when m >= -tol.  A zero operator value passes
+    vacuously.
     """
     regions = _require_feasible(game, x)
     g = _stack_operator(game, operator_value)
@@ -243,15 +239,8 @@ def _feasible_tensor(game: GameSpec, axes: list[np.ndarray]) -> np.ndarray | Non
     """Boolean tensor over the profile grid for shared constraints, else None."""
     if isinstance(game.constraints, BoxOnly):
         return None
-    shared: SharedLinear = game.constraints
     shape = tuple(a.size for a in axes)
-    slack = np.full(shape + (shared.rhs.size,), -shared.rhs, dtype=np.float64)
-    for coord, axis in enumerate(axes):
-        reshape = [1] * len(axes)
-        reshape[coord] = axis.size
-        slack += shared.matrix[:, coord] * axis.reshape(reshape + [1])
-    tol = _FEAS_TOL * np.maximum(1.0, np.abs(shared.rhs))
-    return np.all(slack <= tol, axis=-1)
+    return _joint_region(game).contains_many(_cartesian(axes)).reshape(shape)
 
 
 def _utility_tensor(

@@ -1,7 +1,10 @@
 """Command-line interface: report shape, exit codes, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -159,6 +162,17 @@ class TestSolveCommand:
         assert "nests deeper than" in report["error"]
         assert "at position" in report["error"]
 
+    def test_ragged_constraint_rows_exit_one_with_report(self, runner, tmp_path):
+        game = json.loads(dumps_game(EXAMPLES["arrow-debreu"]()))
+        game["constraints"] = {"type": "SharedLinear", "a": [[1, 1], [1]], "b": [1, 1]}
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(game))
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["exit_code"] == 1
+        assert "unequal lengths" in report["error"]
+
     def test_bad_solver_flag_exit_one(self, runner, coordinate_file):
         result = runner.invoke(main, ["solve", coordinate_file, "--step", "0"])
         assert result.exit_code == 1
@@ -306,6 +320,33 @@ class TestDeterminism:
         second = runner.invoke(main, argv)
         assert first.exit_code == second.exit_code
         assert _strip_wall_time(first.stdout) == _strip_wall_time(second.stdout)
+
+
+def _readme_cli_lines():
+    """Every ``ordnash ...`` command line of the README's CLI code block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [
+        " ".join(line.split()) for line in joined.splitlines() if line.startswith("ordnash ")
+    ]
+
+
+class TestReadme:
+    def test_cli_block_has_every_command(self):
+        names = {shlex.split(line)[1] for line in _readme_cli_lines()}
+        assert names == set(main.commands)
+
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_cli_line_resolves(self, line):
+        """Parse the line against the click command tree without invoking it."""
+        program, name, *args = shlex.split(line)
+        assert program == "ordnash"
+        parent = click.Context(main, info_name=program)
+        command = main.get_command(parent, name)
+        assert command is not None, f"no subcommand {name!r}"
+        command.make_context(name, args, parent=parent)
 
 
 class TestVersion:

@@ -208,6 +208,79 @@ class TestParseErrors:
             game_from_dict(data)
         assert "SharedLinear" in str(err.value)
 
+    def test_ragged_shared_rows_rejected(self):
+        data = {
+            "players": [
+                {"dim": 1, "box": [[0, 1]], "preference": {"type": "TrivialZero"}},
+                {"dim": 1, "box": [[0, 1]], "preference": {"type": "TrivialZero"}},
+            ],
+            "constraints": {"type": "SharedLinear", "a": [[1, 1], [1]], "b": [1, 1]},
+        }
+        with pytest.raises(GameFormatError) as err:
+            game_from_dict(data)
+        assert "unequal lengths" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["0", True, None, [0]])
+    def test_box_bounds_must_be_numbers(self, value):
+        data = {
+            "players": [
+                {"dim": 1, "box": [[value, 1]], "preference": {"type": "TrivialZero"}}
+            ],
+            "constraints": {"type": "BoxOnly"},
+        }
+        with pytest.raises(GameFormatError) as err:
+            game_from_dict(data)
+        assert "player 0: bad box data" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["1", False])
+    def test_shared_row_entries_must_be_numbers(self, value):
+        data = {
+            "players": [
+                {"dim": 1, "box": [[0, 1]], "preference": {"type": "TrivialZero"}}
+            ],
+            "constraints": {"type": "SharedLinear", "a": [[value]], "b": [1]},
+        }
+        with pytest.raises(GameFormatError) as err:
+            game_from_dict(data)
+        assert "bad SharedLinear data" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["1", True])
+    def test_shared_offsets_must_be_numbers(self, value):
+        data = {
+            "players": [
+                {"dim": 1, "box": [[0, 1]], "preference": {"type": "TrivialZero"}}
+            ],
+            "constraints": {"type": "SharedLinear", "a": [[1]], "b": [value]},
+        }
+        with pytest.raises(GameFormatError) as err:
+            game_from_dict(data)
+        assert "bad SharedLinear data" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "a, b", [([[float("nan")]], [1]), ([[1]], [float("inf")])], ids=["nan-row", "inf-offset"]
+    )
+    def test_shared_linear_must_be_finite(self, a, b):
+        data = {
+            "players": [
+                {"dim": 1, "box": [[0, 1]], "preference": {"type": "TrivialZero"}}
+            ],
+            "constraints": {"type": "SharedLinear", "a": a, "b": b},
+        }
+        with pytest.raises(GameFormatError) as err:
+            game_from_dict(data)
+        assert "must be finite" in str(err.value)
+
+    def test_integer_and_float_numbers_accepted(self):
+        data = {
+            "players": [
+                {"dim": 1, "box": [[0, 1.5]], "preference": {"type": "TrivialZero"}}
+            ],
+            "constraints": {"type": "SharedLinear", "a": [[2]], "b": [1.25]},
+        }
+        game = game_from_dict(data)
+        assert game.players[0].box == ((0.0, 1.5),)
+        assert game.constraints == SharedLinear(a=((2.0,),), b=(1.25,))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(GameFormatError) as err:
             load_game(tmp_path / "absent.json")

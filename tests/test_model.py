@@ -275,6 +275,53 @@ class TestFeasibleRegion:
         region = feasible_region(game, 0, rivals=[0.0])
         assert region.is_empty
 
+    def test_ragged_shared_rows_rejected(self):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            SharedLinear(a=((1.0, 1.0), (1.0,)), b=(1.0, 1.0))
+
+    def test_row_binds_by_largest_own_coefficient(self):
+        # Player 0 owns two coordinates; row 1 reaches it only through 1e-16,
+        # so the rivals alone decide that row.
+        game = GameSpec(
+            players=(
+                PlayerSpec(2, ((0.0, 1.0), (0.0, 1.0)), TrivialZero()),
+                PlayerSpec(1, ((0.0, 1.0),), TrivialZero()),
+            ),
+            constraints=SharedLinear(
+                a=((1.0, 2.0, 1.0), (1e-16, 0.0, 1.0)), b=(2.0, 0.5)
+            ),
+        )
+        region = feasible_region(game, 0, rivals=[0.25])
+        np.testing.assert_array_equal(region.normals, [[1.0, 2.0]])
+        np.testing.assert_array_equal(region.offsets, [1.75])
+        assert not region.forced_empty
+        assert feasible_region(game, 0, rivals=[0.75]).forced_empty
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_row_by_row_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = (2, 1, 2)
+        a = rng.uniform(-1.0, 1.0, (5, sum(dims)))
+        a[rng.random(a.shape) < 0.4] = 0.0  # some rows miss some players
+        b = rng.uniform(-0.5, 1.5, 5)
+        game = GameSpec(
+            tuple(PlayerSpec(d, ((0.0, 1.0),) * d, TrivialZero()) for d in dims),
+            SharedLinear(a=a.tolist(), b=b.tolist()),
+        )
+        x = rng.uniform(0.0, 1.0, sum(dims))
+        for player in range(game.n_players):
+            sl = game.own_slice(player)
+            rivals = np.delete(x, np.arange(sl.start, sl.stop))
+            own_cols = np.zeros(sum(dims), dtype=bool)
+            own_cols[sl] = True
+            offsets = b - a[:, ~own_cols] @ rivals
+            rows = [i for i in range(5) if np.max(np.abs(a[i, sl])) > 1e-15]
+            free = [i for i in range(5) if i not in rows]
+            region = feasible_region(game, player, rivals)
+            np.testing.assert_array_equal(region.normals, a[rows, sl])
+            np.testing.assert_array_equal(region.offsets, offsets[rows])
+            assert region.forced_empty == any(offsets[i] < -1e-9 for i in free)
+
     def test_rivals_arity_checked(self, budget_game):
         with pytest.raises(ProfileError):
             feasible_region(budget_game, 0, rivals=[0.1, 0.2])

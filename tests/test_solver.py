@@ -17,11 +17,13 @@ from ordnash.errors import (
     InfeasibleRegionError,
 )
 from ordnash.model import (
+    CoordinateOrder,
     FeasibleRegion,
     GameSpec,
     PlayerSpec,
     SharedLinear,
     TrivialZero,
+    UtilityPreference,
     feasible_region,
     split_profile,
 )
@@ -231,6 +233,62 @@ class TestFixedPointStep:
                 assert region.contains(x.block(player).array, tol=region_tol)
         # The chain settles on the budget line.
         assert sum(x.stacked) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSharedProjection:
+    """On shared rows, every block is projected onto its own feasible region."""
+
+    @staticmethod
+    def _game():
+        # Player 0 holds two coordinates; the second row involves player 2 only.
+        return GameSpec(
+            players=(
+                PlayerSpec(
+                    2,
+                    ((0.0, 1.0), (0.0, 1.0)),
+                    UtilityPreference("-(x1-2)^2-(x2-2)^2"),
+                ),
+                PlayerSpec(1, ((0.0, 1.0),), UtilityPreference("-(x3-2)^2")),
+                PlayerSpec(1, ((0.0, 1.0),), CoordinateOrder()),
+            ),
+            constraints=SharedLinear(
+                a=((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 1.0)), b=(2.5, 0.7)
+            ),
+        )
+
+    @staticmethod
+    def _projected(game, x, target):
+        return np.concatenate(
+            [
+                project_feasible(
+                    feasible_region(game, p, x.rivals(p)), target[game.own_slice(p)]
+                )
+                for p in range(game.n_players)
+            ]
+        )
+
+    def test_natural_residual(self):
+        game = self._game()
+        x = split_profile(game, [0.6, 0.6, 0.6, 0.65])
+        g = np.array([-1.0, -0.5, -2.0, -1.0])
+        target = x.stacked - 0.3 * g
+        expected = self._projected(game, x, target)
+        # Both shared rows cut the targets: the clip alone would differ.
+        assert not np.allclose(expected, np.clip(target, 0.0, 1.0))
+        r = natural_residual(game, x, g, alpha=0.3)
+        assert r == float(np.linalg.norm(x.stacked - expected))
+
+    def test_fixed_point_step(self):
+        game = self._game()
+        cfg = SolverConfig()
+        x = split_profile(game, [0.6, 0.6, 0.6, 0.65])
+        sel = selection_T(game, x, sample_seed=cfg.seed)
+        assert sel.all_nonzero
+        target = x.stacked - cfg.step * sel.stacked
+        expected = self._projected(game, x, target)
+        assert not np.allclose(expected, np.clip(target, 0.0, 1.0))
+        y = fixed_point_step(game, x, cfg)
+        np.testing.assert_array_equal(y.stacked, expected)
 
 
 class TestSolveSvip:

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from conftest import make_budget_pair, make_pull_to_half_rival
 from ordnash.cones import Direction
@@ -187,6 +188,37 @@ class TestCheckSvip:
         # best feasible move is capped by the budget line at the current point.
         cert = check_svip(budget_game, x, [-1.0, -1.0], tol=1e-9)
         assert cert.passed
+
+    @pytest.mark.parametrize("dim, rows", [(4, 2), (2, 6)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_margin_matches_linprog_beyond_vertex_shapes(self, dim, rows, seed):
+        """Blocks outside the vertex-enumeration shapes are minimized exactly."""
+        rng = np.random.default_rng([seed, dim, rows])
+        box = tuple((0.0, 1.0) for _ in range(dim))
+        players = tuple(PlayerSpec(dim, box, TrivialZero()) for _ in range(2))
+        point = rng.uniform(0.2, 0.8, 2 * dim)
+        a = rng.uniform(-1.0, 1.0, (rows, 2 * dim))
+        b = a @ point + rng.uniform(0.05, 0.5, rows)
+        game = GameSpec(players, SharedLinear(a=a.tolist(), b=b.tolist()))
+        g = rng.normal(size=2 * dim)
+
+        unit = g / np.linalg.norm(g)
+        reference = 0.0
+        first, second = slice(0, dim), slice(dim, None)
+        for own, rival in ((first, second), (second, first)):
+            result = linprog(
+                unit[own],
+                A_ub=a[:, own],
+                b_ub=b - a[:, rival] @ point[rival],
+                bounds=[(0.0, 1.0)] * dim,
+                method="highs",
+            )
+            assert result.status == 0
+            reference += result.fun - unit[own] @ point[own]
+
+        cert = check_svip(game, split_profile(game, point), g)
+        assert not cert.passed
+        assert cert.witness["margin"] == pytest.approx(reference, abs=1e-9)
 
     @given(
         st.floats(0.01, 100.0),
