@@ -95,6 +95,11 @@ def _validated_game(path):
     return game
 
 
+def _check_grid(grid):
+    if not (grid > 0 and np.isfinite(grid)):
+        raise OrdnashError(f"--grid must be positive and finite, got {grid}")
+
+
 def _solver_config(step, tol, max_iters, restarts, seed):
     try:
         return SolverConfig(
@@ -122,6 +127,7 @@ def solve(file, step, tol, max_iters, restarts, seed, grid, out):
         "grid": grid,
     }
     try:
+        _check_grid(grid)
         game = _validated_game(file)
         cfg = _solver_config(step, tol, max_iters, restarts, seed)
         solution = solve_svip(game, cfg)
@@ -157,11 +163,14 @@ def verify(file, point, grid, out):
     started = time.monotonic()
     arguments = {"file": file, "point": point, "grid": grid}
     try:
+        _check_grid(grid)
         game = _validated_game(file)
         try:
             values = [float(tok) for tok in point.split(",")]
         except ValueError as err:
             raise OrdnashError(f"cannot parse --point {point!r}: {err}") from err
+        if not np.all(np.isfinite(values)):
+            raise OrdnashError(f"--point coordinates must be finite, got {point!r}")
         profile = split_profile(game, values)
         cert = check_gne_grid(game, profile, grid)
         _finish(
@@ -204,6 +213,7 @@ def theorems(suite, instances, step, tol, max_iters, restarts, seed, grid, out):
         "grid": grid,
     }
     try:
+        _check_grid(grid)
         if instances < 1:
             raise OrdnashError(f"--instances must be at least 1, got {instances}")
         certificates = []

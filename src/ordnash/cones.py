@@ -4,7 +4,9 @@ Three mechanisms produce elements of the normal cone of a player's strict
 upper contour set at the current point:
 
 * ``gradient_normal_direction`` -- the normalized negative utility gradient,
-  by central finite differences (valid for concave utilities);
+  by central finite differences (valid for concave utilities); it is the
+  one-profile case of ``gradient_directions``, which the solver calls on all
+  of its restarts at once;
 * ``polyhedral_normal_generators`` -- active-row normals when the contour set
   is an open polyhedron;
 * ``sampled_separating_direction`` -- a separator recovered from an inner
@@ -44,6 +46,7 @@ __all__ = [
     "Provenance",
     "Direction",
     "ConeGenerators",
+    "gradient_directions",
     "gradient_normal_direction",
     "polyhedral_normal_generators",
     "contour_polyhedron",
@@ -117,6 +120,68 @@ class ConeGenerators:
                 )
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, bit-equal to ``np.linalg.norm`` of that row."""
+    if rows.shape[1] == 1:
+        return np.sqrt(rows[:, 0] * rows[:, 0])
+    rows = np.ascontiguousarray(rows)  # a strided dot rounds unlike a contiguous one
+    return np.sqrt([row @ row for row in rows])
+
+
+def gradient_directions(
+    game: GameSpec,
+    player: PlayerId,
+    points: np.ndarray,
+    *,
+    step: float = 1e-6,
+    gtol: float = 1e-10,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized negative own-gradients of the utility at many profiles.
+
+    ``points`` is an (R, n) array of stacked profiles.  Central differences
+    with the given step are taken by one compiled call on the (2 dim R, n)
+    shifted profiles.  Returns the (R, dim) unit directions and the (R,)
+    mask of flat rows, whose gradient norm is at most ``gtol`` and whose
+    direction row is zero.  Each row is bit-equal to the computation at that
+    profile alone: the block norm is one 1-D dot per row (:func:`_row_norms`).
+    """
+    pref = game.players[player].preference
+    if not isinstance(pref, UtilityPreference):
+        raise GameFormatError(
+            f"player {player} has no utility; gradient direction undefined"
+        )
+    dim = game.dims[player]
+    start = game.own_slice(player).start
+    base = np.asarray(points, dtype=np.float64)
+    base = base.reshape(-1, base.shape[-1])
+    batch = base.repeat(2 * dim, axis=0)
+    shifted = batch.reshape(base.shape[0], dim, 2, base.shape[1])
+    for k in range(dim):  # rows 2k, 2k+1 of each profile move coordinate k up, down
+        shifted[:, k, 0, start + k] += step
+        shifted[:, k, 1, start + k] -= step
+    values = np.asarray(pref.fn(batch), dtype=np.float64)
+    if values.shape != batch.shape[:1]:
+        values = np.broadcast_to(values, batch.shape[:1])
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) < finite.size:
+        bad = base[int(np.argmin(finite.reshape(base.shape[0], -1).all(axis=1)))]
+        raise EvaluationError(
+            f"utility expression {pref.expr!r} non-finite near {bad.tolist()}"
+        )
+    pairs = values.reshape(-1, 2)
+    grad = ((pairs[:, 0] - pairs[:, 1]) / (2.0 * step)).reshape(-1, dim)
+    norms = _row_norms(grad)
+    flat = norms <= gtol
+    # A flat row divides by norm + 1 (any nonzero value) and is zeroed below.
+    directions = -grad / (norms + flat)[:, None]
+    unit = np.sqrt(np.add.reduce(directions * directions, axis=1))
+    if np.count_nonzero(flat):
+        directions[flat], unit[flat] = 0.0, 1.0
+    if np.maximum.reduce(np.abs(unit - 1.0), initial=0.0) > _UNIT_TOL:
+        raise ValueError(f"direction must be unit or zero, got norms {unit!r}")
+    return directions, flat
+
+
 def gradient_normal_direction(
     game: GameSpec,
     player: PlayerId,
@@ -130,29 +195,12 @@ def gradient_normal_direction(
     Central differences with the given step.  For a concave utility the
     returned direction lies in the normal cone of the strict upper contour
     set at ``x``.  Returns None when the gradient norm is at most ``gtol``.
+    This is the one-profile case of :func:`gradient_directions`.
     """
-    pref = game.players[player].preference
-    if not isinstance(pref, UtilityPreference):
-        raise GameFormatError(
-            f"player {player} has no utility; gradient direction undefined"
-        )
-    dim = game.dims[player]
-    sl = game.own_slice(player)
-    base = x.stacked
-    batch = np.tile(base, (2 * dim, 1))
-    for k in range(dim):
-        batch[2 * k, sl.start + k] += step
-        batch[2 * k + 1, sl.start + k] -= step
-    values = np.asarray(pref.fn(batch), dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError(
-            f"utility expression {pref.expr!r} non-finite near {base.tolist()}"
-        )
-    grad = (values[0::2] - values[1::2]) / (2.0 * step)
-    norm = float(np.linalg.norm(grad))
-    if norm <= gtol:
-        return None
-    return Direction.unit(player, -grad)
+    directions, flat = gradient_directions(
+        game, player, x.stacked[None, :], step=step, gtol=gtol
+    )
+    return None if flat[0] else Direction(player, tuple(directions[0]))
 
 
 def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import EvaluationError, ExpressionError
 
 __all__ = [
     "Expr",
@@ -298,7 +298,10 @@ class _Parser:
         token = self.advance()
         kind, text, position = token
         if kind == "number":
-            return Literal(float(text))
+            value = float(text)
+            if not np.isfinite(value):
+                raise ExpressionError(f"number {text!r} overflows a float", position)
+            return Literal(value)
         if kind == "var":
             index = int(text[1:])
             if index < 1:
@@ -331,4 +334,14 @@ def compile_expression(expr: Expr):
     array, so it is safe to ``eval`` and keeps numpy broadcasting semantics.
     """
     source = f"lambda v: {expr._emit()}"
-    return eval(source, {"__builtins__": {}}, {})
+    fn = eval(source, {"__builtins__": {}}, {})
+
+    def compiled(values):
+        try:
+            return fn(values)
+        except (ZeroDivisionError, OverflowError) as err:
+            # Constant subexpressions stay Python floats, which raise where
+            # numpy (and ``Expr.evaluate``) would give inf or nan.
+            raise EvaluationError(f"expression is not finite: {err}") from err
+
+    return compiled

@@ -10,6 +10,7 @@ verifier) is built on that single predicate and on the feasible-region map.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
@@ -54,6 +55,8 @@ __all__ = [
 PlayerId = int
 
 _FEAS_TOL = 1e-9
+# A shared row binds a player when one of its own coefficients exceeds this.
+_BIND_TOL = 1e-15
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -314,7 +317,7 @@ class GameSpec:
             own = np.zeros(self.total_dim, dtype=bool)
             own[self.own_slice(player)] = True
             a_own = self.constraints.matrix[:, own]
-            binds = np.max(np.abs(a_own), axis=1) > 1e-15
+            binds = np.max(np.abs(a_own), axis=1) > _BIND_TOL
             parts = (
                 self.constraints.matrix[:, ~own],
                 a_own[binds],
@@ -568,6 +571,32 @@ def feasible_region(
     return FeasibleRegion(lo.copy(), hi.copy(), normals, offsets[binding], forced_empty)
 
 
+# Seeded uniform draws of recent sample_contour calls, oldest first.  Every
+# flat-gradient fallback of a solve draws the same points again; the bound
+# keeps callers that use a new seed per call (cone trials) from growing it.
+_DRAW_CACHE_SIZE = 8
+_draw_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _uniform_draws(seed, attempts: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``default_rng(seed).uniform(lo, hi, (attempts, dim))``, read-only and
+    shared with later calls for the same seed, count and bounds.  Only integer
+    seeds are reused; any other seed (None, a Generator) draws afresh."""
+    if not isinstance(seed, (int, np.integer)):
+        return np.random.default_rng(seed).uniform(lo, hi, size=(attempts, lo.size))
+    key = (int(seed), attempts, lo.shape, lo.tobytes(), hi.shape, hi.tobytes())
+    draws = _draw_cache.get(key)
+    if draws is None:
+        draws = np.random.default_rng(seed).uniform(lo, hi, size=(attempts, lo.size))
+        draws.flags.writeable = False
+        _draw_cache[key] = draws
+        if len(_draw_cache) > _DRAW_CACHE_SIZE:
+            _draw_cache.popitem(last=False)
+    else:
+        _draw_cache.move_to_end(key)
+    return draws
+
+
 def sample_contour(
     game: GameSpec,
     player: PlayerId,
@@ -584,6 +613,9 @@ def sample_contour(
     ``count`` that ``player`` strictly prefers at ``x``, in draw order, as one
     (m, dim) float64 array.  ``m`` is below ``count`` (possibly 0, shape
     ``(0, dim)``) when the contour set misses the sampling box or is thin.
+    The draws depend only on the seed, the attempt count and the bounds, so
+    the last few distinct draw sets are kept and reused (read-only); the
+    returned array is always a fresh copy.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -594,8 +626,7 @@ def sample_contour(
     if count == 0:
         return np.empty((0, game.dims[player]))
     attempts = max_attempts if max_attempts is not None else max(20 * count, 2000)
-    rng = np.random.default_rng(seed)
-    draws = rng.uniform(lo, hi, size=(attempts, lo.size))
+    draws = _uniform_draws(seed, attempts, lo, hi)
     mask = strict_upper_mask(game, player, draws, x)
     return draws[mask][:count]
 
@@ -619,6 +650,15 @@ def validate_spec(game: GameSpec, probe_count: int = 16, seed: int = 0) -> list[
                     ValidationIssue(
                         "empty-interval",
                         f"player {idx} box interval [{lo}, {hi}] is empty",
+                        idx,
+                    )
+                )
+            elif not np.isfinite(hi - lo):
+                issues.append(
+                    ValidationIssue(
+                        "box-width",
+                        f"player {idx} box interval [{lo}, {hi}] is wider than "
+                        f"the largest float",
                         idx,
                     )
                 )
@@ -656,6 +696,15 @@ def validate_spec(game: GameSpec, probe_count: int = 16, seed: int = 0) -> list[
                     "constraint-arity",
                     f"constraint rows have {game.constraints.matrix.shape[1]} "
                     f"columns, game has {n} coordinates",
+                )
+            )
+        largest = np.max(np.abs(game.constraints.matrix), axis=1, initial=0.0)
+        for row in np.flatnonzero(largest <= _BIND_TOL):
+            issues.append(
+                ValidationIssue(
+                    "constraint-row",
+                    f"constraint row {row} has no coefficient above {_BIND_TOL} in "
+                    f"absolute value, so it binds no player",
                 )
             )
 

@@ -19,6 +19,19 @@ halved whenever that player stops making net progress (chatter around a
 best-response manifold) and re-doubled, up to the configured step, while it
 travels.  Convergence is always declared against the configured step and
 tolerance, never against the internal working steps.
+
+All restarts advance together as the rows of one (R, n) iterate; a row leaves
+the loop when it converges or reaches ``max_iters``.  Each iteration makes one
+finite-difference gradient call per utility player for all live rows
+(``cones.gradient_directions``), one clip (box-only games) or one row-batched
+Dykstra per player (shared rows), and falls back to ``selection_T`` only for
+rows that need it.  Every row is bit-identical to iterating its start alone,
+so results, traces and the lowest-index tie-break do not depend on R.  That
+is kept by one rule: a reduction of length two or more (a block norm, a
+halfspace product, the residual over the stacked vector) is one 1-D ``dot``
+per contiguous row, because a matvec, ``einsum``, ``norm(axis=1)`` or a
+strided row can differ from it in the last bit; length-1 reductions and
+elementwise steps are vectorized.
 """
 
 from __future__ import annotations
@@ -32,7 +45,9 @@ from scipy.stats import qmc
 from .cones import (
     Direction,
     Provenance,
+    _row_norms,
     contour_polyhedron,
+    gradient_directions,
     gradient_normal_direction,
     polyhedral_normal_generators,
     sampled_separating_direction,
@@ -210,30 +225,57 @@ def _sampled_selection(
     return d, Provenance.SAMPLED
 
 
-def _project_box_halfspaces(region: FeasibleRegion, point: np.ndarray) -> np.ndarray:
-    """Dykstra alternating projections onto the region's box and halfspaces."""
-    lo, hi, normals, offsets = region.lo, region.hi, region.normals, region.offsets
+def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v @ row`` for each row of ``rows`` as an (m, 1) column, each entry
+    rounded as one 1-D dot rounds.
+
+    A matvec or ``einsum`` over rows of length two or more can differ from
+    the 1-D dot in the last bit, so those rows are dotted one at a time.
+    """
+    if v.size == 1:
+        return rows * v
+    rows = np.ascontiguousarray(rows)  # a strided dot rounds unlike a contiguous one
+    return np.array([[v @ row] for row in rows], dtype=np.float64).reshape(-1, 1)
+
+
+def _dykstra(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    points: np.ndarray,
+) -> np.ndarray:
+    """Dykstra alternating projections of each row of ``points`` onto its region.
+
+    Row ``r`` of the (m, dim) ``points`` is projected onto the box [lo, hi]
+    intersected with {y : normals @ y <= offsets[r]}, offsets being (m, k).
+    Every row cycles until its own iterate stops moving, so each row equals
+    the projection of that point alone.
+    """
     if normals.size == 0:
-        return np.clip(point, lo, hi)
-    sets = 1 + normals.shape[0]
-    corrections = np.zeros((sets, point.size))
+        return np.clip(points, lo, hi)
+    y = np.array(points, dtype=np.float64)
+    corrections = np.zeros((1 + normals.shape[0],) + y.shape)
     sq_norms = np.einsum("ij,ij->i", normals, normals)
-    y = np.asarray(point, dtype=np.float64).copy()
+    frozen = None  # rows that settled at an earlier cycle keep that cycle's value
     for _ in range(_DYKSTRA_CYCLES):
-        y_start = y.copy()
+        y_start = y
         w = y + corrections[0]
         y = np.clip(w, lo, hi)
         corrections[0] = w - y
-        for i in range(normals.shape[0]):
+        for i, normal in enumerate(normals):
             w = y + corrections[i + 1]
-            excess = normals[i] @ w - offsets[i]
-            if excess > 0.0:
-                y = w - (excess / sq_norms[i]) * normals[i]
-            else:
-                y = w
+            excess = _row_dots(w, normal) - offsets[:, i : i + 1]
+            y = np.where(excess > 0.0, w - (excess / sq_norms[i]) * normal, w)
             corrections[i + 1] = w - y
-        if float(np.max(np.abs(y - y_start))) < _DYKSTRA_MOVE_TOL:
+        settled = np.maximum.reduce(np.abs(y - y_start), axis=1) < _DYKSTRA_MOVE_TOL
+        if frozen is not None:
+            y[frozen] = y_start[frozen]
+            settled |= frozen
+        count = np.count_nonzero(settled)
+        if count == settled.size:
             break
+        frozen = settled if count else None
     return y
 
 
@@ -241,7 +283,8 @@ def project_feasible(region: FeasibleRegion, point) -> np.ndarray:
     """Euclidean projection onto a feasible region (box and halfspaces)."""
     if region.is_empty:
         raise InfeasibleRegionError("infeasible constraint set")
-    return _project_box_halfspaces(region, np.asarray(point, dtype=np.float64))
+    y = np.asarray(point, dtype=np.float64).ravel()[None, :]
+    return _dykstra(region.lo, region.hi, region.normals, region.offsets[None, :], y)[0]
 
 
 def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
@@ -275,21 +318,37 @@ def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
     return g
 
 
-def _project_blocks(game: GameSpec, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Project each player's target block onto its feasible set, rivals fixed at ``x``."""
+def _block_regions(game: GameSpec, x: np.ndarray) -> list[tuple] | None:
+    """Per player, the feasible regions at each row of ``x`` (rivals from that row)
+    as (region of row 0, (m, k) offsets of all rows); None on box-only games."""
     if isinstance(game.constraints, BoxOnly):
-        return np.clip(target, game.box_lo, game.box_hi)
-    out = np.empty_like(target)
+        return None
+    blocks = []
     for player in range(game.n_players):
         sl = game.own_slice(player)
-        rivals = np.concatenate((x[: sl.start], x[sl.stop :]))
-        out[sl] = _project_box_halfspaces(feasible_region(game, player, rivals), target[sl])
+        regions = [
+            feasible_region(game, player, np.concatenate((row[: sl.start], row[sl.stop :])))
+            for row in x
+        ]
+        blocks.append((regions[0], np.array([r.offsets for r in regions])))
+    return blocks
+
+
+def _project_rows(game: GameSpec, regions, target: np.ndarray) -> np.ndarray:
+    """Project each player's block of every target row onto its feasible set;
+    ``regions`` comes from :func:`_block_regions` at the rows the rivals sit at."""
+    if regions is None:
+        return np.clip(target, game.box_lo, game.box_hi)
+    out = np.empty_like(target)
+    for player, (region, offsets) in enumerate(regions):
+        sl = game.own_slice(player)
+        out[:, sl] = _dykstra(region.lo, region.hi, region.normals, offsets, target[:, sl])
     return out
 
 
-def _residual(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float) -> float:
-    """Natural residual ``||x - Proj_K(x)(x - step * g)||`` at the stacked profile ``x``."""
-    return float(np.linalg.norm(x - _project_blocks(game, x, x - step * g)))
+def _residuals(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float, regions) -> np.ndarray:
+    """Natural residual ``||x - Proj_K(x)(x - step * g)||`` of every row of ``x``."""
+    return _row_norms(x - _project_rows(game, regions, x - step * g))
 
 
 def _joint_region(game: GameSpec) -> FeasibleRegion:
@@ -309,17 +368,17 @@ def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -
         raise ValueError(f"alpha must be positive, got {alpha}")
     g = _stack_operator(game, operator_value)
     _require_feasible(game, x)
-    return _residual(game, x.stacked, g, alpha)
+    point = x.stacked[None, :]
+    return float(_residuals(game, point, g, alpha, _block_regions(game, point))[0])
 
 
 def fixed_point_step(game: GameSpec, x: Profile, cfg: SolverConfig) -> Profile:
     """One projected step: every player moves simultaneously, rivals fixed at x."""
     sel = selection_T(game, x, sample_seed=cfg.seed)
     _require_feasible(game, x)
-    point = x.stacked
-    return split_profile(
-        game, _project_blocks(game, point, point - cfg.step * sel.stacked)
-    )
+    point = x.stacked[None, :]
+    target = point - cfg.step * sel.stacked
+    return split_profile(game, _project_rows(game, _block_regions(game, point), target))
 
 
 def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
@@ -337,52 +396,151 @@ def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
     return points
 
 
-def _run_single(
-    game: GameSpec,
-    cfg: SolverConfig,
-    start: np.ndarray,
-) -> tuple[np.ndarray, Selection, float, int, bool, list[tuple[int, float]]]:
-    x = start.copy()
-    alpha = np.full(game.n_players, cfg.step)
+def _select_rows(
+    game: GameSpec, x: np.ndarray, seed: int, gradient_game: bool
+) -> tuple[np.ndarray, list[Selection | None]]:
+    """Operator values at every row of ``x``: stacked directions, and the
+    :func:`selection_T` result of each row that needed it (None elsewhere).
+
+    On a ``gradient_game`` (utility and trivial players only), one batched
+    gradient call per utility player covers all rows, and trivial players
+    keep the zero direction.  A row with a flat gradient, and every row of
+    any other game, gets its whole selection from :func:`selection_T`, the
+    only route to polyhedral, sampled and band selections.
+    """
+    g = np.zeros(x.shape)
+    fallback = np.zeros(x.shape[0], dtype=bool)
+    if not gradient_game:
+        fallback[:] = True
+    else:
+        for player, spec in enumerate(game.players):
+            if isinstance(spec.preference, UtilityPreference):
+                directions, flat = gradient_directions(game, player, x)
+                g[:, game.own_slice(player)] = directions
+                fallback |= flat
+    selections: list[Selection | None] = [None] * x.shape[0]
+    if fallback.any():
+        for row in np.flatnonzero(fallback):
+            selections[row] = selection_T(game, split_profile(game, x[row]), sample_seed=seed)
+            g[row] = selections[row].stacked
+    return g, selections
+
+
+def _gradient_selection(game: GameSpec, g: np.ndarray) -> Selection:
+    """The Selection of a row that the batched gradient produced."""
+    directions, provenance = [], []
+    for player, spec in enumerate(game.players):
+        if isinstance(spec.preference, TrivialZero):
+            directions.append(Direction.zero(player, game.dims[player]))
+            provenance.append(Provenance.FULL_SPACE)
+        else:
+            directions.append(Direction(player, tuple(g[game.own_slice(player)])))
+            provenance.append(Provenance.GRADIENT)
+    return Selection(tuple(directions), tuple(provenance))
+
+
+@dataclass
+class _Restarts:
+    """Final state of every restart, one row each."""
+
+    points: np.ndarray
+    operator: np.ndarray
+    selections: list[Selection | None]
+    residuals: np.ndarray
+    iters: np.ndarray
+    converged: np.ndarray
+    traces: list[list[tuple[int, float]]]
+
+    def selection(self, game: GameSpec, row: int) -> Selection:
+        found = self.selections[row]
+        return found if found is not None else _gradient_selection(game, self.operator[row])
+
+
+def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Restarts:
+    """Iterate every restart as one row of a stacked (R, n) array.
+
+    The loop state holds the live rows only.  A row leaves when it converges
+    or reaches ``max_iters`` and keeps its selection at its final point.
+    Each row's iterates, steps and trace equal those of its start iterated
+    alone.
+    """
+    x = np.array(starts, dtype=np.float64)
+    count = x.shape[0]
+    runs = _Restarts(
+        points=np.empty_like(x),
+        operator=np.empty_like(x),
+        selections=[None] * count,
+        residuals=np.empty(count),
+        iters=np.empty(count, dtype=int),
+        converged=np.zeros(count, dtype=bool),
+        traces=[[] for _ in range(count)],
+    )
+
+    def leave(rows, at, res, it):
+        runs.points[rows], runs.operator[rows] = x[at], g[at]
+        runs.residuals[rows], runs.iters[rows] = res[at], it
+        for row, index in zip(rows.tolist(), np.flatnonzero(at).tolist()):
+            runs.selections[row] = selections[index]
+
+    gradient_game = all(
+        isinstance(spec.preference, (UtilityPreference, TrivialZero)) for spec in game.players
+    )
+    live = np.arange(count)
+    alpha = np.full((count, game.n_players), cfg.step)
+    block_of = np.repeat(np.arange(game.n_players), game.dims)  # player of each coordinate
     anchor = x.copy()
-    trace: list[tuple[int, float]] = []
-    sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
-    residual = float("inf")
-    converged = False
-    it = 0
+    g, selections = _select_rows(game, x, cfg.seed, gradient_game)
     for it in range(1, cfg.max_iters + 1):
-        g = sel.stacked
-        residual = _residual(game, x, g, cfg.step)
-        trace.append((it, residual))
-        if residual <= cfg.tol:
-            converged = True
-            break
+        regions = _block_regions(game, x)
+        res = _residuals(game, x, g, cfg.step, regions)
+        for row, value in zip(live.tolist(), res.tolist()):
+            runs.traces[row].append((it, value))
+        done = res <= cfg.tol
+        if done.any():
+            leave(live[done], done, res, it)
+            runs.converged[live[done]] = True
+            keep = ~done
+            live, x, g, res = live[keep], x[keep], g[keep], res[keep]
+            alpha, anchor = alpha[keep], anchor[keep]
+            selections = [sel for sel, kept in zip(selections, keep) if kept]
+            if live.size == 0:
+                break
+            if regions is not None:
+                regions = [(region, offsets[keep]) for region, offsets in regions]
 
         # Per-player working steps; the reference residual above always uses
         # the configured step, so damping cannot fake convergence.
-        x = _project_blocks(game, x, x - np.repeat(alpha, game.dims) * g)
+        x = _project_rows(game, regions, x - alpha[:, block_of] * g)
 
         if it % _ADAPT_WINDOW == 0:
-            for player in range(game.n_players):
-                sl = game.own_slice(player)
-                net = float(np.linalg.norm(x[sl] - anchor[sl]))
-                budget = _ADAPT_WINDOW * alpha[player]
-                if net <= 0.5 * budget:
-                    alpha[player] = max(alpha[player] * 0.5, _STEP_FLOOR)
-                elif net >= 0.9 * budget:
-                    alpha[player] = min(alpha[player] * 2.0, cfg.step)
-            anchor = x.copy()
+            budget = _ADAPT_WINDOW * alpha
+            net = np.column_stack(
+                [
+                    _row_norms(x[:, sl] - anchor[:, sl])
+                    for sl in map(game.own_slice, range(game.n_players))
+                ]
+            )
+            shrink = net <= 0.5 * budget
+            grow = ~shrink & (net >= 0.9 * budget)
+            alpha = np.where(grow, np.minimum(alpha * 2.0, cfg.step), alpha)
+            alpha = np.where(shrink, np.maximum(alpha * 0.5, _STEP_FLOOR), alpha)
+            anchor = x
 
-        sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
+        g, selections = _select_rows(game, x, cfg.seed, gradient_game)
+    else:
+        leave(live, np.ones(live.size, dtype=bool), res, cfg.max_iters)
 
-    if converged and isinstance(game.constraints, SharedLinear):
+    if isinstance(game.constraints, SharedLinear):
         # The Jacobi update can leave a converged point a residual-sized
         # distance outside the self-consistent region; polish it back in.
-        x = project_feasible(_joint_region(game), x)
-        sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
-        residual = _residual(game, x, sel.stacked, cfg.step)
-        converged = residual <= cfg.tol
-    return x, sel, residual, it, converged, trace
+        joint = _joint_region(game)
+        for row in np.flatnonzero(runs.converged):
+            x = project_feasible(joint, runs.points[row])[None, :]
+            sel = selection_T(game, split_profile(game, x[0]), sample_seed=cfg.seed)
+            res = _residuals(game, x, sel.stacked, cfg.step, _block_regions(game, x))
+            runs.points[row], runs.operator[row], runs.selections[row] = x[0], sel.stacked, sel
+            runs.residuals[row], runs.converged[row] = res[0], res[0] <= cfg.tol
+    return runs
 
 
 def solve_svip(game: GameSpec, cfg: SolverConfig | None = None) -> SvipSolution:
@@ -392,22 +550,19 @@ def solve_svip(game: GameSpec, cfg: SolverConfig | None = None) -> SvipSolution:
     and configuration always reproduce the same solution and trace.
     """
     cfg = cfg or SolverConfig()
-    starts = _starting_points(game, cfg)
-    best: tuple[float, int] | None = None
-    best_payload = None
-    for restart, start in enumerate(starts):
-        x, sel, residual, iters, converged, trace = _run_single(game, cfg, start)
-        if best is None or residual < best[0]:
-            best = (residual, restart)
-            best_payload = (x, sel, residual, iters, converged, trace, restart)
-    x, sel, residual, iters, converged, trace, restart = best_payload
+    runs = _run_restarts(game, cfg, _starting_points(game, cfg))
+    best = 0
+    for restart in range(1, len(runs.traces)):
+        if runs.residuals[restart] < runs.residuals[best]:
+            best = restart
+    sel = runs.selection(game, best)
     return SvipSolution(
-        point=split_profile(game, x),
+        point=split_profile(game, runs.points[best]),
         operator_value=sel.directions,
-        residual=residual,
-        iters=iters,
-        converged=converged,
-        restart=restart,
+        residual=float(runs.residuals[best]),
+        iters=int(runs.iters[best]),
+        converged=bool(runs.converged[best]),
+        restart=best,
         provenance=sel.provenance,
-        trace=tuple(trace),
+        trace=tuple(runs.traces[best]),
     )

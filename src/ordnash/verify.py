@@ -68,13 +68,16 @@ class Certificate:
     detail: str
 
 
+def _grid_size(lo: float, hi: float, h: float) -> float:
+    """Number of points :func:`grid_coordinates` returns, as a float (may be inf)."""
+    if not h > 0:
+        raise ValueError(f"grid step must be positive, got {h}")
+    return float(np.floor((hi - lo) / h + 1e-9)) + 1.0
+
+
 def grid_coordinates(lo: float, hi: float, h: float) -> np.ndarray:
     """Lattice lo, lo+h, ... clipped into [lo, hi]; includes hi when h divides."""
-    if h <= 0:
-        raise ValueError(f"grid step must be positive, got {h}")
-    span = hi - lo
-    n = int(np.floor(span / h + 1e-9))
-    pts = lo + h * np.arange(n + 1)
+    pts = lo + h * np.arange(int(_grid_size(lo, hi, h)))
     if abs(pts[-1] - hi) <= 1e-9 * max(1.0, abs(hi), h):
         pts[-1] = hi
     return pts
@@ -90,13 +93,14 @@ def _cartesian(axes: list[np.ndarray]) -> np.ndarray:
 
 def _grid_axes(lo, hi, h: float, what: str) -> list[np.ndarray]:
     """Per-coordinate grids of the box [lo, hi], refusing more than the point budget."""
-    axes = [grid_coordinates(float(l), float(u), h) for l, u in zip(lo, hi)]
-    total = int(np.prod([a.size for a in axes]))
+    bounds = [(float(l), float(u)) for l, u in zip(lo, hi)]
+    # Count before building: a wide box or a tiny step must not allocate.
+    total = float(np.prod([_grid_size(l, u, h) for l, u in bounds]))
     if total > _GRID_BUDGET:
         raise GridBudgetError(
-            f"{what} grid would have {total} points, budget is {_GRID_BUDGET}"
+            f"{what} grid would have {total:.0f} points, budget is {_GRID_BUDGET}"
         )
-    return axes
+    return [grid_coordinates(l, u, h) for l, u in bounds]
 
 
 def player_grid(game: GameSpec, player: PlayerId, h: float) -> np.ndarray:

@@ -221,6 +221,60 @@ class TestVerifyCommand:
         assert "cannot parse --point" in _report(result)["error"]
 
 
+class TestHostileInputs:
+    """Inputs that used to end in a traceback with empty stdout."""
+
+    @staticmethod
+    def _file(tmp_path, expr="-(x1-0.5)^2", box=(0.0, 1.0)):
+        game = {
+            "players": [{"dim": 1, "box": [list(box)], "preference": {"type": "Utility", "expr": expr}}],
+            "constraints": {"type": "BoxOnly"},
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game))
+        return str(path)
+
+    @pytest.mark.parametrize("args", [["solve"], ["verify", "--point", "0.5"]])
+    def test_box_width_overflow_exit_one_with_report(self, runner, tmp_path, args):
+        path = self._file(tmp_path, box=(-1e308, 1e308))
+        result = runner.invoke(main, [args[0], path, *args[1:]])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["exit_code"] == 1
+        assert "box-width" in report["error"]
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [("1e999*x1", "overflows a float"), ("((0.0)/(0.0))", "not finite"), ("(10.0)^400", "not finite")],
+    )
+    def test_unrepresentable_constants_exit_one_with_report(self, runner, tmp_path, expr, message):
+        result = runner.invoke(main, ["solve", self._file(tmp_path, expr=expr)])
+        assert result.exit_code == 1
+        assert message in _report(result)["error"]
+
+    def test_constant_utility_is_solved(self, runner, tmp_path):
+        result = runner.invoke(main, ["solve", self._file(tmp_path, expr="1"), "--restarts", "1"])
+        report = _report(result)
+        assert report["exit_code"] == result.exit_code
+        assert report["solution"]["provenance"] == ["full-space"]
+
+    @pytest.mark.parametrize("grid", ["0", "-1", "nan", "inf", "1e-9"])
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_bad_grid_exit_one_with_report(self, runner, tmp_path, command, grid):
+        args = [command, self._file(tmp_path), "--grid", grid]
+        if command == "verify":
+            args += ["--point", "0.5"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert _report(result)["exit_code"] == 1
+
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
+    def test_non_finite_point_exit_one_with_report(self, runner, tmp_path, point):
+        result = runner.invoke(main, ["verify", self._file(tmp_path), "--point", point])
+        assert result.exit_code == 1
+        assert "must be finite" in _report(result)["error"]
+
+
 class TestTheoremsCommand:
     def test_solver_to_grid_suite(self, runner):
         result = runner.invoke(

@@ -11,12 +11,19 @@ from ordnash.cones import (
     Provenance,
     cone_membership,
     contour_polyhedron,
+    gradient_directions,
     gradient_normal_direction,
     polyhedral_normal_generators,
     sampled_separating_direction,
     zero_in_hull,
 )
-from ordnash.errors import GameFormatError, InteriorPointError, SeparatorError
+from ordnash.corpus import random_concave_quadratic
+from ordnash.errors import (
+    EvaluationError,
+    GameFormatError,
+    InteriorPointError,
+    SeparatorError,
+)
 from ordnash.model import (
     Block,
     GameSpec,
@@ -112,6 +119,78 @@ class TestGradientDirection:
             # slightly different points; no directional claim to compare.
             return
         np.testing.assert_allclose(d1.array, d2.array, atol=1e-6)
+
+
+class TestBatchedGradient:
+    """``gradient_normal_direction`` is the one-row case of ``gradient_directions``."""
+
+    @staticmethod
+    def _rows_equal_single(game, player, points):
+        directions, flat = gradient_directions(game, player, points)
+        for row, point in enumerate(points):
+            single = gradient_normal_direction(game, player, split_profile(game, point))
+            if single is None:
+                assert flat[row]
+                assert not directions[row].any()
+            else:
+                assert not flat[row]
+                assert directions[row].tobytes() == single.array.tobytes()
+        return flat
+
+    @pytest.mark.parametrize("players, dims", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    def test_rows_match_single_profile_bit_for_bit(self, players, dims):
+        game = random_concave_quadratic(7, players=players, dims=dims)
+        points = np.random.default_rng(players * dims).uniform(-1.0, 1.0, (9, game.total_dim))
+        for player in range(players):
+            self._rows_equal_single(game, player, points)
+            self._rows_equal_single(game, player, np.asfortranarray(points))
+
+    def test_odd_powers_match_bit_for_bit(self):
+        base = "-(x1-0.3*x2)^2"
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference(f"({base})^3+({base})")),
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("x2^5-x2*x1^3")),
+            )
+        )
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (17, 2))
+        for player in range(2):
+            self._rows_equal_single(game, player, points)
+
+    def test_flat_rows_are_zero_and_flagged(self, pull_game):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.25, 0.5], [-0.5, 0.5]])
+        flat = self._rows_equal_single(pull_game, 0, points)
+        assert flat.tolist() == [True, False, True, False]
+
+    def test_constant_utility_is_flat(self):
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((0.0, 1.0),), UtilityPreference("1")),
+                PlayerSpec(1, ((0.0, 1.0),), UtilityPreference("-(x2-0.5)^2")),
+            )
+        )
+        directions, flat = gradient_directions(game, 0, np.array([[0.2, 0.3], [0.9, 0.1]]))
+        assert flat.all() and not directions.any()
+        assert gradient_normal_direction(game, 0, split_profile(game, [0.2, 0.3])) is None
+
+    def test_non_finite_value_raises_for_the_batch_and_the_row(self):
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x1-0.5)^2+1/x2")),
+                PlayerSpec(1, ((-1.0, 1.0),), TrivialZero()),
+            )
+        )
+        points = np.array([[0.1, 0.5], [0.2, 0.0], [0.3, -0.5]])
+        with pytest.raises(EvaluationError, match=r"near \[0\.2, 0\.0\]"):
+            gradient_directions(game, 0, points)
+        with pytest.raises(EvaluationError):
+            gradient_normal_direction(game, 0, split_profile(game, points[1]))
+        self._rows_equal_single(game, 0, points[[0, 2]])
+
+    def test_requires_utility_variant(self, pull_game):
+        game = GameSpec(players=(PlayerSpec(1, ((-1.0, 1.0),), TrivialZero()),))
+        with pytest.raises(GameFormatError):
+            gradient_directions(game, 0, np.zeros((2, 1)))
 
 
 class TestContourPolyhedron:

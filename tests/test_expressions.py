@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ordnash.errors import ExpressionError
+from ordnash.errors import EvaluationError, ExpressionError
 from ordnash.expressions import (
     MAX_DEPTH,
     Literal,
@@ -64,7 +64,7 @@ class TestParsing:
 class TestErrors:
     @pytest.mark.parametrize(
         "text",
-        ["", "   ", "1 +", "(1", "x0", "2^x1", "2^1.5", "1 2", "*3"],
+        ["", "   ", "1 +", "(1", "x0", "2^x1", "2^1.5", "1 2", "*3", "1e999", "x1*2e400"],
     )
     def test_rejects(self, text):
         with pytest.raises(ExpressionError):
@@ -125,6 +125,14 @@ class TestCompilation:
         tree = expr.evaluate(batch)
         fast = np.broadcast_to(np.asarray(fn(batch), dtype=float), tree.shape)
         np.testing.assert_allclose(fast, tree, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("text", ["(0.0)/(0.0)", "x1+1/0", "(10.0)^400"])
+    def test_non_finite_constants_raise_evaluation_error(self, text):
+        # Constant subexpressions compile to Python floats; the tree walk gives nan/inf.
+        expr = parse_expression(text)
+        assert not np.isfinite(expr.evaluate(np.zeros((2, 1)))).all()
+        with pytest.raises(EvaluationError):
+            compile_expression(expr)(np.zeros((2, 1)))
 
     def test_compiled_constant_broadcast(self):
         fn = compile_expression(parse_expression("2.5"))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_budget_pair, make_pull_to_half_rival
+from ordnash import model
 from ordnash.corpus import (
     example_coordinate_pref,
     example_lhc_remark,
@@ -412,6 +413,86 @@ class TestSampleContour:
             sample_contour(pull_game, 0, x, count=-1, seed=0)
 
 
+class TestDrawCache:
+    """sample_contour reuses its seeded draws from a small LRU."""
+
+    @staticmethod
+    def _fresh(game, player, x, count, seed, bounds=None, attempts=None):
+        lo, hi = game.player_box(player) if bounds is None else bounds
+        draws = np.random.default_rng(seed).uniform(
+            lo, hi, size=(attempts or max(20 * count, 2000), game.dims[player])
+        )
+        return draws[strict_upper_mask(game, player, draws, x)][:count]
+
+    def test_cold_and_warm_calls_agree(self, pull_game):
+        model._draw_cache.clear()
+        x = split_profile(pull_game, [1.0, 0.0])
+        cold = sample_contour(pull_game, 0, x, count=300, seed=5)
+        assert len(model._draw_cache) == 1
+        warm = sample_contour(pull_game, 0, x, count=300, seed=5)
+        np.testing.assert_array_equal(cold, warm)
+        np.testing.assert_array_equal(warm, self._fresh(pull_game, 0, x, 300, 5))
+
+    def test_returned_array_does_not_alias_the_cache(self, pull_game):
+        x = split_profile(pull_game, [1.0, 0.0])
+        first = sample_contour(pull_game, 0, x, count=300, seed=6)
+        expected = first.copy()
+        assert first.flags.writeable
+        first[:] = 99.0
+        np.testing.assert_array_equal(sample_contour(pull_game, 0, x, count=300, seed=6), expected)
+        for draws in model._draw_cache.values():
+            assert not draws.flags.writeable
+            assert not np.shares_memory(draws, first)
+
+    def test_keys_separate_seed_bounds_and_attempts(self, pull_game):
+        x = split_profile(pull_game, [1.0, 0.0])
+        wide = (np.array([-3.0]), np.array([3.0]))
+        # count exceeds every attempt count, so each result holds all accepted draws.
+        calls = [
+            dict(seed=1, attempts=2000),
+            dict(seed=2, attempts=2000),
+            dict(seed=1, attempts=2500),
+            dict(seed=1, attempts=2000, bounds=wide),
+            dict(seed=1, attempts=2000, bounds=(np.array([-3.0]), np.array([2.0]))),
+            dict(seed=1, attempts=2500, bounds=wide),
+        ]
+
+        def run(call):
+            return sample_contour(
+                pull_game, 0, x, count=3000, seed=call["seed"],
+                bounds=call.get("bounds"), max_attempts=call["attempts"],
+            )
+
+        results = []
+        for call in calls:
+            got = run(call)
+            expected = self._fresh(
+                pull_game, 0, x, 3000, call["seed"], call.get("bounds"), call["attempts"]
+            )
+            np.testing.assert_array_equal(got, expected)
+            results.append(got.tobytes())
+        assert len(set(results)) == len(results)
+        # Each key again, warm and in another order.
+        for call, first in reversed(list(zip(calls, results))):
+            assert run(call).tobytes() == first
+
+    def test_size_stays_bounded(self, pull_game):
+        x = split_profile(pull_game, [1.0, 0.0])
+        for seed in range(50):
+            sample_contour(pull_game, 0, x, count=10, seed=seed)
+            assert len(model._draw_cache) <= 8
+        assert len(model._draw_cache) == 8
+        # The most recent seeds are the ones kept.
+        assert sorted(key[0] for key in model._draw_cache) == list(range(42, 50))
+
+    def test_generator_seeds_are_not_reused(self, pull_game):
+        x = split_profile(pull_game, [1.0, 0.0])
+        rng = np.random.default_rng(0)
+        first = sample_contour(pull_game, 0, x, count=100, seed=rng)
+        second = sample_contour(pull_game, 0, x, count=100, seed=rng)
+        assert first.tobytes() != second.tobytes()
+
+
 class TestValidateSpec:
     def test_clean_game_has_no_issues(self, pull_game):
         assert validate_spec(pull_game) == []
@@ -443,6 +524,24 @@ class TestValidateSpec:
             )
         )
         assert [i.code for i in validate_spec(game)] == ["empty-interval"]
+
+    def test_overflowing_box_width_reported_before_probing(self):
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1e308, 1e308),), UtilityPreference("-(x1-0.5)^2")),
+            )
+        )
+        issues = validate_spec(game)
+        assert [i.code for i in issues] == ["box-width"]
+        assert issues[0].player == 0
+
+    @pytest.mark.parametrize("row", [(0.0, 0.0), (1e-20, -1e-16), (5e-324, 0.0)])
+    def test_row_binding_no_player_reported(self, row):
+        game = make_budget_pair()
+        game = GameSpec(game.players, SharedLinear(a=((1.0, 1.0), row), b=(1.0, 0.0)))
+        issues = validate_spec(game)
+        assert [i.code for i in issues] == ["constraint-row"]
+        assert "row 1" in issues[0].message
 
     def test_threshold_band_needs_two_coordinates(self):
         game = GameSpec(

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_budget_pair, make_pull_to_half_rival
-from ordnash.cones import Direction, Provenance
+from ordnash.cones import Direction, Provenance, _row_norms
 from ordnash.corpus import (
+    arrow_debreu_instance,
     example_coordinate_pref,
     example_lhc_remark,
     example_trivial_pref,
@@ -17,9 +18,11 @@ from ordnash.errors import (
     InfeasibleRegionError,
 )
 from ordnash.model import (
+    ContourRow,
     CoordinateOrder,
     FeasibleRegion,
     GameSpec,
+    HalfspaceContour,
     PlayerSpec,
     SharedLinear,
     TrivialZero,
@@ -29,6 +32,10 @@ from ordnash.model import (
 )
 from ordnash.solver import (
     SolverConfig,
+    _joint_region,
+    _row_dots,
+    _run_restarts,
+    _starting_points,
     SvipSolution,
     fixed_point_step,
     natural_residual,
@@ -368,3 +375,279 @@ class TestVariationalConsistency:
             pytest.skip("selection has zero components at this solution")
         cert = check_svip(game, sol.point, sol.operator_value, tol=10 * cfg.tol)
         assert cert.passed, cert.detail
+
+
+# --- batched restarts --------------------------------------------------------
+#
+# Reference: the sequential single-restart loop the batched loop replaced,
+# kept verbatim (one restart, one Profile and one selection_T per iteration,
+# one Dykstra per block).  Every row of the batched loop must equal it from
+# the same start, bit for bit.
+
+_REF_DYKSTRA_CYCLES = 200
+_REF_DYKSTRA_MOVE_TOL = 1e-12
+_REF_ADAPT_WINDOW = 8
+_REF_STEP_FLOOR = 1e-13
+
+
+def _ref_project_box_halfspaces(region, point):
+    lo, hi, normals, offsets = region.lo, region.hi, region.normals, region.offsets
+    if normals.size == 0:
+        return np.clip(point, lo, hi)
+    sets = 1 + normals.shape[0]
+    corrections = np.zeros((sets, point.size))
+    sq_norms = np.einsum("ij,ij->i", normals, normals)
+    y = np.asarray(point, dtype=np.float64).copy()
+    for _ in range(_REF_DYKSTRA_CYCLES):
+        y_start = y.copy()
+        w = y + corrections[0]
+        y = np.clip(w, lo, hi)
+        corrections[0] = w - y
+        for i in range(normals.shape[0]):
+            w = y + corrections[i + 1]
+            excess = normals[i] @ w - offsets[i]
+            if excess > 0.0:
+                y = w - (excess / sq_norms[i]) * normals[i]
+            else:
+                y = w
+            corrections[i + 1] = w - y
+        if float(np.max(np.abs(y - y_start))) < _REF_DYKSTRA_MOVE_TOL:
+            break
+    return y
+
+
+def _ref_project_blocks(game, x, target):
+    if not isinstance(game.constraints, SharedLinear):
+        return np.clip(target, game.box_lo, game.box_hi)
+    out = np.empty_like(target)
+    for player in range(game.n_players):
+        sl = game.own_slice(player)
+        rivals = np.concatenate((x[: sl.start], x[sl.stop :]))
+        region = feasible_region(game, player, rivals)
+        out[sl] = _ref_project_box_halfspaces(region, target[sl])
+    return out
+
+
+def _ref_residual(game, x, g, step):
+    return float(np.linalg.norm(x - _ref_project_blocks(game, x, x - step * g)))
+
+
+def _ref_run_single(game, cfg, start):
+    x = start.copy()
+    alpha = np.full(game.n_players, cfg.step)
+    anchor = x.copy()
+    trace = []
+    sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
+    residual = float("inf")
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        g = sel.stacked
+        residual = _ref_residual(game, x, g, cfg.step)
+        trace.append((it, residual))
+        if residual <= cfg.tol:
+            converged = True
+            break
+        x = _ref_project_blocks(game, x, x - np.repeat(alpha, game.dims) * g)
+        if it % _REF_ADAPT_WINDOW == 0:
+            for player in range(game.n_players):
+                sl = game.own_slice(player)
+                net = float(np.linalg.norm(x[sl] - anchor[sl]))
+                budget = _REF_ADAPT_WINDOW * alpha[player]
+                if net <= 0.5 * budget:
+                    alpha[player] = max(alpha[player] * 0.5, _REF_STEP_FLOOR)
+                elif net >= 0.9 * budget:
+                    alpha[player] = min(alpha[player] * 2.0, cfg.step)
+            anchor = x.copy()
+        sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
+    if converged and isinstance(game.constraints, SharedLinear):
+        region = _joint_region(game)
+        assert not region.is_empty
+        x = _ref_project_box_halfspaces(region, x)
+        sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
+        residual = _ref_residual(game, x, sel.stacked, cfg.step)
+        converged = residual <= cfg.tol
+    return x, sel, residual, it, converged, trace
+
+
+UNIT_01 = ((0.0, 1.0),)
+
+
+def shared_three_player_game():
+    """Three players under two shared rows; player 0 holds two coordinates and
+    player 2 has a rival-dependent HalfspaceContour ("more is better")."""
+    return GameSpec(
+        players=(
+            PlayerSpec(2, UNIT_01 * 2, UtilityPreference("-(x1-0.8)^2-(x2-0.3*x4-0.6)^2")),
+            PlayerSpec(1, UNIT_01, UtilityPreference("-(x3-0.9+0.2*x1)^2")),
+            PlayerSpec(
+                1,
+                UNIT_01,
+                HalfspaceContour((ContourRow(("-(1+0.5*x1)",), "-(1+0.5*x1)*x4"),)),
+            ),
+        ),
+        constraints=SharedLinear(
+            a=((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)), b=(1.8, 0.9)
+        ),
+    )
+
+
+def trivial_rival_game():
+    """A TrivialZero player beside a utility player that reacts to it."""
+    return GameSpec(
+        players=(
+            PlayerSpec(1, ((-1.0, 1.0),), TrivialZero()),
+            PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x2-0.5*x1-0.2)^2")),
+        )
+    )
+
+
+BATCH_GAMES = {
+    "box-2x1": lambda: random_concave_quadratic(11, players=2, dims=1),
+    "box-3x2": lambda: random_concave_quadratic(12, players=3, dims=2),
+    "arrow-debreu": lambda: arrow_debreu_instance(13),
+    "shared-3": shared_three_player_game,
+    "coordinate": example_coordinate_pref,
+    "trivial-rival": trivial_rival_game,
+}
+
+
+def _explicit_starts(game, count=5):
+    """Seeded starts from two solver seeds, plus one box corner (clipped in).
+
+    Column-major, as the Halton draws of ``_starting_points`` are on box games:
+    a strided row rounds its dot products unlike the contiguous vector of a
+    single restart, so the loop must not depend on the layout it is given.
+    """
+    a = _starting_points(game, SolverConfig(restarts=3, seed=3))
+    b = _starting_points(game, SolverConfig(restarts=count - 3, seed=42))
+    corner = _ref_project_blocks(game, game.box_hi.copy(), game.box_hi.copy())
+    return np.asfortranarray(np.vstack([a, b, corner[None, :]]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_row_matches(game, runs, row, ref):
+    x, sel, residual, iters, converged, trace = ref
+    assert _bits(runs.points[row]) == _bits(x)
+    assert float(runs.residuals[row]).hex() == float(residual).hex()
+    assert int(runs.iters[row]) == iters
+    assert bool(runs.converged[row]) == converged
+    assert [(i, r.hex()) for i, r in runs.traces[row]] == [(i, r.hex()) for i, r in trace]
+    batched = runs.selection(game, row)
+    assert batched.provenance == sel.provenance
+    assert _bits(batched.stacked) == _bits(sel.stacked)
+    assert batched.directions == sel.directions
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+def test_row_reductions_round_like_one_vector(n):
+    """Per-row norms and dots equal the 1-D computation on a fresh vector,
+    whatever the layout of the rows (C, Fortran or strided)."""
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(300, n)) * 10.0 ** rng.integers(-3, 4, size=(300, n))
+    v = rng.normal(size=n)
+    norms = [float(np.linalg.norm(row.copy())).hex() for row in rows]
+    dots = [float(v @ row.copy()).hex() for row in rows]
+    for layout in (rows, np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
+        assert [float(r).hex() for r in _row_norms(layout)] == norms
+        assert [float(d).hex() for d in _row_dots(layout, v)[:, 0]] == dots
+
+
+def _iters_for(name):
+    # shared-3 never converges and pays one LP per iteration and start.
+    return 60 if name == "shared-3" else 300
+
+
+class TestBatchedRestarts:
+    @pytest.mark.parametrize("name", sorted(BATCH_GAMES))
+    def test_rows_equal_sequential_reference(self, name):
+        game = BATCH_GAMES[name]()
+        cfg = SolverConfig(max_iters=_iters_for(name), seed=42)
+        starts = _explicit_starts(game)
+        runs = _run_restarts(game, cfg, starts)
+        for row, start in enumerate(starts):
+            _assert_row_matches(game, runs, row, _ref_run_single(game, cfg, start))
+
+    @pytest.mark.parametrize("name", ["box-3x2", "arrow-debreu", "trivial-rival"])
+    def test_rows_stopped_at_max_iters(self, name):
+        # box-3x2: every row stops; arrow-debreu: rows converge at iterations
+        # 1 and 6 while the others stop; trivial-rival: one row converges.
+        game = BATCH_GAMES[name]()
+        cfg = SolverConfig(max_iters=60, seed=42)
+        starts = _explicit_starts(game)
+        runs = _run_restarts(game, cfg, starts)
+        assert (runs.iters == cfg.max_iters).any() and not runs.converged.all()
+        for row, start in enumerate(starts):
+            _assert_row_matches(game, runs, row, _ref_run_single(game, cfg, start))
+
+    @pytest.mark.parametrize("name", ["box-2x1", "arrow-debreu", "shared-3", "trivial-rival"])
+    def test_each_start_alone_matches_the_batch(self, name):
+        game = BATCH_GAMES[name]()
+        cfg = SolverConfig(max_iters=_iters_for(name), seed=42)
+        starts = _explicit_starts(game)
+        runs = _run_restarts(game, cfg, starts)
+        for row in range(len(starts)):
+            alone = _run_restarts(game, cfg, starts[row : row + 1])
+            assert _bits(alone.points[0]) == _bits(runs.points[row])
+            assert float(alone.residuals[0]).hex() == float(runs.residuals[row]).hex()
+            assert alone.iters[0] == runs.iters[row]
+            assert alone.converged[0] == runs.converged[row]
+            assert alone.traces[0] == runs.traces[row]
+            assert alone.selection(game, 0) == runs.selection(game, row)
+
+
+# Recorded from the sequential solver (one restart after another) before the
+# restarts were batched: float.hex of the point and the residual, iterations,
+# restart, trace length and convergence, with 4 restarts and seed 42.
+PINNED_SOLVES = {
+    "box-2x1": (["-0x1.3e3b1a4702f76p-1", "0x1.2ce87289c6242p-2"], "0x0.0p+0", 258, 0, 258, True),
+    "box-3x2": (
+        [
+            "-0x1.fd309a5e4e947p-2",
+            "0x1.e2c2478f02c34p-1",
+            "-0x1.e341a5c1d4288p-2",
+            "-0x1.3268f4d0da1dap-1",
+            "-0x1.3dcdd3b5de932p-4",
+            "-0x1.7db5a0ecb370ap-1",
+        ],
+        "0x0.0p+0",
+        258,
+        0,
+        258,
+        True,
+    ),
+    "arrow-debreu": (["0x1.07deab7d5eab2p-1", "0x1.f042a90542a9cp-2"], "0x0.0p+0", 179, 3, 179, True),
+    "shared-3": (
+        [
+            "0x1.df02a63ae09a3p-2",
+            "0x1.ba96f35eb8ff9p-2",
+            "0x1.68d2097a9ff64p-2",
+            "0x1.1863c80f7cd1ap-1",
+        ],
+        "0x1.674eabfdb2c82p-16",
+        60,
+        3,
+        60,
+        False,
+    ),
+    "coordinate": (["0x1.0000000000000p+0", "0x1.0000000000000p+0"], "0x0.0p+0", 17, 0, 17, True),
+    "trivial-rival": (["0x1.503cf727e8450p-4", "0x1.eda8d76525e1ap-3"], "0x0.0p+0", 242, 0, 242, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SOLVES))
+def test_solve_svip_pinned_to_sequential_results(name):
+    cfg = SolverConfig(restarts=4, max_iters=_iters_for(name), seed=42)
+    sol = solve_svip(BATCH_GAMES[name](), cfg)
+    point, residual, iters, restart, trace_len, converged = PINNED_SOLVES[name]
+    assert [v.hex() for v in sol.point.stacked.tolist()] == point
+    assert float(sol.residual).hex() == residual
+    assert (sol.iters, sol.restart, len(sol.trace), sol.converged) == (
+        iters,
+        restart,
+        trace_len,
+        converged,
+    )

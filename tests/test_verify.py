@@ -91,6 +91,16 @@ class TestGridCoordinates:
         with pytest.raises(GridBudgetError):
             player_grid(game, 0, 1e-5)
 
+    @pytest.mark.parametrize("box, h", [((0.0, 1e300), 0.05), ((0.0, 1.0), 1e-12)])
+    def test_budget_is_checked_before_any_grid_is_built(self, box, h):
+        from ordnash.model import GameSpec, PlayerSpec, TrivialZero
+
+        game = GameSpec(players=(PlayerSpec(1, (box,), TrivialZero()),))
+        with pytest.raises(GridBudgetError):
+            player_grid(game, 0, h)
+        with pytest.raises(GridBudgetError):
+            brute_force_gne(game, h)
+
 
 class TestCheckGneGrid:
     def test_trivial_game_everything_passes(self):
