@@ -40,14 +40,29 @@ __all__ = [
     "Power",
     "parse_expression",
     "compile_expression",
+    "ColumnView",
 ]
+
+
+def _quiet_errors() -> np.errstate:
+    """Floating-point state of both evaluation routes: division by zero,
+    invalid operations and overflow give inf or nan without a warning."""
+    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 class Expr:
     """Base class for expression nodes."""
 
     def evaluate(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate with ``values[..., i]`` bound to variable ``x(i+1)``."""
+        """Evaluate with ``values[..., i]`` bound to variable ``x(i+1)``.
+
+        Division by zero and overflow give inf or nan silently, as in the
+        compiled route; callers report non-finite values themselves.
+        """
+        with _quiet_errors():
+            return self._evaluate(values)
+
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def variables(self) -> frozenset[int]:
@@ -62,7 +77,7 @@ class Expr:
 class Literal(Expr):
     value: float
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
         return np.broadcast_to(np.float64(self.value), np.shape(values)[:-1]).copy()
 
     def variables(self) -> frozenset[int]:
@@ -76,7 +91,7 @@ class Literal(Expr):
 class Variable(Expr):
     index: int  # zero-based profile coordinate
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values, dtype=np.float64)[..., self.index]
 
     def variables(self) -> frozenset[int]:
@@ -90,8 +105,8 @@ class Variable(Expr):
 class Negate(Expr):
     operand: Expr
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return -self.operand.evaluate(values)
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
+        return -self.operand._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.operand.variables()
@@ -105,8 +120,8 @@ class Add(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.left.evaluate(values) + self.right.evaluate(values)
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
+        return self.left._evaluate(values) + self.right._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -120,8 +135,8 @@ class Sub(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.left.evaluate(values) - self.right.evaluate(values)
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
+        return self.left._evaluate(values) - self.right._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -135,8 +150,8 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.left.evaluate(values) * self.right.evaluate(values)
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
+        return self.left._evaluate(values) * self.right._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -150,9 +165,8 @@ class Div(Expr):
     left: Expr
     right: Expr
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.left.evaluate(values) / self.right.evaluate(values)
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
+        return self.left._evaluate(values) / self.right._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -166,9 +180,8 @@ class Power(Expr):
     base: Expr
     exponent: int
 
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.base.evaluate(values) ** self.exponent
+    def _evaluate(self, values: np.ndarray) -> np.ndarray:
+        return self.base._evaluate(values) ** self.exponent
 
     def variables(self) -> frozenset[int]:
         return self.base.variables()
@@ -327,18 +340,50 @@ def parse_expression(text: str) -> Expr:
     return _Parser(text).parse()
 
 
+class ColumnView:
+    """The columns of an (..., n) profile batch, held apart.
+
+    ``view[..., k]`` returns ``columns[k]``, the k-th column of the batch the
+    view stands for; the columns need only broadcast against each other, so a
+    coordinate shared by every row can be a shape-(1,) array and a lattice
+    axis can vary along its own dimension alone.  ``shape`` is the broadcast
+    shape of the columns followed by ``n``, the shape of that batch.  Keep
+    every column an ndarray of at least one dimension: numpy scalars take
+    other arithmetic routines (``**`` through C ``pow``) that may round
+    unlike the array ones.
+    """
+
+    __slots__ = ("columns", "shape")
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        self.shape = np.broadcast_shapes(*(np.shape(c) for c in self.columns)) + (
+            len(self.columns),
+        )
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] is Ellipsis):
+            raise TypeError(f"a column view supports only view[..., k], got {key!r}")
+        return self.columns[key[1]]
+
+
 def compile_expression(expr: Expr):
     """Return a fast ``f(values) -> ndarray`` equivalent of ``expr.evaluate``.
 
-    The generated source uses only indexing and arithmetic on the input
-    array, so it is safe to ``eval`` and keeps numpy broadcasting semantics.
+    ``values`` is an (..., n) ndarray or a :class:`ColumnView` of one.  The
+    generated source reads its input only as ``values[..., k]`` and applies
+    elementwise arithmetic, so it is safe to ``eval``, keeps numpy
+    broadcasting semantics, and gives every element the same floating-point
+    operations on either input.  The result broadcasts to ``values.shape[:-1]``
+    (a constant expression returns a float).
     """
     source = f"lambda v: {expr._emit()}"
     fn = eval(source, {"__builtins__": {}}, {})
 
     def compiled(values):
         try:
-            return fn(values)
+            with _quiet_errors():
+                return fn(values)
         except (ZeroDivisionError, OverflowError) as err:
             # Constant subexpressions stay Python floats, which raise where
             # numpy (and ``Expr.evaluate``) would give inf or nan.

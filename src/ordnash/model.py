@@ -23,7 +23,7 @@ from .errors import (
     GameFormatError,
     ProfileError,
 )
-from .expressions import Expr, compile_expression, parse_expression
+from .expressions import ColumnView, Expr, compile_expression, parse_expression
 
 __all__ = [
     "PlayerId",
@@ -426,16 +426,17 @@ def split_profile(game: GameSpec, vector: Sequence[float]) -> Profile:
     return Profile(blocks)
 
 
-def _batch_profiles(
+def _own_block_view(
     game: GameSpec, player: PlayerId, own: np.ndarray, point: np.ndarray
-) -> np.ndarray:
-    """Stacked profiles (m, n) equal to ``point`` with the own block replaced row-wise."""
-    batch = np.tile(point, (own.shape[0], 1))
-    batch[:, game.own_slice(player)] = own
-    return batch
+) -> ColumnView:
+    """The (m, n) profiles equal to ``point`` with the own block replaced row-wise,
+    as a column view: own columns from ``own``, each rival one a shape-(1,) array."""
+    columns = [point[k : k + 1] for k in range(point.size)]
+    columns[game.own_slice(player)] = own.T
+    return ColumnView(columns)
 
 
-def _utility_values(pref: UtilityPreference, batch: np.ndarray) -> np.ndarray:
+def _utility_values(pref: UtilityPreference, batch: np.ndarray | ColumnView) -> np.ndarray:
     values = pref.fn(batch)
     values = np.broadcast_to(np.asarray(values, dtype=np.float64), batch.shape[:-1])
     if not np.all(np.isfinite(values)):
@@ -504,7 +505,7 @@ def _strict_upper_table(
 
     if isinstance(pref, UtilityPreference):
         base = _utility_values(pref, points)
-        values = _utility_values(pref, _batch_profiles(game, player, own, points[0]))
+        values = _utility_values(pref, _own_block_view(game, player, own, points[0]))
         return values[None, :] > base[:, None]
 
     if isinstance(pref, HalfspaceContour):
@@ -516,9 +517,9 @@ def _strict_upper_table(
             raise GameFormatError(
                 "ThresholdBand preference requires a two-coordinate game"
             )
-        batch = _batch_profiles(game, player, own, points[0])[None, :, :]
+        moved = _own_block_view(game, player, own, points[0])
         base = points[:, None, :]
-        return _threshold_band_weak(batch, base) & ~_threshold_band_weak(base, batch)
+        return _threshold_band_weak(moved, base) & ~_threshold_band_weak(base, moved)
 
     raise GameFormatError(f"unknown preference variant {type(pref).__name__}")
 

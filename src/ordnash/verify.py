@@ -18,6 +18,7 @@ import numpy as np
 
 from .cones import sampled_separating_direction
 from .errors import EvaluationError, GridBudgetError, SeparatorError
+from .expressions import ColumnView
 from .model import (
     BoxOnly,
     GameSpec,
@@ -52,8 +53,10 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 10_000_000
-# Entry cap of one evaluation chunk: rows of the utility tensor, or one
-# (live, pool) strict-preference table of the generic enumeration.
+# Entry cap of one (live, pool) strict-preference table of the generic
+# enumeration.  The utility tensor is not chunked: it is evaluated on a column
+# view, never on the (points, n) profile array, so its largest temporary holds
+# one value per grid point, and only for subexpressions that read every axis.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -250,26 +253,36 @@ def _feasible_tensor(game: GameSpec, axes: list[np.ndarray]) -> np.ndarray | Non
 def _utility_tensor(
     game: GameSpec, player: PlayerId, axes: list[np.ndarray]
 ) -> np.ndarray:
-    """Utility values over the whole profile grid, evaluated in chunks."""
+    """Utility values over the whole profile grid, as a read-only tensor.
+
+    One compiled call on a :class:`ColumnView` of the lattice, in which column
+    k is ``axes[k]`` varying along dimension k only, so the profile grid is
+    never materialized; each entry equals the utility at that grid profile bit
+    for bit.  The result is broadcast to the grid shape, which also covers a
+    utility that ignores some coordinates or is constant.
+    """
     shape = tuple(a.size for a in axes)
     pref = game.players[player].preference
-    flat = _cartesian(axes)
-    out = np.empty(flat.shape[0])
-    for start in range(0, flat.shape[0], _CHUNK_ENTRIES):
-        rows = slice(start, start + _CHUNK_ENTRIES)
-        out[rows] = pref.fn(flat[rows])
-    if not np.all(np.isfinite(out)):
+    columns = [
+        a.reshape((1,) * k + (a.size,) + (1,) * (len(axes) - k - 1))
+        for k, a in enumerate(axes)
+    ]
+    values = np.asarray(pref.fn(ColumnView(columns)), dtype=np.float64)
+    if not np.all(np.isfinite(values)):
         raise EvaluationError(
             f"utility of player {player} is non-finite on the grid"
         )
-    return out.reshape(shape)
+    return np.broadcast_to(values, shape)
 
 
 def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate]]:
     """Enumerate all grid equilibria: no feasible grid deviation improves.
 
-    Exhaustive over the profile lattice of step ``h`` (budget-guarded).  The
-    utility/box family is evaluated tensor-wise; other preference variants go
+    Exhaustive over the profile lattice of step ``h`` (budget-guarded).  When
+    every player has a utility, each utility is evaluated once over the whole
+    lattice (:func:`_utility_tensor`, on broadcast columns rather than a
+    materialized profile array) and a profile survives when no feasible own
+    grid point has a strictly larger value.  Other preference variants go
     through the generic strict-preference oracle.
     """
     axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")

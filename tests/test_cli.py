@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import click
@@ -251,6 +252,20 @@ class TestHostileInputs:
         result = runner.invoke(main, ["solve", self._file(tmp_path, expr=expr)])
         assert result.exit_code == 1
         assert message in _report(result)["error"]
+
+    @pytest.mark.parametrize("expr", ["x1/0", "x1^400"])
+    @pytest.mark.parametrize("args", [["solve"], ["verify", "--point", "1"]])
+    def test_non_finite_utility_reported_without_runtime_warning(self, runner, tmp_path, args, expr):
+        path = self._file(tmp_path, expr=expr, box=(0.0, 10.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [args[0], path, *args[1:]])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["exit_code"] == 1
+        assert "non-finite" in report["error"]
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "RuntimeWarning" not in result.stderr
 
     def test_constant_utility_is_solved(self, runner, tmp_path):
         result = runner.invoke(main, ["solve", self._file(tmp_path, expr="1"), "--restarts", "1"])

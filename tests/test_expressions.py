@@ -1,5 +1,7 @@
 """Expression grammar: parsing, evaluation, compilation, and error positions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 from ordnash.errors import EvaluationError, ExpressionError
 from ordnash.expressions import (
     MAX_DEPTH,
+    ColumnView,
     Literal,
     Mul,
     Negate,
@@ -133,6 +136,34 @@ class TestCompilation:
         assert not np.isfinite(expr.evaluate(np.zeros((2, 1)))).all()
         with pytest.raises(EvaluationError):
             compile_expression(expr)(np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("text", ["x1/0", "x1^400", "(x1-x1)/(x2-x2)", "x1*1e300*1e300"])
+    def test_float_errors_are_silent_on_both_routes(self, text):
+        expr = parse_expression(text)
+        batch = np.array([[10.0, 1.0], [0.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tree = expr.evaluate(batch)
+            fast = compile_expression(expr)(batch)
+        assert not np.isfinite(tree).all()
+        np.testing.assert_array_equal(fast, tree)
+
+    @pytest.mark.parametrize("text", _CASES + ["1.5", "x2^3 - x2"])
+    def test_column_view_matches_the_array_bit_for_bit(self, text):
+        fn = compile_expression(parse_expression(text))
+        rng = np.random.default_rng(1)
+        x1 = rng.uniform(-1.5, 1.5, (9, 1))
+        x2 = rng.uniform(-1.5, 1.5, (1,))
+        view = ColumnView([x1, x2])
+        assert view.shape == (9, 1, 2)
+        batch = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
+        got = np.broadcast_to(fn(view), view.shape[:-1])
+        want = np.broadcast_to(fn(batch), batch.shape[:-1])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_column_view_refuses_other_indexing(self):
+        with pytest.raises(TypeError):
+            ColumnView([np.zeros(3)])[0]
 
     def test_compiled_constant_broadcast(self):
         fn = compile_expression(parse_expression("2.5"))

@@ -132,6 +132,47 @@ class TestUtilityPreference:
             strict_upper_mask(pull_game, 0, np.zeros((3, 2)), x)
 
 
+def _tiled_profiles(game, player, own, point):
+    """The materialized (m, n) batch: ``point`` repeated, own block replaced."""
+    batch = np.tile(point, (own.shape[0], 1))
+    batch[:, game.own_slice(player)] = own
+    return batch
+
+
+class TestOwnBlockView:
+    """The utility branch of the preference table evaluates candidates on a
+    column view; the reference is the same utility on tiled profiles."""
+
+    @pytest.mark.parametrize(
+        "dims, player",
+        [(1, 1), (2, 0), (2, 1), (2, 2)],
+        ids=["middle-of-three", "2-block-first", "2-block-middle", "2-block-last"],
+    )
+    def test_table_equals_tiled_reference_bit_for_bit(self, dims, player):
+        game = random_concave_quadratic(11, players=3, dims=dims)
+        rng = np.random.default_rng(dims * 10 + player)
+        candidates = rng.uniform(-1.0, 1.0, (200, dims))
+        profiles = np.tile(rng.uniform(-1.0, 1.0, game.total_dim), (5, 1))
+        profiles[:, game.own_slice(player)] = rng.uniform(-1.0, 1.0, (5, dims))
+        fn = game.players[player].preference.fn
+        viewed = fn(model._own_block_view(game, player, candidates, profiles[0]))
+        tiled = fn(_tiled_profiles(game, player, candidates, profiles[0]))
+        np.testing.assert_array_equal(
+            np.asarray(viewed).view(np.uint64), np.asarray(tiled).view(np.uint64)
+        )
+        table = model._strict_upper_table(game, player, candidates, profiles)
+        np.testing.assert_array_equal(table, tiled[None, :] > fn(profiles)[:, None])
+
+    def test_view_has_the_shape_of_the_tiled_batch(self):
+        # The bench counts the rows of a compiled call as prod(shape[:-1]).
+        game = random_concave_quadratic(11, players=3, dims=2)
+        own, point = np.zeros((7, 2)), np.ones(6)
+        view = model._own_block_view(game, 1, own, point)
+        assert view.shape == _tiled_profiles(game, 1, own, point).shape == (7, 6)
+        # Rival columns are shape-(1,) arrays, never numpy scalars.
+        assert [np.shape(view[..., k]) for k in range(6)] == [(1,), (1,), (7,), (7,), (1,), (1,)]
+
+
 class TestOrdinalInvariance:
     """Strict preference only uses the order of utility values, so any
     strictly increasing reparametrization leaves every comparison unchanged."""

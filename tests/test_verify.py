@@ -2,6 +2,7 @@
 properties between solver output and grid equilibria, continuity probes."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from scipy.optimize import linprog
 from conftest import make_budget_pair, make_pull_to_half_rival
 from ordnash.cones import Direction
 from ordnash.corpus import (
+    arrow_debreu_instance,
     example_coordinate_pref,
     example_lhc_remark,
     example_trivial_pref,
     random_concave_quadratic,
 )
-from ordnash.errors import GridBudgetError, InfeasiblePointError
+from ordnash.errors import EvaluationError, GridBudgetError, InfeasiblePointError
 from ordnash.model import (
     BoxOnly,
     ContourRow,
@@ -34,6 +36,9 @@ from ordnash.model import (
 )
 from ordnash.solver import SolverConfig
 from ordnash.verify import (
+    _cartesian,
+    _grid_axes,
+    _utility_tensor,
     brute_force_gne,
     check_gne_grid,
     check_svip,
@@ -292,6 +297,83 @@ class TestBruteForce:
     def test_budget_guard(self, pull_game):
         with pytest.raises(GridBudgetError):
             brute_force_gne(pull_game, h=1e-5)
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _scalar_game(exprs, box=(-1.0, 1.0), constraints=None):
+    players = tuple(PlayerSpec(1, (box,), UtilityPreference(e)) for e in exprs)
+    return GameSpec(players, constraints or BoxOnly())
+
+
+def _count_rows(game):
+    """Wrap each compiled utility to record the rows of every call, counted
+    as the bench's tracer counts them: prod(shape[:-1]) of the input."""
+    rows = []
+    for spec in game.players:
+        fn = spec.preference.fn
+
+        def counted(values, fn=fn):
+            rows.append(math.prod(np.shape(values)[:-1]))
+            return fn(values)
+
+        spec.preference.__dict__["fn"] = counted  # replaces the cached compile
+    return rows
+
+
+_TENSOR_GAMES = {
+    "3x1 h0.02": (lambda: random_concave_quadratic(5, 3, 1), 0.02),
+    "2x2": (lambda: random_concave_quadratic(6, 2, 2), 0.1),
+    "own-only, rival-only term, constant": (
+        lambda: _scalar_game(["-(x1-0.3)^2", "x1*x3 - x2^2 + 0.5*x3", "1"]),
+        0.1,
+    ),
+    "odd powers": (
+        lambda: _scalar_game(["x1^3 - x2^5*x1 + x2^-3", "-x2^7 + x1^-1*x2"], box=(0.5, 2.0)),
+        0.05,
+    ),
+    "shared": (lambda: arrow_debreu_instance(3), 0.02),
+}
+
+
+class TestUtilityTensor:
+    """The column-view tensor against the utility evaluated on materialized profiles."""
+
+    @pytest.mark.parametrize("name", list(_TENSOR_GAMES))
+    def test_equals_materialized_evaluation_bit_for_bit(self, name):
+        make, h = _TENSOR_GAMES[name]
+        game = make()
+        axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
+        shape = tuple(a.size for a in axes)
+        profiles = _cartesian(axes)
+        for player, spec in enumerate(game.players):
+            expected = np.broadcast_to(spec.preference.fn(profiles), profiles.shape[:1])
+            tensor = _utility_tensor(game, player, axes)
+            assert tensor.shape == shape
+            np.testing.assert_array_equal(_bits(tensor), _bits(expected).reshape(shape))
+
+    @pytest.mark.parametrize("expr", ["1/x1", "x2/(x1-x2)", "x1^-2 + 1/(x2*x2)"])
+    def test_non_finite_grid_utility_raises(self, expr):
+        game = _scalar_game([expr, "-x2^2"])
+        axes = _grid_axes(game.box_lo, game.box_hi, 0.5, "profile")
+        message = "utility of player 0 is non-finite on the grid"
+        with pytest.raises(EvaluationError, match=message):
+            _utility_tensor(game, 0, axes)
+        with pytest.raises(EvaluationError, match=message):
+            brute_force_gne(game, 0.5)
+
+    @pytest.mark.parametrize("name", ["3x1 h0.02", "own-only, rival-only term, constant"])
+    def test_rows_count_as_the_materialized_grid(self, name):
+        make, h = _TENSOR_GAMES[name]
+        game = make()
+        rows = _count_rows(game)
+        brute_force_gne(game, h)
+        points = math.prod(
+            a.size for a in _grid_axes(game.box_lo, game.box_hi, h, "profile")
+        )
+        assert rows == [points] * game.n_players
 
 
 def _reference_equilibria(game, h):
