@@ -10,6 +10,7 @@ verifier) is built on that single predicate and on the feasible-region map.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,6 +56,9 @@ __all__ = [
 PlayerId = int
 
 _FEAS_TOL = 1e-9
+# FeasibleRegion.linear_min enumerates vertices up to this shape, else one LP.
+_VERTEX_MAX_DIM = 3
+_VERTEX_MAX_ROWS = 4
 # A shared row binds a player when one of its own coefficients exceeds this.
 _BIND_TOL = 1e-15
 
@@ -362,15 +366,24 @@ class FeasibleRegion:
 
     @cached_property
     def is_empty(self) -> bool:
-        if self.forced_empty or np.any(self.lo > self.hi):
-            return True
-        return self.normals.size > 0 and self.linear_min(np.zeros(self.lo.size)) is None
+        """No point of the region exists: :meth:`linear_min` finds none."""
+        return self.linear_min(np.zeros(self.lo.size)) is None
 
     def linear_min(self, c: np.ndarray) -> np.ndarray | None:
-        """A minimizer of ``<c, y>`` over the region from one HiGHS LP, exact
-        on any shape up to the solver's tolerances; None if there is none."""
-        if self.forced_empty:
+        """A minimizer of ``<c, y>`` over the region, or None if it is empty.
+
+        A box gives its best corner and a small polytope its best vertex (the
+        first in basis order on ties); a larger shape, or a small one without
+        a vertex, takes one HiGHS LP, exact up to the solver's tolerances.
+        """
+        if self.forced_empty or np.any(self.lo > self.hi):
             return None
+        if self.normals.shape[0] == 0:
+            return np.where(c > 0, self.lo, self.hi)
+        if self.lo.size <= _VERTEX_MAX_DIM and self.normals.shape[0] <= _VERTEX_MAX_ROWS:
+            vertices = self._vertices()
+            if vertices.shape[0]:
+                return vertices[int(np.argmin(vertices @ c))]
         result = linprog(
             c=c,
             A_ub=self.normals,
@@ -379,6 +392,18 @@ class FeasibleRegion:
             method="highs",
         )
         return result.x if result.status == 0 else None
+
+    def _vertices(self) -> np.ndarray:
+        """Vertices in basis order: each ``dim`` of the box and halfspace rows
+        with |det| >= 1e-12, solved in one stacked call, kept if contained."""
+        dim = self.lo.size
+        a_all = np.vstack([np.eye(dim), -np.eye(dim), self.normals])
+        b_all = np.concatenate([self.hi, -self.lo, self.offsets])
+        bases = np.array(list(itertools.combinations(range(a_all.shape[0]), dim)))
+        a_sq = a_all[bases]
+        regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
+        points = np.linalg.solve(a_sq[regular], b_all[bases[regular]][..., None])[..., 0]
+        return points[self.contains_many(points)]
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import qmc
 
 from .cones import (
     Direction,
@@ -220,8 +219,6 @@ def _sampled_selection(
         d = sampled_separating_direction(samples, x.block(player))
     except SeparatorError:
         return Direction.zero(player, dim), Provenance.SAMPLED
-    if d is None:
-        return Direction.zero(player, dim), Provenance.FULL_SPACE
     return d, Provenance.SAMPLED
 
 
@@ -382,6 +379,8 @@ def fixed_point_step(game: GameSpec, x: Profile, cfg: SolverConfig) -> Profile:
 
 
 def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
+    from scipy.stats import qmc  # deferred: importing scipy.stats is slow
+
     sampler = qmc.Halton(d=game.total_dim, scramble=True, seed=cfg.seed)
     unit = sampler.random(cfg.restarts)
     lo, hi = game.box_lo, game.box_hi

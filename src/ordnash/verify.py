@@ -2,15 +2,14 @@
 
 Everything here re-derives its verdict from the game definition alone:
 grid search over feasible deviations (``check_gne_grid``, ``brute_force_gne``),
-exact linear minimization of the variational inequality margin
-(``check_svip``), executable forms of the two bridge properties between
-variational solutions and equilibria, and a numeric lower-hemicontinuity
-probe for contour maps.
+the variational inequality margin minimized exactly over each feasible
+region by ``FeasibleRegion.linear_min`` (``check_svip``), executable forms of
+the two bridge properties between variational solutions and equilibria, and
+a numeric lower-hemicontinuity probe for contour maps.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -73,8 +72,8 @@ class Certificate:
 
 def _grid_size(lo: float, hi: float, h: float) -> float:
     """Number of points :func:`grid_coordinates` returns, as a float (may be inf)."""
-    if not h > 0:
-        raise ValueError(f"grid step must be positive, got {h}")
+    if not (h > 0 and np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        raise ValueError(f"grid needs finite lo <= hi and a positive step, got {lo}, {hi}, {h}")
     return float(np.floor((hi - lo) / h + 1e-9)) + 1.0
 
 
@@ -147,63 +146,15 @@ def check_gne_grid(game: GameSpec, x: Profile, h: float) -> Certificate:
     )
 
 
-def _box_linear_min(lo: np.ndarray, hi: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.where(g > 0, lo, hi)
-
-
-def _polytope_vertices(
-    lo: np.ndarray, hi: np.ndarray, normals: np.ndarray, offsets: np.ndarray
-) -> np.ndarray:
-    """Vertices of {lo <= y <= hi, normals y <= offsets} by basis enumeration."""
-    dim = lo.size
-    a_all = np.vstack([np.eye(dim), -np.eye(dim), normals])
-    b_all = np.concatenate([hi, -lo, offsets])
-    vertices = []
-    scale = np.maximum(1.0, np.abs(b_all))
-    for combo in itertools.combinations(range(a_all.shape[0]), dim):
-        a_sq = a_all[list(combo)]
-        if abs(np.linalg.det(a_sq)) < 1e-12:
-            continue
-        v = np.linalg.solve(a_sq, b_all[list(combo)])
-        if np.all(a_all @ v <= b_all + 1e-9 * scale):
-            vertices.append(v)
-    return np.array(vertices) if vertices else np.empty((0, dim))
-
-
-def _exact_linear_min(
-    region, g: np.ndarray, fallback: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Minimize <g, y> over a feasible region, exactly on every shape.
-
-    A box is solved by its best corner and a small polytope (at most 3 dims
-    and 4 rows) by vertex enumeration; any other shape, or a small one
-    without vertices, takes one HiGHS LP.  ``fallback`` is returned when the
-    LP finds no optimum.
-    """
-    if region.normals.shape[0] == 0:
-        y = _box_linear_min(region.lo, region.hi, g)
-        return float(g @ y), y
-    if region.lo.size <= 3 and region.normals.shape[0] <= 4:
-        vertices = _polytope_vertices(region.lo, region.hi, region.normals, region.offsets)
-        if vertices.shape[0]:
-            values = vertices @ g
-            best = int(np.argmin(values))
-            return float(values[best]), vertices[best]
-    y = region.linear_min(g)
-    if y is None:
-        y = fallback
-    return float(g @ y), y
-
-
 def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) -> Certificate:
     """Exact variational-inequality check of a point and operator value.
 
     Normalizes the stacked operator value to unit norm, then computes
     m = min over feasible y of <g, y - x>, player by player over
-    ``model.feasible_region`` with the rivals at ``x``.  Each minimum is
-    exact: a box corner, a vertex of a small polytope, or one HiGHS LP for
-    any larger shape.  Passes when m >= -tol.  A zero operator value passes
-    vacuously.
+    ``model.feasible_region`` with the rivals at ``x``.  Each minimum comes
+    from :meth:`FeasibleRegion.linear_min`, exact on every shape; should it
+    find none, the own block stands in.  Passes when m >= -tol.  A zero
+    operator value passes vacuously.
     """
     regions = _require_feasible(game, x)
     g = _stack_operator(game, operator_value)
@@ -223,9 +174,9 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
     for player, region in enumerate(regions):
         sl = game.own_slice(player)
         own = x.stacked[sl]
-        value, y = _exact_linear_min(region, g[sl], own)
-        margin += value - float(g[sl] @ own)
-        minimizer[sl] = y
+        y = region.linear_min(g[sl])
+        minimizer[sl] = own if y is None else y
+        margin += float(g[sl] @ minimizer[sl]) - float(g[sl] @ own)
     passed = margin >= -tol
     witness = None
     if not passed:

@@ -1,7 +1,10 @@
 """Command-line interface: report shape, exit codes, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import click
 import pytest
 from click.testing import CliRunner
 
+import ordnash
 from ordnash import __version__
 from ordnash.cli import main
 from ordnash.corpus import EXAMPLES
@@ -423,3 +427,13 @@ class TestVersion:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert __version__ in result.output
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """The Halton starts import scipy.stats only when a solve needs them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
+    code = "import sys, ordnash.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from conftest import make_budget_pair, make_pull_to_half_rival
 from ordnash import model
@@ -17,6 +18,7 @@ from ordnash.model import (
     Block,
     BoxOnly,
     CoordinateOrder,
+    FeasibleRegion,
     GameSpec,
     PlayerSpec,
     Profile,
@@ -316,6 +318,43 @@ class TestFeasibleRegion:
         )
         region = feasible_region(game, 0, rivals=[0.0])
         assert region.is_empty
+
+    @pytest.mark.parametrize(
+        "lo, hi, normals, offsets",
+        [
+            # one point: y <= 0.5 and -y <= -0.5
+            ([0.0], [1.0], [[1.0], [-1.0]], [0.5, -0.5]),
+            # conflicting rows in 2-D: y1 + y2 <= 0.5 and y1 + y2 >= 1.5
+            ([0.0, 0.0], [1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0]], [0.5, -1.5]),
+            # lo == hi, on and off a row
+            ([0.3, 0.4], [0.3, 0.4], [[1.0, 1.0]], [1.0]),
+            ([0.3, 0.4], [0.3, 0.4], [[1.0, 1.0]], [0.5]),
+            # inverted box, with and without rows
+            ([1.0, 0.0], [0.0, 1.0], [[1.0, 1.0]], [1.0]),
+            ([1.0], [0.0], np.empty((0, 1)), []),
+        ],
+    )
+    @pytest.mark.parametrize("c_seed", range(3))
+    def test_linear_min_and_is_empty_agree_with_linprog(
+        self, lo, hi, normals, offsets, c_seed
+    ):
+        lo, hi = np.array(lo), np.array(hi)
+        normals = np.array(normals, dtype=np.float64).reshape(-1, lo.size)
+        offsets = np.array(offsets, dtype=np.float64)
+        region = FeasibleRegion(lo, hi, normals, offsets)
+        c = np.random.default_rng(c_seed).normal(size=lo.size)
+        reference = linprog(
+            c,
+            A_ub=normals if normals.size else None,
+            b_ub=offsets if normals.size else None,
+            bounds=list(zip(lo, hi)),
+            method="highs",
+        )
+        y = region.linear_min(c)
+        assert region.is_empty == (reference.status != 0) == (y is None)
+        if y is not None:
+            assert region.contains(y)
+            assert float(c @ y) == pytest.approx(reference.fun, abs=1e-9)
 
     def test_ragged_shared_rows_rejected(self):
         with pytest.raises(ValueError, match="unequal lengths"):

@@ -71,6 +71,22 @@ class TestGridCoordinates:
         with pytest.raises(ValueError):
             grid_coordinates(0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)]
+    )
+    def test_rejects_inverted_or_nonfinite_bounds(self, lo, hi):
+        with pytest.raises(ValueError):
+            grid_coordinates(lo, hi, 0.1)
+
+    def test_inverted_box_raises_value_error_not_index_error(self):
+        from ordnash.model import GameSpec, PlayerSpec, TrivialZero
+
+        game = GameSpec(players=(PlayerSpec(1, ((1.0, 0.0),), TrivialZero()),))
+        with pytest.raises(ValueError):
+            player_grid(game, 0, 0.1)
+        with pytest.raises(ValueError):
+            brute_force_gne(game, 0.1)
+
     def test_player_grid_orders_last_axis_fastest(self):
         from ordnash.model import GameSpec, PlayerSpec, TrivialZero
 
@@ -162,6 +178,37 @@ class TestCheckGneGrid:
                 assert coarse.passed
 
 
+def _assert_margin_matches_linprog(dim, rows, seed):
+    """check_svip's margin on a random 2-player shared-row game equals the sum
+    of per-player HiGHS objectives; the point is interior, so it fails."""
+    rng = np.random.default_rng([seed, dim, rows])
+    box = tuple((0.0, 1.0) for _ in range(dim))
+    players = tuple(PlayerSpec(dim, box, TrivialZero()) for _ in range(2))
+    point = rng.uniform(0.2, 0.8, 2 * dim)
+    a = rng.uniform(-1.0, 1.0, (rows, 2 * dim))
+    b = a @ point + rng.uniform(0.05, 0.5, rows)
+    game = GameSpec(players, SharedLinear(a=a.tolist(), b=b.tolist()))
+    g = rng.normal(size=2 * dim)
+
+    unit = g / np.linalg.norm(g)
+    reference = 0.0
+    first, second = slice(0, dim), slice(dim, None)
+    for own, rival in ((first, second), (second, first)):
+        result = linprog(
+            unit[own],
+            A_ub=a[:, own],
+            b_ub=b - a[:, rival] @ point[rival],
+            bounds=[(0.0, 1.0)] * dim,
+            method="highs",
+        )
+        assert result.status == 0
+        reference += result.fun - unit[own] @ point[own]
+
+    cert = check_svip(game, split_profile(game, point), g)
+    assert not cert.passed
+    assert cert.witness["margin"] == pytest.approx(reference, abs=1e-9)
+
+
 class TestCheckSvip:
     def test_corner_with_descent_direction_passes(self):
         game = example_coordinate_pref()
@@ -208,32 +255,13 @@ class TestCheckSvip:
     @pytest.mark.parametrize("seed", range(5))
     def test_margin_matches_linprog_beyond_vertex_shapes(self, dim, rows, seed):
         """Blocks outside the vertex-enumeration shapes are minimized exactly."""
-        rng = np.random.default_rng([seed, dim, rows])
-        box = tuple((0.0, 1.0) for _ in range(dim))
-        players = tuple(PlayerSpec(dim, box, TrivialZero()) for _ in range(2))
-        point = rng.uniform(0.2, 0.8, 2 * dim)
-        a = rng.uniform(-1.0, 1.0, (rows, 2 * dim))
-        b = a @ point + rng.uniform(0.05, 0.5, rows)
-        game = GameSpec(players, SharedLinear(a=a.tolist(), b=b.tolist()))
-        g = rng.normal(size=2 * dim)
+        _assert_margin_matches_linprog(dim, rows, seed)
 
-        unit = g / np.linalg.norm(g)
-        reference = 0.0
-        first, second = slice(0, dim), slice(dim, None)
-        for own, rival in ((first, second), (second, first)):
-            result = linprog(
-                unit[own],
-                A_ub=a[:, own],
-                b_ub=b - a[:, rival] @ point[rival],
-                bounds=[(0.0, 1.0)] * dim,
-                method="highs",
-            )
-            assert result.status == 0
-            reference += result.fun - unit[own] @ point[own]
-
-        cert = check_svip(game, split_profile(game, point), g)
-        assert not cert.passed
-        assert cert.witness["margin"] == pytest.approx(reference, abs=1e-9)
+    @pytest.mark.parametrize("dim, rows", [(1, 1), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_margin_matches_linprog_within_vertex_shapes(self, dim, rows, seed):
+        """Blocks inside the vertex-enumeration cap match the HiGHS objective too."""
+        _assert_margin_matches_linprog(dim, rows, seed)
 
     @given(
         st.floats(0.01, 100.0),
