@@ -2,7 +2,8 @@
 
 Every command emits one JSON report (stdout or ``--out``) and exits with
 0 when all checks pass, 2 when a check was run and failed, and 1 on errors
-(malformed files, infeasible points, invalid flags).
+(malformed files, infeasible points, invalid flags, unwritable paths).  A
+report that cannot be written to ``--out`` goes to stdout with the error.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _solver_options(command):
             click.option("--tol", default=1e-8, show_default=True, help="residual tolerance"),
             click.option("--max-iters", default=10_000, show_default=True, help="iteration cap per restart"),
             click.option("--restarts", default=16, show_default=True, help="multistart count"),
-            click.option("--seed", default=42, show_default=True, help="random seed"),
+            click.option("--seed", default=42, show_default=True, help="random seed (nonnegative)"),
         ]
     ):
         command = option(command)
@@ -80,7 +81,14 @@ def _finish(command, arguments, *, seed, exit_code, started, out, digest=None,
         exit_code=exit_code,
         wall_time_s=time.monotonic() - started,
     )
-    emit_report(report, out)
+    try:
+        emit_report(report, out)
+    except OSError as err:
+        failure = f"cannot write report to {out}: {err.strerror or err}"
+        error = failure if error is None else f"{error}; {failure}"
+        exit_code = 1
+        report.update(error=error, exit_code=exit_code)
+        emit_report(report, None)
     if error is not None:
         click.echo(error, err=True)
     raise SystemExit(exit_code)
@@ -98,6 +106,11 @@ def _validated_game(path):
 def _check_grid(grid):
     if not (grid > 0 and np.isfinite(grid)):
         raise OrdnashError(f"--grid must be positive and finite, got {grid}")
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise OrdnashError(f"--seed must be nonnegative, got {seed}")
 
 
 def _solver_config(step, tol, max_iters, restarts, seed):
@@ -128,6 +141,7 @@ def solve(file, step, tol, max_iters, restarts, seed, grid, out):
     }
     try:
         _check_grid(grid)
+        _check_seed(seed)
         game = _validated_game(file)
         cfg = _solver_config(step, tol, max_iters, restarts, seed)
         solution = solve_svip(game, cfg)
@@ -214,6 +228,7 @@ def theorems(suite, instances, step, tol, max_iters, restarts, seed, grid, out):
     }
     try:
         _check_grid(grid)
+        _check_seed(seed)
         if instances < 1:
             raise OrdnashError(f"--instances must be at least 1, got {instances}")
         certificates = []
@@ -467,7 +482,7 @@ def _run_arrow_debreu(game, seed):
 )
 @click.option("--run", "run_checks", is_flag=True, help="run the example's canonical checks")
 @click.option("--dump", default=None, type=str, help="write the problem file here")
-@click.option("--seed", default=42, show_default=True, help="random seed for checks")
+@click.option("--seed", default=42, show_default=True, help="random seed for checks (nonnegative)")
 @click.option("--out", default=None, type=str, help="report path (default stdout)")
 def examples(name, run_checks, dump, seed, out):
     """Build a bundled example; optionally dump it or run its checks."""
@@ -479,6 +494,7 @@ def examples(name, run_checks, dump, seed, out):
         "seed": seed,
     }
     try:
+        _check_seed(seed)
         game = EXAMPLES[name]()
         warnings = []
         certificates = []

@@ -159,9 +159,7 @@ def gradient_directions(
     for k in range(dim):  # rows 2k, 2k+1 of each profile move coordinate k up, down
         shifted[:, k, 0, start + k] += step
         shifted[:, k, 1, start + k] -= step
-    values = np.asarray(pref.fn(batch), dtype=np.float64)
-    if values.shape != batch.shape[:1]:
-        values = np.broadcast_to(values, batch.shape[:1])
+    values = pref.fn(batch)
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         bad = base[int(np.argmin(finite.reshape(base.shape[0], -1).all(axis=1)))]

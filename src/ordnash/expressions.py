@@ -14,9 +14,12 @@ syntax, 0-based internally).  Exponents are restricted to integer literals so
 expressions stay real-valued on all of R^n.  Nesting is capped at
 ``MAX_DEPTH`` levels (see there).
 
-Two evaluation routes are provided on purpose: :meth:`Expr.evaluate` walks the
-tree (reference semantics), while :func:`compile_expression` emits a plain
-numpy lambda for hot loops.  Tests hold the two routes to agreement.
+An expression is evaluated only through :func:`compile_expression`, which
+emits the tree as one numpy lambda; utilities and contour rows share it.
+Literals are Python floats, so a subexpression without variables is computed
+in Python float arithmetic and everything else elementwise in numpy.  The
+compiled function returns one float64 value per profile of the (..., n) batch
+it is given, as an ndarray of shape ``values.shape[:-1]``.
 """
 
 from __future__ import annotations
@@ -44,26 +47,8 @@ __all__ = [
 ]
 
 
-def _quiet_errors() -> np.errstate:
-    """Floating-point state of both evaluation routes: division by zero,
-    invalid operations and overflow give inf or nan without a warning."""
-    return np.errstate(divide="ignore", invalid="ignore", over="ignore")
-
-
 class Expr:
     """Base class for expression nodes."""
-
-    def evaluate(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate with ``values[..., i]`` bound to variable ``x(i+1)``.
-
-        Division by zero and overflow give inf or nan silently, as in the
-        compiled route; callers report non-finite values themselves.
-        """
-        with _quiet_errors():
-            return self._evaluate(values)
-
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def variables(self) -> frozenset[int]:
         """Zero-based indices of the variables referenced by this node."""
@@ -77,9 +62,6 @@ class Expr:
 class Literal(Expr):
     value: float
 
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(np.float64(self.value), np.shape(values)[:-1]).copy()
-
     def variables(self) -> frozenset[int]:
         return frozenset()
 
@@ -91,9 +73,6 @@ class Literal(Expr):
 class Variable(Expr):
     index: int  # zero-based profile coordinate
 
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64)[..., self.index]
-
     def variables(self) -> frozenset[int]:
         return frozenset({self.index})
 
@@ -104,9 +83,6 @@ class Variable(Expr):
 @dataclass(frozen=True)
 class Negate(Expr):
     operand: Expr
-
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return -self.operand._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.operand.variables()
@@ -120,9 +96,6 @@ class Add(Expr):
     left: Expr
     right: Expr
 
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.left._evaluate(values) + self.right._evaluate(values)
-
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
 
@@ -134,9 +107,6 @@ class Add(Expr):
 class Sub(Expr):
     left: Expr
     right: Expr
-
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.left._evaluate(values) - self.right._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -150,9 +120,6 @@ class Mul(Expr):
     left: Expr
     right: Expr
 
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.left._evaluate(values) * self.right._evaluate(values)
-
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
 
@@ -164,9 +131,6 @@ class Mul(Expr):
 class Div(Expr):
     left: Expr
     right: Expr
-
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.left._evaluate(values) / self.right._evaluate(values)
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -180,9 +144,6 @@ class Power(Expr):
     base: Expr
     exponent: int
 
-    def _evaluate(self, values: np.ndarray) -> np.ndarray:
-        return self.base._evaluate(values) ** self.exponent
-
     def variables(self) -> frozenset[int]:
         return self.base.variables()
 
@@ -191,8 +152,8 @@ class Power(Expr):
 
 
 # Cap on the expression tree depth, and on the nesting of parentheses and
-# unary minus while parsing.  The tree walks (evaluate, variables, _emit) and
-# the parser recurse once per level, and compile_expression emits one bracket
+# unary minus while parsing.  The tree walks (variables, _emit) and the
+# parser recurse once per level, and compile_expression emits one bracket
 # per level, which CPython refuses beyond 200.
 MAX_DEPTH = 100
 
@@ -368,25 +329,33 @@ class ColumnView:
 
 
 def compile_expression(expr: Expr):
-    """Return a fast ``f(values) -> ndarray`` equivalent of ``expr.evaluate``.
+    """Compile ``expr`` into ``f(values) -> ndarray``, the one evaluation route.
 
-    ``values`` is an (..., n) ndarray or a :class:`ColumnView` of one.  The
-    generated source reads its input only as ``values[..., k]`` and applies
-    elementwise arithmetic, so it is safe to ``eval``, keeps numpy
+    ``values`` is an (..., n) ndarray or a :class:`ColumnView` of one, with
+    ``values[..., k]`` bound to variable ``x(k+1)``.  ``f`` returns a float64
+    ndarray of shape ``values.shape[:-1]``; a result of a smaller shape that
+    broadcasts to it, such as a constant, comes back as a read-only view.
+
+    The generated source reads its input only as ``values[..., k]`` and
+    applies elementwise arithmetic, so it is safe to ``eval``, keeps numpy
     broadcasting semantics, and gives every element the same floating-point
-    operations on either input.  The result broadcasts to ``values.shape[:-1]``
-    (a constant expression returns a float).
+    operations on either input.  Literals are Python floats, so constant
+    subexpressions are computed by Python: where numpy would give inf or nan
+    (division by zero, overflow) they raise, and ``f`` raises
+    :class:`EvaluationError`.  On arrays, division by zero, invalid
+    operations and overflow give inf or nan without a warning; callers
+    report non-finite values themselves.
     """
-    source = f"lambda v: {expr._emit()}"
-    fn = eval(source, {"__builtins__": {}}, {})
+    fn = eval(f"lambda v: {expr._emit()}", {"__builtins__": {}}, {})
 
     def compiled(values):
         try:
-            with _quiet_errors():
-                return fn(values)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                result = fn(values)
         except (ZeroDivisionError, OverflowError) as err:
-            # Constant subexpressions stay Python floats, which raise where
-            # numpy (and ``Expr.evaluate``) would give inf or nan.
             raise EvaluationError(f"expression is not finite: {err}") from err
+        result = np.asarray(result, dtype=np.float64)
+        shape = values.shape[:-1]
+        return result if result.shape == shape else np.broadcast_to(result, shape)
 
     return compiled

@@ -222,7 +222,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 def save_game(game: GameSpec, path: str | Path) -> None:
     """Dump a game to a problem file atomically."""
-    atomic_write_text(path, dumps_game(game))
+    try:
+        atomic_write_text(path, dumps_game(game))
+    except OSError as err:
+        raise GameFormatError(
+            f"cannot write problem file {path}: {err.strerror or err}"
+        ) from err
 
 
 def game_digest(game: GameSpec) -> str:

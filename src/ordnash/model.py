@@ -21,6 +21,7 @@ from scipy.optimize import linprog
 
 from .errors import (
     EvaluationError,
+    ExpressionError,
     GameFormatError,
     ProfileError,
 )
@@ -171,12 +172,14 @@ class ContourRow:
         object.__setattr__(self, "offset", str(self.offset))
 
     @cached_property
-    def parsed_coeffs(self) -> tuple[Expr, ...]:
-        return tuple(parse_expression(c) for c in self.coeffs)
+    def parsed(self) -> tuple[Expr, ...]:
+        """The coefficient expressions followed by the offset expression."""
+        return tuple(parse_expression(t) for t in (*self.coeffs, self.offset))
 
     @cached_property
-    def parsed_offset(self) -> Expr:
-        return parse_expression(self.offset)
+    def fns(self):
+        """Compiled :attr:`parsed`, in the same order."""
+        return tuple(compile_expression(e) for e in self.parsed)
 
 
 @dataclass(frozen=True)
@@ -463,7 +466,6 @@ def _own_block_view(
 
 def _utility_values(pref: UtilityPreference, batch: np.ndarray | ColumnView) -> np.ndarray:
     values = pref.fn(batch)
-    values = np.broadcast_to(np.asarray(values, dtype=np.float64), batch.shape[:-1])
     if not np.all(np.isfinite(values)):
         raise EvaluationError(
             f"utility expression {pref.expr!r} evaluated to a non-finite value"
@@ -475,13 +477,13 @@ def _contour_rows(
     pref: HalfspaceContour, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """HalfspaceContour rows at each of the (k, n) profiles: A (k, rows, dim), b (k, rows)."""
-    a = np.array([[c.evaluate(points) for c in row.parsed_coeffs] for row in pref.rows])
-    b = np.array([row.parsed_offset.evaluate(points) for row in pref.rows])
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    values = np.array([[f(points) for f in row.fns] for row in pref.rows])
+    if not np.isfinite(values).all():
         raise EvaluationError("contour row evaluated to a non-finite value")
-    # One C-ordered (rows, dim) matrix per profile, the layout of a single
-    # profile's rows, so that ``y @ A.T`` rounds alike for one or many profiles.
-    return np.ascontiguousarray(a.transpose(2, 0, 1)), b.T
+    # values is (rows, dim + 1, k), the offset last.  One C-ordered (rows, dim)
+    # matrix per profile, the layout of a single profile's rows, so that
+    # ``y @ A.T`` rounds alike for one or many profiles.
+    return np.ascontiguousarray(values[:, :-1].transpose(2, 0, 1)), values[:, -1].T
 
 
 def evaluate_contour_rows(
@@ -690,7 +692,7 @@ def validate_spec(game: GameSpec, probe_count: int = 16, seed: int = 0) -> list[
                 )
         pref = spec.preference
         if isinstance(pref, UtilityPreference):
-            issues.extend(_validate_expression(pref.expr, n, idx, "utility"))
+            issues.extend(_validate_expression(lambda: (pref.parsed,), n, idx, "utility"))
         elif isinstance(pref, HalfspaceContour):
             for row_idx, row in enumerate(pref.rows):
                 if len(row.coeffs) != spec.dim:
@@ -702,10 +704,9 @@ def validate_spec(game: GameSpec, probe_count: int = 16, seed: int = 0) -> list[
                             idx,
                         )
                     )
-                for text in (*row.coeffs, row.offset):
-                    issues.extend(
-                        _validate_expression(text, n, idx, f"contour row {row_idx}")
-                    )
+                issues.extend(
+                    _validate_expression(lambda: row.parsed, n, idx, f"contour row {row_idx}")
+                )
         elif isinstance(pref, ThresholdBand) and n != 2:
             issues.append(
                 ValidationIssue(
@@ -765,19 +766,23 @@ def validate_spec(game: GameSpec, probe_count: int = 16, seed: int = 0) -> list[
 
 
 def _validate_expression(
-    text: str, total_dim: int, player: PlayerId, where: str
+    parsed, total_dim: int, player: PlayerId, where: str
 ) -> list[ValidationIssue]:
-    from .errors import ExpressionError
+    """Issues of the expressions that ``parsed()`` returns from a cached parse.
 
+    A parse error is one ``bad-expression`` issue; otherwise every variable
+    beyond the game's coordinates goes into one ``unknown-variable`` issue.
+    """
     try:
-        expr = parse_expression(text)
+        exprs = parsed()
     except ExpressionError as err:
         return [
             ValidationIssue(
                 "bad-expression", f"player {player} {where}: {err}", player
             )
         ]
-    out_of_range = sorted(i for i in expr.variables() if i >= total_dim)
+    used = frozenset().union(*(e.variables() for e in exprs))
+    out_of_range = sorted(i for i in used if i >= total_dim)
     if out_of_range:
         names = ", ".join(f"x{i + 1}" for i in out_of_range)
         return [

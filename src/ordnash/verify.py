@@ -204,26 +204,25 @@ def _feasible_tensor(game: GameSpec, axes: list[np.ndarray]) -> np.ndarray | Non
 def _utility_tensor(
     game: GameSpec, player: PlayerId, axes: list[np.ndarray]
 ) -> np.ndarray:
-    """Utility values over the whole profile grid, as a read-only tensor.
+    """Utility values over the whole profile grid, as a tensor of its shape.
 
     One compiled call on a :class:`ColumnView` of the lattice, in which column
     k is ``axes[k]`` varying along dimension k only, so the profile grid is
     never materialized; each entry equals the utility at that grid profile bit
-    for bit.  The result is broadcast to the grid shape, which also covers a
-    utility that ignores some coordinates or is constant.
+    for bit.  The compiled call broadcasts its result to the grid shape, which
+    also covers a utility that ignores some coordinates or is constant.
     """
-    shape = tuple(a.size for a in axes)
     pref = game.players[player].preference
     columns = [
         a.reshape((1,) * k + (a.size,) + (1,) * (len(axes) - k - 1))
         for k, a in enumerate(axes)
     ]
-    values = np.asarray(pref.fn(ColumnView(columns)), dtype=np.float64)
+    values = pref.fn(ColumnView(columns))
     if not np.all(np.isfinite(values)):
         raise EvaluationError(
             f"utility of player {player} is non-finite on the grid"
         )
-    return np.broadcast_to(values, shape)
+    return values
 
 
 def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate]]:

@@ -293,6 +293,53 @@ class TestHostileInputs:
         assert result.exit_code == 1
         assert "must be finite" in _report(result)["error"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "FILE"],
+            ["theorems", "--suite", "existence"],
+            ["examples", "--name", "quadratic", "--run"],
+        ],
+        ids=["solve", "theorems", "examples"],
+    )
+    def test_negative_seed_exit_one_with_report(self, runner, tmp_path, args):
+        args = [self._file(tmp_path) if a == "FILE" else a for a in args]
+        result = runner.invoke(main, [*args, "--seed", "-1"])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["exit_code"] == 1
+        assert report["error"] == "--seed must be nonnegative, got -1"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "FILE", "--restarts", "1"],
+            ["verify", "FILE", "--point", "0.5"],
+            ["theorems", "--suite", "existence", "--instances", "1"],
+            ["examples", "--name", "lhc-remark", "--run"],
+        ],
+        ids=["solve", "verify", "theorems", "examples"],
+    )
+    def test_unwritable_out_reports_to_stdout(self, runner, tmp_path, args):
+        out = tmp_path / "missing" / "report.json"
+        args = [self._file(tmp_path) if a == "FILE" else a for a in args]
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["command"] == args[0]
+        assert report["exit_code"] == 1
+        assert report["error"] == f"cannot write report to {out}: No such file or directory"
+        assert report["certificates"]
+        assert not out.parent.exists()
+
+    def test_unwritable_dump_exit_one_with_report(self, runner, tmp_path):
+        dump = tmp_path / "missing" / "game.json"
+        result = runner.invoke(main, ["examples", "--name", "quadratic", "--dump", str(dump)])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["exit_code"] == 1
+        assert report["error"] == f"cannot write problem file {dump}: No such file or directory"
+
 
 class TestTheoremsCommand:
     def test_solver_to_grid_suite(self, runner):

@@ -1,4 +1,4 @@
-"""Expression grammar: parsing, evaluation, compilation, and error positions."""
+"""Expression grammar: parsing, compiled evaluation, and error positions."""
 
 import warnings
 
@@ -19,10 +19,19 @@ from ordnash.expressions import (
     compile_expression,
     parse_expression,
 )
+from ordnash.model import (
+    ContourRow,
+    GameSpec,
+    HalfspaceContour,
+    PlayerSpec,
+    UtilityPreference,
+    evaluate_contour_rows,
+    split_profile,
+)
 
 
 def _eval(text, values):
-    return float(parse_expression(text).evaluate(np.asarray(values, dtype=float)))
+    return float(compile_expression(parse_expression(text))(np.asarray(values, dtype=float)))
 
 
 class TestParsing:
@@ -57,8 +66,9 @@ class TestParsing:
         expr = parse_expression("-(x1-0.5*x2)^2")
         expected = Negate(Power(Sub(Variable(0), Mul(Literal(0.5), Variable(1))), 2))
         assert expr == expected
-        assert float(expr.evaluate(np.array([1.0, 0.0]))) == -1.0
-        assert float(expr.evaluate(np.array([0.0, 0.0]))) == 0.0
+        fn = compile_expression(expr)
+        assert float(fn(np.array([1.0, 0.0]))) == -1.0
+        assert float(fn(np.array([0.0, 0.0]))) == 0.0
 
     def test_variables_collected(self):
         assert parse_expression("x1*x3+2").variables() == frozenset({0, 2})
@@ -108,47 +118,57 @@ class TestErrors:
         assert "position 6" in str(err.value)
 
 
-_CASES = [
-    "x1",
-    "-(x1-0.5*x2)^2",
-    "x1*x2 - x2^3 + 1.5",
-    "(x1+x2)/(x2+2.0)",
-    "2^-2 * x1 + x2^2",
-    "-(x1--0.25)^2 - (x2-0.5)^2",
-]
+# Each case with its tree written out by hand as numpy arithmetic on the
+# columns x1, x2 (constant subexpressions folded by hand, as Python would).
+_CASES = {
+    "x1": lambda x1, x2: x1,
+    "-(x1-0.5*x2)^2": lambda x1, x2: -((x1 - 0.5 * x2) ** 2),
+    "x1*x2 - x2^3 + 1.5": lambda x1, x2: x1 * x2 - x2**3 + 1.5,
+    "(x1+x2)/(x2+2.0)": lambda x1, x2: (x1 + x2) / (x2 + 2.0),
+    "2^-2 * x1 + x2^2": lambda x1, x2: 0.25 * x1 + x2**2,
+    "-(x1--0.25)^2 - (x2-0.5)^2": lambda x1, x2: -((x1 - -0.25) ** 2) - (x2 - 0.5) ** 2,
+}
+
+_FLOAT_ERRORS = {
+    "x1/0": lambda x1, x2: x1 / 0.0,
+    "x1^400": lambda x1, x2: x1**400,
+    "(x1-x1)/(x2-x2)": lambda x1, x2: (x1 - x1) / (x2 - x2),
+    "x1*1e300*1e300": lambda x1, x2: x1 * 1e300 * 1e300,
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 class TestCompilation:
-    @pytest.mark.parametrize("text", _CASES)
+    @pytest.mark.parametrize("text", list(_CASES))
     def test_compiled_matches_tree_walk(self, text):
-        expr = parse_expression(text)
-        fn = compile_expression(expr)
-        rng = np.random.default_rng(0)
-        batch = rng.uniform(-1.5, 1.5, size=(64, 2))
-        tree = expr.evaluate(batch)
-        fast = np.broadcast_to(np.asarray(fn(batch), dtype=float), tree.shape)
-        np.testing.assert_allclose(fast, tree, rtol=0, atol=0)
+        """The compiled function equals the tree walked by hand, bit for bit."""
+        fn = compile_expression(parse_expression(text))
+        batch = np.random.default_rng(0).uniform(-1.5, 1.5, size=(64, 2))
+        want = _CASES[text](batch[:, 0], batch[:, 1])
+        np.testing.assert_array_equal(_bits(fn(batch)), _bits(want))
 
     @pytest.mark.parametrize("text", ["(0.0)/(0.0)", "x1+1/0", "(10.0)^400"])
     def test_non_finite_constants_raise_evaluation_error(self, text):
-        # Constant subexpressions compile to Python floats; the tree walk gives nan/inf.
-        expr = parse_expression(text)
-        assert not np.isfinite(expr.evaluate(np.zeros((2, 1)))).all()
-        with pytest.raises(EvaluationError):
-            compile_expression(expr)(np.zeros((2, 1)))
+        # Constant subexpressions are Python floats, which raise where numpy gives nan/inf.
+        with pytest.raises(EvaluationError, match="expression is not finite"):
+            compile_expression(parse_expression(text))(np.zeros((2, 1)))
 
-    @pytest.mark.parametrize("text", ["x1/0", "x1^400", "(x1-x1)/(x2-x2)", "x1*1e300*1e300"])
+    @pytest.mark.parametrize("text", list(_FLOAT_ERRORS))
     def test_float_errors_are_silent_on_both_routes(self, text):
-        expr = parse_expression(text)
+        """On arrays, inf and nan come out silently and as numpy gives them."""
         batch = np.array([[10.0, 1.0], [0.0, 2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tree = expr.evaluate(batch)
-            fast = compile_expression(expr)(batch)
-        assert not np.isfinite(tree).all()
-        np.testing.assert_array_equal(fast, tree)
+            fast = compile_expression(parse_expression(text))(batch)
+        with np.errstate(all="ignore"):
+            want = _FLOAT_ERRORS[text](batch[:, 0], batch[:, 1])
+        assert not np.isfinite(want).all()
+        np.testing.assert_array_equal(_bits(fast), _bits(want))
 
-    @pytest.mark.parametrize("text", _CASES + ["1.5", "x2^3 - x2"])
+    @pytest.mark.parametrize("text", [*_CASES, "1.5", "x2^3 - x2"])
     def test_column_view_matches_the_array_bit_for_bit(self, text):
         fn = compile_expression(parse_expression(text))
         rng = np.random.default_rng(1)
@@ -157,9 +177,9 @@ class TestCompilation:
         view = ColumnView([x1, x2])
         assert view.shape == (9, 1, 2)
         batch = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
-        got = np.broadcast_to(fn(view), view.shape[:-1])
-        want = np.broadcast_to(fn(batch), batch.shape[:-1])
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        got, want = fn(view), fn(batch)
+        assert got.shape == want.shape == (9, 1)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
     def test_column_view_refuses_other_indexing(self):
         with pytest.raises(TypeError):
@@ -167,8 +187,18 @@ class TestCompilation:
 
     def test_compiled_constant_broadcast(self):
         fn = compile_expression(parse_expression("2.5"))
-        out = np.broadcast_to(np.asarray(fn(np.zeros((7, 3)))), (7,))
-        assert out.shape == (7,)
+        out = fn(np.zeros((7, 3)))
+        assert isinstance(out, np.ndarray)
+        assert (out.shape, out.dtype) == ((7,), np.float64)
+        assert (out == 2.5).all()
+        assert fn(ColumnView([np.zeros((4, 1)), np.zeros(5)])).shape == (4, 5)
+
+    @pytest.mark.parametrize("values", [np.zeros((6, 2)), np.zeros((3, 4, 2)), np.zeros(2)])
+    @pytest.mark.parametrize("text", ["x1", "x2^2", "1.5", "(2.0)^-3"])
+    def test_result_is_float64_shaped_like_the_batch(self, text, values):
+        out = compile_expression(parse_expression(text))(values)
+        assert isinstance(out, np.ndarray)
+        assert (out.shape, out.dtype) == (values.shape[:-1], np.float64)
 
     @given(
         st.lists(st.floats(-10, 10), min_size=2, max_size=2),
@@ -180,3 +210,22 @@ class TestCompilation:
         text = f"{a_c!r}*x1 + {b_c!r}*x2"
         got = _eval(text, [a, b])
         assert got == pytest.approx(a_c * a + b_c * b, rel=1e-12, abs=1e-12)
+
+
+class TestOneRoute:
+    """Contour rows and utilities are evaluated by the same compiled route."""
+
+    @pytest.mark.parametrize("text", ["(0.825)^-3*x1", "x1*x2 - (1.1)^7*x2^3", "(x1+0.3)/(2.0)^5"])
+    def test_contour_coefficient_equals_utility_bit_for_bit(self, text):
+        box = ((-2.0, 2.0),)
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, box, HalfspaceContour((ContourRow((text,), text),))),
+                PlayerSpec(1, box, UtilityPreference(text)),
+            )
+        )
+        points = np.random.default_rng(3).uniform(-2.0, 2.0, size=(64, 2))
+        rows = [evaluate_contour_rows(game, 0, split_profile(game, p)) for p in points]
+        utility = game.players[1].preference.fn(points)
+        np.testing.assert_array_equal(_bits([a[0, 0] for a, _ in rows]), _bits(utility))
+        np.testing.assert_array_equal(_bits([b[0] for _, b in rows]), _bits(utility))

@@ -2,7 +2,8 @@
 
 Documents are drawn near the file format (right keys, wrong values, odd
 expressions, extreme numbers) so that most reach validation and many load.
-Every ``ordnash solve`` and ``ordnash verify`` call on such a file must print
+Every ``ordnash solve`` and ``ordnash verify`` call on such a file (and, for
+``solve``, with any integer ``--seed``, negative ones included) must print
 one parseable JSON report whose exit code is the process exit code, in
 {0, 1, 2}.  The examples are derandomized so tier-1 stays reproducible.
 """
@@ -219,10 +220,15 @@ def test_verify_always_reports(tmp_path_factory, data):
     _assert_reported(CliRunner().invoke(main, ["verify", str(path), "--point", point]))
 
 
+SEEDS = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
 @settings(FUZZ, max_examples=30)
-@given(text=loadable_files())
-def test_solve_always_reports(tmp_path_factory, text):
+@given(text=loadable_files(), seed=SEEDS)
+def test_solve_always_reports(tmp_path_factory, text, seed):
     path = tmp_path_factory.mktemp("fuzz") / "game.json"
     path.write_text(text)
     args = ["solve", str(path), "--restarts", "1", "--max-iters", "20", "--grid", "0.5"]
-    _assert_reported(CliRunner().invoke(main, args))
+    report = _assert_reported(CliRunner().invoke(main, [*args, "--seed", str(seed)]))
+    if seed < 0:
+        assert report["error"] == f"--seed must be nonnegative, got {seed}"

@@ -307,6 +307,14 @@ class TestFileIO:
         atomic_write_text(path, "two\n")
         assert path.read_text() == "two\n"
 
+    @pytest.mark.parametrize("where", ["missing/game.json", "."], ids=["no-directory", "a-directory"])
+    def test_unwritable_path_is_a_game_format_error(self, tmp_path, where):
+        path = tmp_path / where
+        with pytest.raises(GameFormatError) as err:
+            save_game(make_budget_pair(), path)
+        assert str(err.value).startswith(f"cannot write problem file {path}: ")
+        assert [p for p in tmp_path.rglob("*.tmp")] == []
+
 
 class TestDigest:
     def test_digest_tracks_canonical_dump(self):

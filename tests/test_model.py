@@ -17,9 +17,11 @@ from ordnash.errors import ProfileError
 from ordnash.model import (
     Block,
     BoxOnly,
+    ContourRow,
     CoordinateOrder,
     FeasibleRegion,
     GameSpec,
+    HalfspaceContour,
     PlayerSpec,
     Profile,
     SharedLinear,
@@ -652,3 +654,47 @@ class TestValidateSpec:
         with np.errstate(divide="ignore", invalid="ignore"):
             codes = [i.code for i in validate_spec(game)]
         assert "non-finite" in codes
+
+    @pytest.mark.parametrize("row", [(("(0.0)/(0.0)",), "1"), (("1",), "x1+(1e200)^2")])
+    def test_nonfinite_contour_constant_reported(self, row):
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), HalfspaceContour((ContourRow(*row),))),
+                PlayerSpec(1, ((-1.0, 1.0),), TrivialZero()),
+            )
+        )
+        issues = validate_spec(game)
+        assert [i.code for i in issues] == ["non-finite"]
+        assert "expression is not finite" in issues[0].message
+
+    @pytest.mark.parametrize(
+        "row, code, text",
+        [
+            ((("x1 +",), "x9"), "bad-expression", "player 0 contour row 0: unexpected end"),
+            ((("x7",), "x9"), "unknown-variable", "player 0 contour row 0 references x7, x9"),
+        ],
+    )
+    def test_contour_row_expression_issues(self, row, code, text):
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), HalfspaceContour((ContourRow(*row),))),
+                PlayerSpec(1, ((-1.0, 1.0),), TrivialZero()),
+            )
+        )
+        issues = validate_spec(game)
+        assert [(i.code, i.player) for i in issues] == [(code, 0)]
+        assert issues[0].message.startswith(text)
+
+    def test_each_expression_text_is_parsed_once(self, monkeypatch):
+        texts = ["1", "x1", "-(x2-x1)^2"]  # y < x1: irreflexive
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), HalfspaceContour((ContourRow(texts[:1], texts[1]),))),
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference(texts[2])),
+            )
+        )
+        calls = []
+        parse = model.parse_expression
+        monkeypatch.setattr(model, "parse_expression", lambda t: calls.append(t) or parse(t))
+        assert validate_spec(game) == []
+        assert sorted(calls) == sorted(texts)
