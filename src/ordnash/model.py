@@ -10,6 +10,7 @@ verifier) is built on that single predicate and on the feasible-region map.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -379,7 +380,7 @@ class FeasibleRegion:
         first in basis order on ties); a larger shape, or a small one without
         a vertex, takes one HiGHS LP, exact up to the solver's tolerances.
         """
-        if self.forced_empty or np.any(self.lo > self.hi):
+        if self.forced_empty or (self.lo > self.hi).any():
             return None
         if self.normals.shape[0] == 0:
             return np.where(c > 0, self.lo, self.hi)
@@ -399,14 +400,34 @@ class FeasibleRegion:
     def _vertices(self) -> np.ndarray:
         """Vertices in basis order: each ``dim`` of the box and halfspace rows
         with |det| >= 1e-12, solved in one stacked call, kept if contained."""
-        dim = self.lo.size
-        a_all = np.vstack([np.eye(dim), -np.eye(dim), self.normals])
+        normals = np.asarray(self.normals, dtype=np.float64)
+        a_sq, bases = _vertex_systems(self.lo.size, normals.shape[0], normals.tobytes())
         b_all = np.concatenate([self.hi, -self.lo, self.offsets])
-        bases = np.array(list(itertools.combinations(range(a_all.shape[0]), dim)))
-        a_sq = a_all[bases]
-        regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
-        points = np.linalg.solve(a_sq[regular], b_all[bases[regular]][..., None])[..., 0]
+        points = np.linalg.solve(a_sq, b_all[bases][..., None])[..., 0]
         return points[self.contains_many(points)]
+
+
+@functools.lru_cache(maxsize=256)
+def _vertex_systems(dim: int, rows: int, normals: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The square systems of :meth:`FeasibleRegion._vertices` for a region of
+    ``dim`` coordinates whose ``rows`` halfspace normals have these bytes.
+
+    Of the rows ``[I; -I; normals]``, every ``dim``-subset in
+    ``itertools.combinations`` order whose matrix has |det| >= 1e-12: the
+    (s, dim, dim) matrices and the (s, dim) row indices.  They depend on the
+    normals only, which a player's regions share whatever the rivals, so they
+    are kept (read-only) and only the offsets change from call to call.
+    """
+    a_all = np.vstack(
+        [np.eye(dim), -np.eye(dim), np.frombuffer(normals).reshape(rows, dim)]
+    )
+    bases = np.array(list(itertools.combinations(range(2 * dim + rows), dim)))
+    a_sq = a_all[bases]
+    regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
+    a_sq, bases = a_sq[regular], bases[regular]
+    a_sq.flags.writeable = False
+    bases.flags.writeable = False
+    return a_sq, bases
 
 
 @dataclass(frozen=True)
@@ -455,13 +476,25 @@ def split_profile(game: GameSpec, vector: Sequence[float]) -> Profile:
 
 
 def _own_block_view(
-    game: GameSpec, player: PlayerId, own: np.ndarray, point: np.ndarray
+    game: GameSpec, player: PlayerId, own: np.ndarray, points: np.ndarray
 ) -> ColumnView:
-    """The (m, n) profiles equal to ``point`` with the own block replaced row-wise,
-    as a column view: own columns from ``own``, each rival one a shape-(1,) array."""
-    columns = [point[k : k + 1] for k in range(point.size)]
+    """The profiles ``points[r]`` with the own block replaced by each row of
+    the (m, dim) ``own``, as a column view: own columns are (m,) arrays, and
+    each rival column of a (u, n) ``points`` is a (u, 1) array, of shape
+    (u, m, n) in all; one (n,) point gives shape-(1,) columns and (m, n)."""
+    columns = list(points.T[..., None])
     columns[game.own_slice(player)] = own.T
     return ColumnView(columns)
+
+
+def _rival_runs(game: GameSpec, player: PlayerId, points: np.ndarray):
+    """Runs of consecutive rows of ``points`` whose rival coordinates are
+    bit-identical: the first row of each run and the run of every row."""
+    bits = points.view(np.uint64)
+    differs = bits[1:] != bits[:-1]
+    differs[:, game.own_slice(player)] = False
+    new = np.concatenate(([True], differs.any(axis=1)))
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def _utility_values(pref: UtilityPreference, batch: np.ndarray | ColumnView) -> np.ndarray:
@@ -508,11 +541,16 @@ def _strict_upper_table(
     """Strict preference of ``player`` between own-block candidates and profiles.
 
     ``candidates`` is an (m, dim) array of own blocks and ``profiles`` a
-    (k, n) array of stacked profiles that share their rival coordinates and
-    differ only in the own block.  Entry (i, j) of the (k, m) result says
-    whether the player, at ``profiles[i]``, strictly prefers moving to
-    ``candidates[j]``.  Expressions are evaluated only at the given profiles
-    and at the candidates placed into their shared rival coordinates.
+    (k, n) array of stacked profiles, each with its own rival coordinates.
+    Entry (i, j) of the (k, m) result says whether the player, at
+    ``profiles[i]``, strictly prefers moving to ``candidates[j]``, that is to
+    ``profiles[i]`` with its own block replaced by ``candidates[j]``.
+    Expressions are evaluated only at the given profiles and at the
+    candidates placed into their rivals.  A utility, whose value at a moved
+    candidate depends only on the rivals, is evaluated there once per run of
+    consecutive profiles with bit-identical rivals; so a caller that stacks
+    the profiles of each rival point together pays one evaluation of the
+    candidates per rival point.
     """
     own = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     points = np.atleast_2d(np.asarray(profiles, dtype=np.float64))
@@ -532,8 +570,13 @@ def _strict_upper_table(
 
     if isinstance(pref, UtilityPreference):
         base = _utility_values(pref, points)
-        values = _utility_values(pref, _own_block_view(game, player, own, points[0]))
-        return values[None, :] > base[:, None]
+        if points.shape[0] == 1:  # one profile: no runs to look for
+            moved = _utility_values(pref, _own_block_view(game, player, own, points[0]))
+        else:
+            first, run = _rival_runs(game, player, points)
+            view = _own_block_view(game, player, own, points[first])
+            moved = _utility_values(pref, view)[run]
+        return moved > base[:, None]
 
     if isinstance(pref, HalfspaceContour):
         a, b = _contour_rows(pref, points)
@@ -544,7 +587,7 @@ def _strict_upper_table(
             raise GameFormatError(
                 "ThresholdBand preference requires a two-coordinate game"
             )
-        moved = _own_block_view(game, player, own, points[0])
+        moved = _own_block_view(game, player, own, points)
         base = points[:, None, :]
         return _threshold_band_weak(moved, base) & ~_threshold_band_weak(base, moved)
 

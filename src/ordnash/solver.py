@@ -286,10 +286,13 @@ def project_feasible(region: FeasibleRegion, point) -> np.ndarray:
 
 def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
     """Each player's feasible region at ``x``; raises if a block lies outside its own."""
+    point = x.stacked
     regions = []
     for player in range(game.n_players):
-        region = feasible_region(game, player, x.rivals(player))
-        if not region.contains(x.block(player).array):
+        sl = game.own_slice(player)
+        rivals = np.concatenate((point[: sl.start], point[sl.stop :]))
+        region = feasible_region(game, player, rivals)
+        if not region.contains(point[sl]):
             raise InfeasiblePointError(
                 f"player {player} block {x.block(player).values} is outside "
                 f"its feasible set"

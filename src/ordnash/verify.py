@@ -6,6 +6,10 @@ the variational inequality margin minimized exactly over each feasible
 region by ``FeasibleRegion.linear_min`` (``check_svip``), executable forms of
 the two bridge properties between variational solutions and equilibria, and
 a numeric lower-hemicontinuity probe for contour maps.
+
+``brute_force_gne`` decides each player's whole lattice at once: utility
+games through one utility tensor per player, every other game through
+stacked strict-preference tables over all live profiles of the player.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 10_000_000
-# Entry cap of one (live, pool) strict-preference table of the generic
+# Entry cap of one (profiles, pool) strict-preference table of the generic
 # enumeration.  The utility tensor is not chunked: it is evaluated on a column
 # view, never on the (points, n) profile array, so its largest temporary holds
 # one value per grid point, and only for subexpressions that read every axis.
@@ -100,7 +104,7 @@ def _grid_axes(lo, hi, h: float, what: str) -> list[np.ndarray]:
     total = float(np.prod([_grid_size(l, u, h) for l, u in bounds]))
     if total > _GRID_BUDGET:
         raise GridBudgetError(
-            f"{what} grid would have {total:.0f} points, budget is {_GRID_BUDGET}"
+            f"{what} grid would have {total:.3g} points, budget is {_GRID_BUDGET}"
         )
     return [grid_coordinates(l, u, h) for l, u in bounds]
 
@@ -258,23 +262,19 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
             # A strictly larger feasible value along the own axes means the
             # player can improve; equality (including ties) does not.
             equilibrium &= ~(values < best)
-        coords = np.argwhere(equilibrium)
     else:
-        coords = _generic_equilibria(game, axes, feasible)
+        equilibrium = _generic_equilibria(game, axes, feasible)
 
-    results = []
-    for idx in coords:
-        vector = np.array([axes[k][i] for k, i in enumerate(idx)])
-        profile = split_profile(game, vector)
-        cert = Certificate(
-            kind="gne-grid",
-            passed=True,
-            resolution=h,
-            witness=None,
-            detail=f"grid equilibrium at resolution {h}",
-        )
-        results.append((profile, cert))
-    return results
+    index = np.unravel_index(np.flatnonzero(equilibrium), shape)
+    vectors = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+    cert = Certificate(
+        kind="gne-grid",
+        passed=True,
+        resolution=h,
+        witness=None,
+        detail=f"grid equilibrium at resolution {h}",
+    )
+    return [(split_profile(game, vector), cert) for vector in vectors]
 
 
 def _generic_equilibria(
@@ -284,11 +284,14 @@ def _generic_equilibria(
 
     A profile stays an equilibrium candidate ("live") while no player has a
     feasible own grid point it strictly prefers there.  Players are taken in
-    order.  For one player and one grid point of the rivals, the feasible
-    region and its own grid pool are built once, and all live own points of
-    that rival point are decided at once from a (live, pool) preference table,
-    chunked to at most ``_CHUNK_ENTRIES`` entries.  Only live profiles are
-    evaluated.  Returns the indices of the surviving profiles, in grid order.
+    order, and each decides its whole lattice at once.  The feasible own grid
+    points at a rival point are its pool: a box-only game has one pool, a
+    shared one builds one feasible region per live rival point.  The live
+    profiles of all live rival points with the same pool are stacked, rival
+    point by rival point, and decided by one (profiles, pool)
+    strict-preference table, chunked to at most ``_CHUNK_ENTRIES`` entries.
+    Only live profiles, and the pool at their rival points, are evaluated.
+    Returns the boolean tensor of the surviving profiles.
     """
     shape = tuple(a.size for a in axes)
     equilibrium = np.ones(shape, dtype=bool) if feasible is None else feasible.copy()
@@ -297,30 +300,41 @@ def _generic_equilibria(
             continue  # nothing is ever strictly preferred
         sl = game.own_slice(player)
         own_points = _cartesian(axes[sl])
-        rival_axes = axes[: sl.start] + axes[sl.stop :]
         # View (before, own, after): own axes are contiguous in the profile.
         before = int(np.prod(shape[: sl.start]))
         live_view = equilibrium.reshape(before, own_points.shape[0], -1)
-        after = live_view.shape[2]
-        for rival_flat, rivals in enumerate(_cartesian(rival_axes)):
-            i, k = divmod(rival_flat, after)
-            live = np.flatnonzero(live_view[i, :, k])
-            if live.size == 0:
-                continue
-            region = feasible_region(game, player, rivals)
-            pool = own_points[region.contains_many(own_points)]
+        # The live rival points, in grid order, as rows (i, k) of the view.
+        i, k = np.nonzero(live_view.any(axis=1))
+        if i.size == 0:
+            break  # no live profile is left to decide
+        rivals = _cartesian(axes[: sl.start] + axes[sl.stop :])[i * live_view.shape[2] + k]
+        pools = {}  # pool mask bytes -> the live rival points with that pool
+        if isinstance(game.constraints, BoxOnly):
+            # Box-only regions ignore the rivals: every rival point has one pool.
+            mask = feasible_region(game, player, rivals[0]).contains_many(own_points)
+            pools[mask.tobytes()] = list(range(i.size))
+        else:
+            for rival, at in enumerate(rivals):
+                mask = feasible_region(game, player, at).contains_many(own_points)
+                pools.setdefault(mask.tobytes(), []).append(rival)
+        for key, members in pools.items():
+            pool = own_points[np.frombuffer(key, dtype=bool)]
             if pool.shape[0] == 0:
                 continue
-            profiles = np.empty((live.size, game.total_dim))
-            profiles[:, : sl.start] = rivals[: sl.start]
-            profiles[:, sl] = own_points[live]
-            profiles[:, sl.stop :] = rivals[sl.start :]
+            members = np.array(members)
+            live = np.flatnonzero(live_view[i[members], :, k[members]])
             chunk = max(1, _CHUNK_ENTRIES // pool.shape[0])
             for start in range(0, live.size, chunk):
-                rows = slice(start, start + chunk)
-                table = _strict_upper_table(game, player, pool, profiles[rows])
-                live_view[i, live[rows][table.any(axis=1)], k] = False
-    return np.argwhere(equilibrium)
+                member, own = np.divmod(live[start : start + chunk], own_points.shape[0])
+                rival = members[member]  # the live rival point of each profile
+                profiles = np.empty((own.size, game.total_dim))
+                profiles[:, : sl.start] = rivals[rival, : sl.start]
+                profiles[:, sl] = own_points[own]
+                profiles[:, sl.stop :] = rivals[rival, sl.start :]
+                beaten = _strict_upper_table(game, player, pool, profiles).any(axis=1)
+                rival = rival[beaten]
+                live_view[i[rival], own[beaten], k[rival]] = False
+    return equilibrium
 
 
 def theorem1_property(

@@ -287,6 +287,17 @@ class TestHostileInputs:
         assert result.exit_code == 1
         assert _report(result)["exit_code"] == 1
 
+    def test_huge_grid_count_is_reported_briefly(self, runner, coordinate_file):
+        # 2e300 grid points: the refusal names the count, not its 301 digits.
+        result = runner.invoke(
+            main, ["verify", coordinate_file, "--point", "0.3,0.7", "--grid", "1e-300"]
+        )
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)  # exactly one JSON document
+        assert report["exit_code"] == 1
+        assert "2e+300 points" in report["error"]
+        assert len(report["error"]) < 200
+
     @pytest.mark.parametrize("point", ["nan", "inf", "-inf"])
     def test_non_finite_point_exit_one_with_report(self, runner, tmp_path, point):
         result = runner.invoke(main, ["verify", self._file(tmp_path), "--point", point])

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from conftest import make_budget_pair, make_pull_to_half_rival
+from conftest import (
+    formula_contains,
+    formula_linear_min,
+    make_budget_pair,
+    make_pull_to_half_rival,
+)
 from ordnash import model
 from ordnash.corpus import (
     example_coordinate_pref,
@@ -175,6 +180,52 @@ class TestOwnBlockView:
         assert view.shape == _tiled_profiles(game, 1, own, point).shape == (7, 6)
         # Rival columns are shape-(1,) arrays, never numpy scalars.
         assert [np.shape(view[..., k]) for k in range(6)] == [(1,), (1,), (7,), (7,), (1,), (1,)]
+
+
+def _table_games():
+    box = ((-1.0, 1.0),)
+    row = ContourRow(("x2-0.25",), "(x2-0.25)*x1")
+    return {
+        "utility 3x2": (random_concave_quadratic(11, players=3, dims=2), 1),
+        "utility odd powers": (
+            GameSpec(
+                (
+                    PlayerSpec(1, ((0.5, 2.0),), UtilityPreference("x1^3 - x2^5*x1 + x2^-3")),
+                    PlayerSpec(1, ((0.5, 2.0),), UtilityPreference("-x2^7 + x1^-1*x2")),
+                )
+            ),
+            0,
+        ),
+        "coordinate": (example_coordinate_pref(), 1),
+        "halfspace": (
+            GameSpec((PlayerSpec(1, box, HalfspaceContour((row,))), PlayerSpec(1, box, TrivialZero()))),
+            0,
+        ),
+        "threshold-band": (example_lhc_remark()[2], 1),
+        "trivial": (example_trivial_pref(), 0),
+    }
+
+
+class TestStrictUpperTable:
+    """Each row of the table is the one-profile mask at that row's profile."""
+
+    @pytest.mark.parametrize("name", list(_table_games()))
+    def test_rows_place_candidates_into_their_own_rivals(self, name):
+        game, player = _table_games()[name]
+        rng = np.random.default_rng(len(name))
+        lo, hi = game.box_lo, game.box_hi
+        # Runs of profiles sharing a rival point, then one run per profile.
+        rival_points = rng.uniform(lo, hi, (4, game.total_dim))
+        profiles = np.repeat(rival_points, [3, 1, 2, 1], axis=0)
+        profiles = np.vstack([profiles, rng.uniform(lo, hi, (5, game.total_dim))])
+        sl = game.own_slice(player)
+        profiles[:, sl] = rng.uniform(lo[sl], hi[sl], (profiles.shape[0], sl.stop - sl.start))
+        candidates = rng.uniform(lo[sl], hi[sl], (40, sl.stop - sl.start))
+        table = model._strict_upper_table(game, player, candidates, profiles)
+        assert table.shape == (profiles.shape[0], candidates.shape[0])
+        for row, profile in zip(table, profiles):
+            expected = strict_upper_mask(game, player, candidates, split_profile(game, profile))
+            np.testing.assert_array_equal(row, expected)
 
 
 class TestOrdinalInvariance:
@@ -415,6 +466,59 @@ class TestFeasibleRegion:
         many = region.contains_many(pts)
         singles = [region.contains(p) for p in pts]
         assert many.tolist() == singles
+
+
+def _seeded_region(rng, normal_pool):
+    """A small region: 1-3 dims, 0-4 rows (some drawn from ``normal_pool``, so
+    regions share normals), some boxes flat or inverted, some forced empty."""
+    dim = int(rng.integers(1, 4))
+    rows = int(rng.integers(0, 5))
+    lo = np.round(rng.uniform(-1.0, 0.5, dim), 2)
+    hi = lo + np.round(rng.uniform(0.0, 1.5, dim), 2)
+    flat = rng.random(dim) < 0.15
+    hi[flat] = lo[flat]
+    if rng.random() < 0.03:
+        lo, hi = hi, lo
+    if rows and rng.random() < 0.4:
+        normals = normal_pool[(dim, rows)]
+    else:
+        normals = np.round(rng.uniform(-1.0, 1.0, (rows, dim)), 1)
+        if rows > 1 and rng.random() < 0.2:
+            normals[-1] = -normals[0]  # parallel rows: singular bases
+    centre = rng.uniform(lo, hi) if np.all(lo <= hi) else lo
+    offsets = normals @ centre + rng.uniform(-0.02, 0.6, rows)
+    return FeasibleRegion(lo, hi, normals, offsets, forced_empty=bool(rng.random() < 0.05))
+
+
+class TestRegionRoutesMatchTheirFormulas:
+    """``contains_many`` and ``linear_min`` (cached vertex systems) against
+    their formulas, bit for bit, on 2,000 regions."""
+
+    def test_contains_many_and_linear_min_are_bit_equal(self):
+        rng = np.random.default_rng(2024)
+        normal_pool = {
+            (dim, rows): np.round(rng.uniform(-1.0, 1.0, (rows, dim)), 1)
+            for dim in range(1, 4)
+            for rows in range(1, 5)
+        }
+        for _ in range(2000):
+            region = _seeded_region(rng, normal_pool)
+            dim = region.lo.size
+            points = rng.uniform(-1.5, 2.0, (12, dim))
+            points[:2] = region.lo, region.hi  # on the box boundary
+            for tol in (1e-9, 0.0, 1e-3):
+                np.testing.assert_array_equal(
+                    region.contains_many(points, tol), formula_contains(region, points, tol)
+                )
+            assert region.contains(points[0]) == formula_contains(region, points[0])[0]
+            costs = [rng.normal(size=dim), np.zeros(dim), np.round(rng.normal(size=dim))]
+            for c in costs:
+                got, want = region.linear_min(c), formula_linear_min(region, c)
+                assert (got is None) == (want is None)
+                if want is not None:
+                    np.testing.assert_array_equal(
+                        np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64)
+                    )
 
 
 class TestSampleContour:

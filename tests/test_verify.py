@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from conftest import make_budget_pair, make_pull_to_half_rival
+from conftest import formula_linear_min, make_budget_pair, make_pull_to_half_rival
 from ordnash.cones import Direction
 from ordnash.corpus import (
     arrow_debreu_instance,
@@ -30,6 +30,7 @@ from ordnash.model import (
     ThresholdBand,
     TrivialZero,
     UtilityPreference,
+    _strict_upper_table,
     feasible_region,
     split_profile,
     strictly_prefers,
@@ -37,6 +38,7 @@ from ordnash.model import (
 from ordnash.solver import SolverConfig
 from ordnash.verify import (
     _cartesian,
+    _feasible_tensor,
     _grid_axes,
     _utility_tensor,
     brute_force_gne,
@@ -209,7 +211,34 @@ def _assert_margin_matches_linprog(dim, rows, seed):
     assert cert.witness["margin"] == pytest.approx(reference, abs=1e-9)
 
 
+def _formula_margin(game, point, g):
+    """check_svip's margin written out over the region formulas."""
+    g = np.asarray(g, dtype=np.float64) / np.linalg.norm(g)
+    margin = 0.0
+    for player in range(game.n_players):
+        sl = game.own_slice(player)
+        region = feasible_region(game, player, np.delete(point, np.arange(sl.start, sl.stop)))
+        best = formula_linear_min(region, g[sl])
+        margin += float(g[sl] @ best) - float(g[sl] @ point[sl])
+    return margin
+
+
 class TestCheckSvip:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arrow_debreu_margins_are_bit_equal_to_the_formula(self, seed):
+        game = arrow_debreu_instance(seed)
+        rng = np.random.default_rng(seed)
+        for share in rng.uniform(0.05, 0.85, 25):
+            for point in ([share, 1.0 - share], [share, 0.9 - share]):
+                point = np.array(point)
+                for g in (np.full(2, -1.0), rng.normal(size=2)):
+                    cert = check_svip(game, split_profile(game, point), g)
+                    margin = _formula_margin(game, point, g)
+                    assert cert.passed == (margin >= -1e-6)
+                    assert cert.detail == f"margin {margin:.6e} against tolerance 1.0e-06"
+                    if not cert.passed:
+                        assert _bits(cert.witness["margin"]) == _bits(margin)
+
     def test_corner_with_descent_direction_passes(self):
         game = example_coordinate_pref()
         x = split_profile(game, [1.0, 1.0])
@@ -517,6 +546,89 @@ class TestGenericEnumeration:
             p.stacked.tolist() for p, _ in whole
         ]
         assert whole
+
+
+def _per_rival_point_equilibria(game, h):
+    """The enumeration the generic path replaced, kept as an oracle: one
+    feasible region, pool and (live, pool) table per player and rival point."""
+    axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
+    shape = tuple(a.size for a in axes)
+    feasible = _feasible_tensor(game, axes)
+    equilibrium = np.ones(shape, dtype=bool) if feasible is None else feasible.copy()
+    for player in range(game.n_players):
+        if isinstance(game.players[player].preference, TrivialZero):
+            continue
+        sl = game.own_slice(player)
+        own_points = _cartesian(axes[sl])
+        before = int(np.prod(shape[: sl.start]))
+        live_view = equilibrium.reshape(before, own_points.shape[0], -1)
+        after = live_view.shape[2]
+        for rival_flat, rivals in enumerate(_cartesian(axes[: sl.start] + axes[sl.stop :])):
+            i, k = divmod(rival_flat, after)
+            live = np.flatnonzero(live_view[i, :, k])
+            if live.size == 0:
+                continue
+            region = feasible_region(game, player, rivals)
+            pool = own_points[region.contains_many(own_points)]
+            if pool.shape[0] == 0:
+                continue
+            profiles = np.empty((live.size, game.total_dim))
+            profiles[:, : sl.start] = rivals[: sl.start]
+            profiles[:, sl] = own_points[live]
+            profiles[:, sl.stop :] = rivals[sl.start :]
+            table = _strict_upper_table(game, player, pool, profiles)
+            live_view[i, live[table.any(axis=1)], k] = False
+    return [tuple(axes[j][i] for j, i in enumerate(idx)) for idx in np.argwhere(equilibrium)]
+
+
+def _mixed_budget_like(seed):
+    """Three scalar players on [0, 1] under one budget row: two bliss-point
+    utilities (the second moving with x3) and a rival-dependent contour row."""
+    rng = np.random.default_rng(seed)
+    t1, t2 = (float(v) for v in rng.uniform(0.3, 1.3, 2))
+    c = float(rng.uniform(0.2, 0.8))
+    box = ((0.0, 1.0),)
+    players = (
+        PlayerSpec(1, box, UtilityPreference(f"-(x1-{t1!r})^2")),
+        PlayerSpec(1, box, UtilityPreference(f"-(x2-{t2!r}+{c!r}*x3)^2")),
+        PlayerSpec(
+            1, box, HalfspaceContour((ContourRow((f"-(1+{c!r}*x1)",), f"-(1+{c!r}*x1)*x3"),))
+        ),
+    )
+    a = np.round(rng.uniform(0.5, 1.0, 3), 2)
+    budget = SharedLinear(a=(tuple(a),), b=(float(np.round(rng.uniform(0.8, 1.5), 2)),))
+    return GameSpec(players, budget)
+
+
+def _found(game, h):
+    return [tuple(p.stacked) for p, _ in brute_force_gne(game, h)]
+
+
+class TestGenericMatchesPerRivalPointOracle:
+    """The whole-lattice generic enumeration finds what deciding one rival
+    point at a time finds, in grid order."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_three_player_shared_games_at_fine_step(self, seed):
+        game = _mixed_budget_like(seed)
+        found = _found(game, 0.02)
+        assert found == _per_rival_point_equilibria(game, 0.02)
+        assert found
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize(
+        "family",
+        ["coordinate", "threshold-band", "halfspace", "trivial", "utility-halfspace", "blocks"],
+    )
+    def test_every_generic_family(self, family, shared, chunk, monkeypatch):
+        from ordnash import verify
+
+        if chunk is not None:
+            monkeypatch.setattr(verify, "_CHUNK_ENTRIES", chunk)
+        for seed in range(2):
+            game = _generic_game(family, seed, shared)
+            assert _found(game, 0.1) == _per_rival_point_equilibria(game, 0.1)
 
 
 class TestSolverToGridBridge:
