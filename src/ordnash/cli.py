@@ -4,10 +4,16 @@ Every command emits one JSON report (stdout or ``--out``) and exits with
 0 when all checks pass, 2 when a check was run and failed, and 1 on errors
 (malformed files, infeasible points, invalid flags, unwritable paths).  A
 report that cannot be written to ``--out`` goes to stdout with the error.
+
+One runner, :func:`_reported`, wraps every command body and owns the report:
+it echoes the command's declared parameters as ``arguments``, times the run,
+turns an :class:`OrdnashError` into the exit-1 report and writes the result.
+A body only does its work and returns its exit code and report fields.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 
 import click
@@ -67,31 +73,50 @@ def main():
     """Ordinal-preference game solver and verifier."""
 
 
-def _finish(command, arguments, *, seed, exit_code, started, out, digest=None,
-            solution=None, certificates=(), warnings=(), error=None):
-    report = build_report(
-        command,
-        arguments,
-        seed=seed,
-        game_digest=digest,
-        solution=solution,
-        certificates=list(certificates),
-        warnings=warnings,
-        error=error,
-        exit_code=exit_code,
-        wall_time_s=time.monotonic() - started,
-    )
-    try:
-        emit_report(report, out)
-    except OSError as err:
-        failure = f"cannot write report to {out}: {err.strerror or err}"
-        error = failure if error is None else f"{error}; {failure}"
-        exit_code = 1
-        report.update(error=error, exit_code=exit_code)
-        emit_report(report, None)
-    if error is not None:
-        click.echo(error, err=True)
-    raise SystemExit(exit_code)
+def _reported(body):
+    """Run a command body and end the call in its one JSON report.
+
+    ``arguments`` echoes the command's parameters in declaration order (click
+    fills ``ctx.params`` in command-line order), without ``--out``.  The body
+    gets every parameter but ``out`` and returns ``(exit_code, fields)``, the
+    fields being keywords of :func:`build_report` (``game_digest``,
+    ``solution``, ``certificates``, ``warnings``).
+    """
+
+    @functools.wraps(body)
+    def runner(out, **params):
+        started = time.monotonic()
+        command = click.get_current_context().command
+        arguments = {p.name: params[p.name] for p in command.params if p.name != "out"}
+        fields = {"game_digest": None, "solution": None, "certificates": [], "warnings": []}
+        error = None
+        try:
+            exit_code, found = body(**params)
+            fields.update(found)
+        except OrdnashError as err:
+            exit_code, error = 1, str(err)
+        report = build_report(
+            command.name,
+            arguments,
+            seed=params.get("seed"),
+            error=error,
+            exit_code=exit_code,
+            wall_time_s=time.monotonic() - started,
+            **fields,
+        )
+        try:
+            emit_report(report, out)
+        except OSError as err:
+            failure = f"cannot write report to {out}: {err.strerror or err}"
+            error = failure if error is None else f"{error}; {failure}"
+            exit_code = 1
+            report.update(error=error, exit_code=exit_code)
+            emit_report(report, None)
+        if error is not None:
+            click.echo(error, err=True)
+        raise SystemExit(exit_code)
+
+    return runner
 
 
 def _validated_game(path):
@@ -127,44 +152,23 @@ def _solver_config(step, tol, max_iters, restarts, seed):
 @_solver_options
 @click.option("--grid", default=0.05, show_default=True, help="certification grid step")
 @click.option("--out", default=None, type=str, help="report path (default stdout)")
-def solve(file, step, tol, max_iters, restarts, seed, grid, out):
+@_reported
+def solve(file, step, tol, max_iters, restarts, seed, grid):
     """Solve the variational problem for FILE and certify the result."""
-    started = time.monotonic()
-    arguments = {
-        "file": file,
-        "step": step,
-        "tol": tol,
-        "max_iters": max_iters,
-        "restarts": restarts,
-        "seed": seed,
-        "grid": grid,
+    _check_grid(grid)
+    _check_seed(seed)
+    game = _validated_game(file)
+    solution = solve_svip(game, _solver_config(step, tol, max_iters, restarts, seed))
+    cert = check_gne_grid(game, solution.point, grid)
+    warnings = []
+    if any(d.is_zero for d in solution.operator_value):
+        warnings.append("degenerate: empty strict preference")
+    return 0 if (solution.converged and cert.passed) else 2, {
+        "game_digest": game_digest(game),
+        "solution": solution_payload(solution),
+        "certificates": [certificate_payload(cert)],
+        "warnings": warnings,
     }
-    try:
-        _check_grid(grid)
-        _check_seed(seed)
-        game = _validated_game(file)
-        cfg = _solver_config(step, tol, max_iters, restarts, seed)
-        solution = solve_svip(game, cfg)
-        cert = check_gne_grid(game, solution.point, grid)
-        warnings = []
-        if any(d.is_zero for d in solution.operator_value):
-            warnings.append("degenerate: empty strict preference")
-        exit_code = 0 if (solution.converged and cert.passed) else 2
-        _finish(
-            "solve",
-            arguments,
-            seed=seed,
-            digest=game_digest(game),
-            solution=solution_payload(solution),
-            certificates=[certificate_payload(cert)],
-            warnings=warnings,
-            exit_code=exit_code,
-            started=started,
-            out=out,
-        )
-    except OrdnashError as err:
-        _finish("solve", arguments, seed=seed, error=str(err), exit_code=1,
-                started=started, out=out)
 
 
 @main.command()
@@ -172,34 +176,22 @@ def solve(file, step, tol, max_iters, restarts, seed, grid, out):
 @click.option("--point", required=True, help="comma-separated profile coordinates")
 @click.option("--grid", default=0.05, show_default=True, help="certification grid step")
 @click.option("--out", default=None, type=str, help="report path (default stdout)")
-def verify(file, point, grid, out):
+@_reported
+def verify(file, point, grid):
     """Certify a candidate equilibrium point for FILE on a deviation grid."""
-    started = time.monotonic()
-    arguments = {"file": file, "point": point, "grid": grid}
+    _check_grid(grid)
+    game = _validated_game(file)
     try:
-        _check_grid(grid)
-        game = _validated_game(file)
-        try:
-            values = [float(tok) for tok in point.split(",")]
-        except ValueError as err:
-            raise OrdnashError(f"cannot parse --point {point!r}: {err}") from err
-        if not np.all(np.isfinite(values)):
-            raise OrdnashError(f"--point coordinates must be finite, got {point!r}")
-        profile = split_profile(game, values)
-        cert = check_gne_grid(game, profile, grid)
-        _finish(
-            "verify",
-            arguments,
-            seed=None,
-            digest=game_digest(game),
-            certificates=[certificate_payload(cert)],
-            exit_code=0 if cert.passed else 2,
-            started=started,
-            out=out,
-        )
-    except OrdnashError as err:
-        _finish("verify", arguments, seed=None, error=str(err), exit_code=1,
-                started=started, out=out)
+        values = [float(tok) for tok in point.split(",")]
+    except ValueError as err:
+        raise OrdnashError(f"cannot parse --point {point!r}: {err}") from err
+    if not np.all(np.isfinite(values)):
+        raise OrdnashError(f"--point coordinates must be finite, got {point!r}")
+    cert = check_gne_grid(game, split_profile(game, values), grid)
+    return 0 if cert.passed else 2, {
+        "game_digest": game_digest(game),
+        "certificates": [certificate_payload(cert)],
+    }
 
 
 @main.command()
@@ -213,79 +205,56 @@ def verify(file, point, grid, out):
 @_solver_options
 @click.option("--grid", default=0.05, show_default=True, help="grid resolution h")
 @click.option("--out", default=None, type=str, help="report path (default stdout)")
-def theorems(suite, instances, step, tol, max_iters, restarts, seed, grid, out):
+@_reported
+def theorems(suite, instances, step, tol, max_iters, restarts, seed, grid):
     """Run a batch property suite over seeded corpus instances."""
-    started = time.monotonic()
-    arguments = {
-        "suite": suite,
-        "instances": instances,
-        "step": step,
-        "tol": tol,
-        "max_iters": max_iters,
-        "restarts": restarts,
-        "seed": seed,
-        "grid": grid,
-    }
-    try:
-        _check_grid(grid)
-        _check_seed(seed)
-        if instances < 1:
-            raise OrdnashError(f"--instances must be at least 1, got {instances}")
-        certificates = []
-        warnings = []
-        if suite == "t1":
-            cfg = _solver_config(step, tol, max_iters, restarts, seed)
-            games = [random_concave_quadratic(seed + i) for i in range(instances)]
-            cert = theorem1_property(games, cfg, grid)
-            certificates.append(certificate_payload(cert))
-            passed = cert.passed
-        elif suite == "t2":
-            games = [monotone_concave_instance(seed + i) for i in range(instances)]
-            cert = theorem2_property(games, grid)
-            certificates.append(certificate_payload(cert))
-            # Bundled counterexample: trivial preferences break the closure
-            # hypothesis, so its equilibria must fail to produce separators.
-            counter = theorem2_property([example_trivial_pref()], 0.5)
-            certificates.append(certificate_payload(counter, expected_failure=True))
-            if counter.passed:
-                warnings.append(
-                    "counterexample unexpectedly produced separators for all equilibria"
-                )
-            passed = cert.passed and not counter.passed
-        else:
-            with_equilibrium = 0
-            witness = None
-            for i in range(instances):
-                game = random_concave_quadratic(seed + i, nonnegative_coupling=True)
-                if brute_force_gne(game, grid):
-                    with_equilibrium += 1
-                elif witness is None:
-                    witness = {"instance": i, "seed": seed + i}
-            cert = Certificate(
-                kind="gne-grid",
-                passed=with_equilibrium == instances,
-                resolution=grid,
-                witness=witness,
-                detail=(
-                    f"{with_equilibrium}/{instances} instances have a grid "
-                    f"equilibrium at resolution {grid}"
-                ),
+    _check_grid(grid)
+    _check_seed(seed)
+    if instances < 1:
+        raise OrdnashError(f"--instances must be at least 1, got {instances}")
+    certificates = []
+    warnings = []
+    if suite == "t1":
+        cfg = _solver_config(step, tol, max_iters, restarts, seed)
+        games = [random_concave_quadratic(seed + i) for i in range(instances)]
+        cert = theorem1_property(games, cfg, grid)
+        certificates.append(certificate_payload(cert))
+        passed = cert.passed
+    elif suite == "t2":
+        games = [monotone_concave_instance(seed + i) for i in range(instances)]
+        cert = theorem2_property(games, grid)
+        certificates.append(certificate_payload(cert))
+        # Bundled counterexample: trivial preferences break the closure
+        # hypothesis, so its equilibria must fail to produce separators.
+        counter = theorem2_property([example_trivial_pref()], 0.5)
+        certificates.append(certificate_payload(counter, expected_failure=True))
+        if counter.passed:
+            warnings.append(
+                "counterexample unexpectedly produced separators for all equilibria"
             )
-            certificates.append(certificate_payload(cert))
-            passed = cert.passed
-        _finish(
-            "theorems",
-            arguments,
-            seed=seed,
-            certificates=certificates,
-            warnings=warnings,
-            exit_code=0 if passed else 2,
-            started=started,
-            out=out,
+        passed = cert.passed and not counter.passed
+    else:
+        with_equilibrium = 0
+        witness = None
+        for i in range(instances):
+            game = random_concave_quadratic(seed + i, nonnegative_coupling=True)
+            if brute_force_gne(game, grid):
+                with_equilibrium += 1
+            elif witness is None:
+                witness = {"instance": i, "seed": seed + i}
+        cert = Certificate(
+            kind="gne-grid",
+            passed=with_equilibrium == instances,
+            resolution=grid,
+            witness=witness,
+            detail=(
+                f"{with_equilibrium}/{instances} instances have a grid "
+                f"equilibrium at resolution {grid}"
+            ),
         )
-    except OrdnashError as err:
-        _finish("theorems", arguments, seed=seed, error=str(err), exit_code=1,
-                started=started, out=out)
+        certificates.append(certificate_payload(cert))
+        passed = cert.passed
+    return 0 if passed else 2, {"certificates": certificates, "warnings": warnings}
 
 
 def _run_trivial_pref(game, seed):
@@ -397,7 +366,7 @@ def _run_coordinate_pref(game, seed):
     return ok, certificates, []
 
 
-def _run_lhc_remark(seed):
+def _run_lhc_remark(game, seed):
     lhc_map, non_lhc_map, _ = example_lhc_remark()
     passing = lhc_probe(lhc_map, _LHC_BASES, _LHC_DIRECTIONS, _LHC_STEPS)
     failing = lhc_probe(non_lhc_map, _LHC_BASES, _LHC_DIRECTIONS, _LHC_STEPS)
@@ -473,6 +442,15 @@ def _run_arrow_debreu(game, seed):
     return ok, certificates, []
 
 
+_CHECKS = {
+    "trivial-pref": _run_trivial_pref,
+    "coordinate-pref": _run_coordinate_pref,
+    "lhc-remark": _run_lhc_remark,
+    "quadratic": _run_quadratic,
+    "arrow-debreu": _run_arrow_debreu,
+}
+
+
 @main.command()
 @click.option(
     "--name",
@@ -480,52 +458,23 @@ def _run_arrow_debreu(game, seed):
     required=True,
     help="bundled example to build",
 )
-@click.option("--run", "run_checks", is_flag=True, help="run the example's canonical checks")
+@click.option("--run", is_flag=True, help="run the example's canonical checks")
 @click.option("--dump", default=None, type=str, help="write the problem file here")
 @click.option("--seed", default=42, show_default=True, help="random seed for checks (nonnegative)")
 @click.option("--out", default=None, type=str, help="report path (default stdout)")
-def examples(name, run_checks, dump, seed, out):
+@_reported
+def examples(name, run, dump, seed):
     """Build a bundled example; optionally dump it or run its checks."""
-    started = time.monotonic()
-    arguments = {
-        "name": name,
-        "run": run_checks,
-        "dump": dump,
-        "seed": seed,
+    _check_seed(seed)
+    game = EXAMPLES[name]()
+    if dump is not None:
+        save_game(game, dump)
+    ok, certificates, warnings = _CHECKS[name](game, seed) if run else (True, [], [])
+    return 0 if ok else 2, {
+        "game_digest": game_digest(game),
+        "certificates": certificates,
+        "warnings": warnings,
     }
-    try:
-        _check_seed(seed)
-        game = EXAMPLES[name]()
-        warnings = []
-        certificates = []
-        ok = True
-        if dump is not None:
-            save_game(game, dump)
-        if run_checks:
-            if name == "trivial-pref":
-                ok, certificates, warnings = _run_trivial_pref(game, seed)
-            elif name == "coordinate-pref":
-                ok, certificates, warnings = _run_coordinate_pref(game, seed)
-            elif name == "lhc-remark":
-                ok, certificates, warnings = _run_lhc_remark(seed)
-            elif name == "quadratic":
-                ok, certificates, warnings = _run_quadratic(game, seed)
-            else:
-                ok, certificates, warnings = _run_arrow_debreu(game, seed)
-        _finish(
-            "examples",
-            arguments,
-            seed=seed,
-            digest=game_digest(game),
-            certificates=certificates,
-            warnings=warnings,
-            exit_code=0 if ok else 2,
-            started=started,
-            out=out,
-        )
-    except OrdnashError as err:
-        _finish("examples", arguments, seed=seed, error=str(err), exit_code=1,
-                started=started, out=out)
 
 
 if __name__ == "__main__":

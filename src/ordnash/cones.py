@@ -56,6 +56,11 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
+_FD_STEP = 1e-6  # central-difference step of the utility gradient
+_FLAT_TOL = 1e-10  # a gradient norm at most this is flat
+_SEPARATOR_TOL = 1e-9  # a hull min-norm point this short has no separator
+_HULL_TOL = 1e-9  # a hull min-norm point this short counts as zero
+_FEASIBLE_MARGIN = 1e-9  # Chebyshev radius that makes {a y < b} nonempty
 
 
 class Provenance(str, Enum):
@@ -129,19 +134,14 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def gradient_directions(
-    game: GameSpec,
-    player: PlayerId,
-    points: np.ndarray,
-    *,
-    step: float = 1e-6,
-    gtol: float = 1e-10,
+    game: GameSpec, player: PlayerId, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalized negative own-gradients of the utility at many profiles.
 
     ``points`` is an (R, n) array of stacked profiles.  Central differences
-    with the given step are taken by one compiled call on the (2 dim R, n)
+    with step ``_FD_STEP`` are taken by one compiled call on the (2 dim R, n)
     shifted profiles.  Returns the (R, dim) unit directions and the (R,)
-    mask of flat rows, whose gradient norm is at most ``gtol`` and whose
+    mask of flat rows, whose gradient norm is at most ``_FLAT_TOL`` and whose
     direction row is zero.  Each row is bit-equal to the computation at that
     profile alone: the block norm is one 1-D dot per row (:func:`_row_norms`).
     """
@@ -157,8 +157,8 @@ def gradient_directions(
     batch = base.repeat(2 * dim, axis=0)
     shifted = batch.reshape(base.shape[0], dim, 2, base.shape[1])
     for k in range(dim):  # rows 2k, 2k+1 of each profile move coordinate k up, down
-        shifted[:, k, 0, start + k] += step
-        shifted[:, k, 1, start + k] -= step
+        shifted[:, k, 0, start + k] += _FD_STEP
+        shifted[:, k, 1, start + k] -= _FD_STEP
     values = pref.fn(batch)
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
@@ -167,9 +167,9 @@ def gradient_directions(
             f"utility expression {pref.expr!r} non-finite near {bad.tolist()}"
         )
     pairs = values.reshape(-1, 2)
-    grad = ((pairs[:, 0] - pairs[:, 1]) / (2.0 * step)).reshape(-1, dim)
+    grad = ((pairs[:, 0] - pairs[:, 1]) / (2.0 * _FD_STEP)).reshape(-1, dim)
     norms = _row_norms(grad)
-    flat = norms <= gtol
+    flat = norms <= _FLAT_TOL
     # A flat row divides by norm + 1 (any nonzero value) and is zeroed below.
     directions = -grad / (norms + flat)[:, None]
     unit = np.sqrt(np.add.reduce(directions * directions, axis=1))
@@ -180,24 +180,15 @@ def gradient_directions(
     return directions, flat
 
 
-def gradient_normal_direction(
-    game: GameSpec,
-    player: PlayerId,
-    x: Profile,
-    *,
-    step: float = 1e-6,
-    gtol: float = 1e-10,
-) -> Direction | None:
+def gradient_normal_direction(game: GameSpec, player: PlayerId, x: Profile) -> Direction | None:
     """Normalized negative own-gradient of the utility, or None when flat.
 
-    Central differences with the given step.  For a concave utility the
-    returned direction lies in the normal cone of the strict upper contour
-    set at ``x``.  Returns None when the gradient norm is at most ``gtol``.
-    This is the one-profile case of :func:`gradient_directions`.
+    For a concave utility the returned direction lies in the normal cone of
+    the strict upper contour set at ``x``.  Returns None when the gradient
+    norm is at most ``_FLAT_TOL``.  This is the one-profile case of
+    :func:`gradient_directions`.
     """
-    directions, flat = gradient_directions(
-        game, player, x.stacked[None, :], step=step, gtol=gtol
-    )
+    directions, flat = gradient_directions(game, player, x.stacked[None, :])
     return None if flat[0] else Direction(player, tuple(directions[0]))
 
 
@@ -209,7 +200,7 @@ def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return a / scale[:, None], b / scale, keep
 
 
-def _strictly_feasible(a: np.ndarray, b: np.ndarray, margin: float = 1e-9) -> bool:
+def _strictly_feasible(a: np.ndarray, b: np.ndarray) -> bool:
     """Is the open polyhedron {y : a y < b} nonempty (with unit-normal rows)?"""
     if a.shape[0] == 0:
         return True
@@ -227,7 +218,7 @@ def _strictly_feasible(a: np.ndarray, b: np.ndarray, margin: float = 1e-9) -> bo
     )
     if result.status != 0:
         return False
-    return float(result.x[-1]) > margin
+    return float(result.x[-1]) > _FEASIBLE_MARGIN
 
 
 def polyhedral_normal_generators(
@@ -299,19 +290,14 @@ def _stack_samples(samples) -> np.ndarray:
     return np.vstack(rows) if rows else np.empty((0, 0))
 
 
-def sampled_separating_direction(
-    samples,
-    xblock: Block,
-    *,
-    norm_tol: float = 1e-9,
-) -> Direction | None:
+def sampled_separating_direction(samples, xblock: Block) -> Direction | None:
     """Separator from an inner sample of a convex contour set.
 
     Computes the minimum-norm point z of conv{y - x} over the samples and
     returns the unit direction -z/||z||.  Returns None when there are no
     samples (the empirical contour set is empty).  Raises
-    :class:`SeparatorError` when ||z|| falls below ``norm_tol``: the hull of
-    the samples already surrounds the point, so no separator exists.
+    :class:`SeparatorError` when ||z|| falls below ``_SEPARATOR_TOL``: the
+    hull of the samples already surrounds the point, so no separator exists.
     """
     pts = _stack_samples(samples)
     if pts.shape[0] == 0:
@@ -319,7 +305,7 @@ def sampled_separating_direction(
     diffs = pts - xblock.array
     result = min_norm_point(diffs)
     norm = float(np.linalg.norm(result.point))
-    if norm < norm_tol:
+    if norm < _SEPARATOR_TOL:
         raise SeparatorError(
             f"no separator found: sample hull reaches within {norm:.3e} of the point"
         )
@@ -340,7 +326,7 @@ def cone_membership(
     return bool(np.all(offsets @ direction.array <= tol))
 
 
-def zero_in_hull(generators, *, threshold: float = 1e-9) -> bool:
+def zero_in_hull(generators) -> bool:
     """Is the zero vector in the convex hull of the generator directions?"""
     if isinstance(generators, ConeGenerators):
         vectors = [d.array for d in generators.directions]
@@ -352,4 +338,4 @@ def zero_in_hull(generators, *, threshold: float = 1e-9) -> bool:
     if not vectors:
         return False
     result = min_norm_point(np.vstack(vectors))
-    return float(np.linalg.norm(result.point)) <= threshold
+    return float(np.linalg.norm(result.point)) <= _HULL_TOL

@@ -63,6 +63,9 @@ _VERTEX_MAX_DIM = 3
 _VERTEX_MAX_ROWS = 4
 # A shared row binds a player when one of its own coefficients exceeds this.
 _BIND_TOL = 1e-15
+# validate_spec's irreflexivity probe: this many seeded profiles.
+_PROBE_COUNT = 16
+_PROBE_SEED = 0
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -709,7 +712,7 @@ def _probe_profiles(game: GameSpec, count: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, size=(count, game.total_dim)) * width + lo
 
 
-def validate_spec(game: GameSpec, probe_count: int = 16, seed: int = 0) -> list[ValidationIssue]:
+def validate_spec(game: GameSpec) -> list[ValidationIssue]:
     """Check a game for structural problems; issues are returned, not raised."""
     issues: list[ValidationIssue] = []
     n = game.total_dim
@@ -783,7 +786,7 @@ def validate_spec(game: GameSpec, probe_count: int = 16, seed: int = 0) -> list[
 
     # Sampling probe: catch non-finite utilities and contour rows that break
     # irreflexivity (the current point strictly inside its own contour set).
-    probes = _probe_profiles(game, probe_count, seed)
+    probes = _probe_profiles(game, _PROBE_COUNT, _PROBE_SEED)
     for idx, spec in enumerate(game.players):
         pref = spec.preference
         if not isinstance(pref, (UtilityPreference, HalfspaceContour)):

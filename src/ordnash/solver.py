@@ -21,17 +21,21 @@ travels.  Convergence is always declared against the configured step and
 tolerance, never against the internal working steps.
 
 All restarts advance together as the rows of one (R, n) iterate; a row leaves
-the loop when it converges or reaches ``max_iters``.  Each iteration makes one
-finite-difference gradient call per utility player for all live rows
-(``cones.gradient_directions``), one clip (box-only games) or one row-batched
-Dykstra per player (shared rows), and falls back to ``selection_T`` only for
-rows that need it.  Every row is bit-identical to iterating its start alone,
-so results, traces and the lowest-index tie-break do not depend on R.  That
-is kept by one rule: a reduction of length two or more (a block norm, a
-halfspace product, the residual over the stacked vector) is one 1-D ``dot``
-per contiguous row, because a matvec, ``einsum``, ``norm(axis=1)`` or a
-strided row can differ from it in the last bit; length-1 reductions and
-elementwise steps are vectorized.
+the loop when it converges or reaches ``max_iters``.  The loop state is arrays
+only: points, operator values, an (R, P) provenance array, per-player steps,
+residuals and iteration counts; ``Direction`` objects are built once, for the
+returned run.  Each iteration makes one finite-difference gradient call per
+utility player for all live rows (``cones.gradient_directions``), one clip
+(box-only games) or one row-batched Dykstra per player (shared rows), and
+falls back to ``selection_T`` only for rows that need it.  The starting points
+and the polish of converged rows on shared games are each projected onto the
+joint region by one row-batched Dykstra call.  Every row is bit-identical to
+iterating its start alone, so results, traces and the lowest-index tie-break
+do not depend on R.  That is kept by one rule: a reduction of length two or
+more (a block norm, a halfspace product, the residual over the stacked
+vector) is one 1-D ``dot`` per contiguous row, because a matvec, ``einsum``,
+``norm(axis=1)`` or a strided row can differ from it in the last bit;
+length-1 reductions and elementwise steps are vectorized.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ _DYKSTRA_CYCLES = 200
 _DYKSTRA_MOVE_TOL = 1e-12
 _ADAPT_WINDOW = 8
 _STEP_FLOOR = 1e-13
+_SAMPLE_COUNT = 1000  # contour draws behind one sampled selection
 
 
 @dataclass(frozen=True)
@@ -146,13 +151,7 @@ class SvipSolution:
     trace: tuple[tuple[int, float], ...]
 
 
-def selection_T(
-    game: GameSpec,
-    x: Profile,
-    *,
-    sample_count: int = 1000,
-    sample_seed: int = 0,
-) -> Selection:
+def selection_T(game: GameSpec, x: Profile, *, sample_seed: int = 0) -> Selection:
     """Pick one normal-cone element per player at profile ``x``.
 
     Mechanism precedence per player: utility gradient, then polyhedral active
@@ -177,7 +176,7 @@ def selection_T(
                 directions.append(d)
                 provenance.append(Provenance.GRADIENT)
             else:
-                d, prov = _sampled_selection(game, player, x, sample_count, sample_seed)
+                d, prov = _sampled_selection(game, player, x, sample_seed)
                 directions.append(d)
                 provenance.append(prov)
             continue
@@ -189,7 +188,7 @@ def selection_T(
                 x.block(player),
                 assume_nonempty=isinstance(pref, CoordinateOrder),
             )
-            if gens.provenance is Provenance.FULL_SPACE or not gens.directions:
+            if gens.provenance is Provenance.FULL_SPACE:
                 directions.append(Direction.zero(player, dim))
                 provenance.append(Provenance.FULL_SPACE)
             else:
@@ -198,7 +197,7 @@ def selection_T(
             continue
 
         if isinstance(pref, ThresholdBand):
-            d, prov = _sampled_selection(game, player, x, sample_count, sample_seed)
+            d, prov = _sampled_selection(game, player, x, sample_seed)
             directions.append(d)
             provenance.append(prov)
             continue
@@ -209,9 +208,9 @@ def selection_T(
 
 
 def _sampled_selection(
-    game: GameSpec, player: PlayerId, x: Profile, count: int, seed: int
+    game: GameSpec, player: PlayerId, x: Profile, seed: int
 ) -> tuple[Direction, Provenance]:
-    samples = sample_contour(game, player, x, count, seed)
+    samples = sample_contour(game, player, x, _SAMPLE_COUNT, seed)
     dim = game.dims[player]
     if samples.size == 0:
         return Direction.zero(player, dim), Provenance.FULL_SPACE
@@ -247,14 +246,15 @@ def _dykstra(
     Row ``r`` of the (m, dim) ``points`` is projected onto the box [lo, hi]
     intersected with {y : normals @ y <= offsets[r]}, offsets being (m, k).
     Every row cycles until its own iterate stops moving, so each row equals
-    the projection of that point alone.
+    the projection of that point alone.  A settled row leaves the cycle with
+    its value, so a batch costs about what its rows cost one by one.
     """
     if normals.size == 0:
         return np.clip(points, lo, hi)
-    y = np.array(points, dtype=np.float64)
+    out = np.array(points, dtype=np.float64)
+    y, rows = out, np.arange(out.shape[0])  # the rows still cycling
     corrections = np.zeros((1 + normals.shape[0],) + y.shape)
     sq_norms = np.einsum("ij,ij->i", normals, normals)
-    frozen = None  # rows that settled at an earlier cycle keep that cycle's value
     for _ in range(_DYKSTRA_CYCLES):
         y_start = y
         w = y + corrections[0]
@@ -266,22 +266,30 @@ def _dykstra(
             y = np.where(excess > 0.0, w - (excess / sq_norms[i]) * normal, w)
             corrections[i + 1] = w - y
         settled = np.maximum.reduce(np.abs(y - y_start), axis=1) < _DYKSTRA_MOVE_TOL
-        if frozen is not None:
-            y[frozen] = y_start[frozen]
-            settled |= frozen
         count = np.count_nonzero(settled)
-        if count == settled.size:
+        if count == rows.size:
             break
-        frozen = settled if count else None
-    return y
+        if count:
+            out[rows[settled]] = y[settled]
+            moving = ~settled
+            y, rows, offsets = y[moving], rows[moving], offsets[moving]
+            corrections = corrections[:, moving]
+    out[rows] = y
+    return out
+
+
+def _project_onto(region: FeasibleRegion, points: np.ndarray) -> np.ndarray:
+    """Every row of the (m, dim) ``points`` projected onto one nonempty region
+    by a single :func:`_dykstra` call; each row equals its one-row projection."""
+    offsets = np.broadcast_to(region.offsets, (points.shape[0], region.offsets.size))
+    return _dykstra(region.lo, region.hi, region.normals, offsets, points)
 
 
 def project_feasible(region: FeasibleRegion, point) -> np.ndarray:
     """Euclidean projection onto a feasible region (box and halfspaces)."""
     if region.is_empty:
         raise InfeasibleRegionError("infeasible constraint set")
-    y = np.asarray(point, dtype=np.float64).ravel()[None, :]
-    return _dykstra(region.lo, region.hi, region.normals, region.offsets[None, :], y)[0]
+    return _project_onto(region, np.asarray(point, dtype=np.float64).ravel()[None, :])[0]
 
 
 def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
@@ -394,51 +402,40 @@ def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
             "infeasible constraint set: no feasible starting point exists"
         )
     if isinstance(game.constraints, SharedLinear):
-        points = np.array([project_feasible(region, p) for p in points])
+        points = _project_onto(region, points)
     return points
 
 
-def _select_rows(
-    game: GameSpec, x: np.ndarray, seed: int, gradient_game: bool
-) -> tuple[np.ndarray, list[Selection | None]]:
-    """Operator values at every row of ``x``: stacked directions, and the
-    :func:`selection_T` result of each row that needed it (None elsewhere).
+def _select_rows(game: GameSpec, x: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Operator values at every row of ``x``: the stacked directions and the
+    (R, P) provenance array.
 
-    On a ``gradient_game`` (utility and trivial players only), one batched
+    When every player has a utility or the trivial preference, one batched
     gradient call per utility player covers all rows, and trivial players
     keep the zero direction.  A row with a flat gradient, and every row of
     any other game, gets its whole selection from :func:`selection_T`, the
     only route to polyhedral, sampled and band selections.
     """
     g = np.zeros(x.shape)
-    fallback = np.zeros(x.shape[0], dtype=bool)
-    if not gradient_game:
-        fallback[:] = True
+    provenance = np.empty((x.shape[0], game.n_players), dtype=object)
+    prefs = [spec.preference for spec in game.players]
+    if all(isinstance(pref, (UtilityPreference, TrivialZero)) for pref in prefs):
+        fallback = np.zeros(x.shape[0], dtype=bool)
+        for player, pref in enumerate(prefs):
+            if isinstance(pref, TrivialZero):
+                provenance[:, player] = Provenance.FULL_SPACE
+                continue
+            directions, flat = gradient_directions(game, player, x)
+            g[:, game.own_slice(player)] = directions
+            provenance[:, player] = Provenance.GRADIENT
+            fallback |= flat
     else:
-        for player, spec in enumerate(game.players):
-            if isinstance(spec.preference, UtilityPreference):
-                directions, flat = gradient_directions(game, player, x)
-                g[:, game.own_slice(player)] = directions
-                fallback |= flat
-    selections: list[Selection | None] = [None] * x.shape[0]
+        fallback = np.ones(x.shape[0], dtype=bool)
     if fallback.any():
         for row in np.flatnonzero(fallback):
-            selections[row] = selection_T(game, split_profile(game, x[row]), sample_seed=seed)
-            g[row] = selections[row].stacked
-    return g, selections
-
-
-def _gradient_selection(game: GameSpec, g: np.ndarray) -> Selection:
-    """The Selection of a row that the batched gradient produced."""
-    directions, provenance = [], []
-    for player, spec in enumerate(game.players):
-        if isinstance(spec.preference, TrivialZero):
-            directions.append(Direction.zero(player, game.dims[player]))
-            provenance.append(Provenance.FULL_SPACE)
-        else:
-            directions.append(Direction(player, tuple(g[game.own_slice(player)])))
-            provenance.append(Provenance.GRADIENT)
-    return Selection(tuple(directions), tuple(provenance))
+            sel = selection_T(game, split_profile(game, x[row]), sample_seed=seed)
+            g[row], provenance[row] = sel.stacked, sel.provenance
+    return g, provenance
 
 
 @dataclass
@@ -447,15 +444,11 @@ class _Restarts:
 
     points: np.ndarray
     operator: np.ndarray
-    selections: list[Selection | None]
+    provenance: np.ndarray
     residuals: np.ndarray
     iters: np.ndarray
     converged: np.ndarray
     traces: list[list[tuple[int, float]]]
-
-    def selection(self, game: GameSpec, row: int) -> Selection:
-        found = self.selections[row]
-        return found if found is not None else _gradient_selection(game, self.operator[row])
 
 
 def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Restarts:
@@ -471,7 +464,7 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
     runs = _Restarts(
         points=np.empty_like(x),
         operator=np.empty_like(x),
-        selections=[None] * count,
+        provenance=np.empty((count, game.n_players), dtype=object),
         residuals=np.empty(count),
         iters=np.empty(count, dtype=int),
         converged=np.zeros(count, dtype=bool),
@@ -480,18 +473,13 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
 
     def leave(rows, at, res, it):
         runs.points[rows], runs.operator[rows] = x[at], g[at]
-        runs.residuals[rows], runs.iters[rows] = res[at], it
-        for row, index in zip(rows.tolist(), np.flatnonzero(at).tolist()):
-            runs.selections[row] = selections[index]
+        runs.provenance[rows], runs.residuals[rows], runs.iters[rows] = provenance[at], res[at], it
 
-    gradient_game = all(
-        isinstance(spec.preference, (UtilityPreference, TrivialZero)) for spec in game.players
-    )
     live = np.arange(count)
     alpha = np.full((count, game.n_players), cfg.step)
     block_of = np.repeat(np.arange(game.n_players), game.dims)  # player of each coordinate
     anchor = x.copy()
-    g, selections = _select_rows(game, x, cfg.seed, gradient_game)
+    g, provenance = _select_rows(game, x, cfg.seed)
     for it in range(1, cfg.max_iters + 1):
         regions = _block_regions(game, x)
         res = _residuals(game, x, g, cfg.step, regions)
@@ -502,9 +490,8 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
             leave(live[done], done, res, it)
             runs.converged[live[done]] = True
             keep = ~done
-            live, x, g, res = live[keep], x[keep], g[keep], res[keep]
-            alpha, anchor = alpha[keep], anchor[keep]
-            selections = [sel for sel, kept in zip(selections, keep) if kept]
+            live, x, g, provenance = live[keep], x[keep], g[keep], provenance[keep]
+            res, alpha, anchor = res[keep], alpha[keep], anchor[keep]
             if live.size == 0:
                 break
             if regions is not None:
@@ -528,20 +515,19 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
             alpha = np.where(shrink, np.maximum(alpha * 0.5, _STEP_FLOOR), alpha)
             anchor = x
 
-        g, selections = _select_rows(game, x, cfg.seed, gradient_game)
+        g, provenance = _select_rows(game, x, cfg.seed)
     else:
         leave(live, np.ones(live.size, dtype=bool), res, cfg.max_iters)
 
-    if isinstance(game.constraints, SharedLinear):
+    rows = np.flatnonzero(runs.converged)
+    if isinstance(game.constraints, SharedLinear) and rows.size:
         # The Jacobi update can leave a converged point a residual-sized
         # distance outside the self-consistent region; polish it back in.
-        joint = _joint_region(game)
-        for row in np.flatnonzero(runs.converged):
-            x = project_feasible(joint, runs.points[row])[None, :]
-            sel = selection_T(game, split_profile(game, x[0]), sample_seed=cfg.seed)
-            res = _residuals(game, x, sel.stacked, cfg.step, _block_regions(game, x))
-            runs.points[row], runs.operator[row], runs.selections[row] = x[0], sel.stacked, sel
-            runs.residuals[row], runs.converged[row] = res[0], res[0] <= cfg.tol
+        x = _project_onto(_joint_region(game), runs.points[rows])
+        g, provenance = _select_rows(game, x, cfg.seed)
+        res = _residuals(game, x, g, cfg.step, _block_regions(game, x))
+        runs.points[rows], runs.operator[rows], runs.provenance[rows] = x, g, provenance
+        runs.residuals[rows], runs.converged[rows] = res, res <= cfg.tol
     return runs
 
 
@@ -557,14 +543,17 @@ def solve_svip(game: GameSpec, cfg: SolverConfig | None = None) -> SvipSolution:
     for restart in range(1, len(runs.traces)):
         if runs.residuals[restart] < runs.residuals[best]:
             best = restart
-    sel = runs.selection(game, best)
+    g = runs.operator[best]
     return SvipSolution(
         point=split_profile(game, runs.points[best]),
-        operator_value=sel.directions,
+        operator_value=tuple(
+            Direction(player, tuple(g[game.own_slice(player)]))
+            for player in range(game.n_players)
+        ),
         residual=float(runs.residuals[best]),
         iters=int(runs.iters[best]),
         converged=bool(runs.converged[best]),
         restart=best,
-        provenance=sel.provenance,
+        provenance=tuple(runs.provenance[best]),
         trace=tuple(runs.traces[best]),
     )

@@ -61,6 +61,13 @@ _GRID_BUDGET = 10_000_000
 # view, never on the (points, n) profile array, so its largest temporary holds
 # one value per grid point, and only for subexpressions that read every axis.
 _CHUNK_ENTRIES = 1 << 20
+# theorem2_property: VI tolerance of a sampled separator, and its contour draws.
+_SEPARATOR_VI_TOL = 1e-6
+_SEPARATOR_SAMPLES = 1000
+_SEPARATOR_SEED = 0
+# lhc_probe: tolerance on the distances, and points sampled per base interval.
+_LHC_TOL = 1e-6
+_LHC_SAMPLES_PER_BASE = 5
 
 
 @dataclass(frozen=True)
@@ -382,14 +389,7 @@ def _inflated_bounds(game: GameSpec, player: PlayerId) -> tuple[np.ndarray, np.n
     return lo - width, hi + width
 
 
-def theorem2_property(
-    games: Sequence[GameSpec],
-    h: float,
-    tol: float = 1e-6,
-    *,
-    sample_count: int = 1000,
-    seed: int = 0,
-) -> Certificate:
+def theorem2_property(games: Sequence[GameSpec], h: float) -> Certificate:
     """Every grid equilibrium must admit a separator certifying the inequality.
 
     Separators are built per player from contour samples over an inflated box
@@ -412,8 +412,8 @@ def theorem2_property(
                     game,
                     player,
                     profile,
-                    sample_count,
-                    seed,
+                    _SEPARATOR_SAMPLES,
+                    _SEPARATOR_SEED,
                     bounds=_inflated_bounds(game, player),
                 )
                 if samples.size == 0:
@@ -437,7 +437,7 @@ def theorem2_property(
             if hull_reaches:
                 inconclusive += 1
                 continue
-            cert = check_svip(game, profile, directions, tol)
+            cert = check_svip(game, profile, directions, _SEPARATOR_VI_TOL)
             if cert.passed:
                 certified += 1
             else:
@@ -466,17 +466,15 @@ def lhc_probe(
     base_points: Iterable[float],
     directions: Iterable[float],
     steps: Sequence[float],
-    tol: float = 1e-6,
-    samples_per_base: int = 5,
 ) -> Certificate:
     """Falsification probe for lower hemicontinuity of an interval-valued map.
 
     For every base parameter x with contour(x) nonempty, every sampled point
     y in contour(x), and every approach direction, the distances from y to
     contour(x + s * direction) along the shrinking steps s must trend down
-    (no increase beyond ``tol``) and end at most ``tol`` at the smallest step
-    (an empty contour counts as infinite distance).  The probe can only
-    falsify; passing is evidence, not proof.
+    (no increase beyond ``_LHC_TOL``) and end at most ``_LHC_TOL`` at the
+    smallest step (an empty contour counts as infinite distance).  The probe
+    can only falsify; passing is evidence, not proof.
     """
     steps = sorted((float(s) for s in steps), reverse=True)
     if not steps or steps[-1] <= 0:
@@ -489,7 +487,7 @@ def lhc_probe(
             continue  # empty contour imposes no condition at the base point
         lo, hi = float(interval[0]), float(interval[1])
         window_hi = min(hi, lo + 4.0)
-        ys = np.linspace(lo, window_hi, samples_per_base)
+        ys = np.linspace(lo, window_hi, _LHC_SAMPLES_PER_BASE)
         for direction in directions:
             probes = [contour(float(base) + s * float(direction)) for s in steps]
             for y in ys:
@@ -501,10 +499,10 @@ def lhc_probe(
                     for probe in probes
                 ]
                 trending = all(
-                    not (nxt > prev + tol)
+                    not (nxt > prev + _LHC_TOL)
                     for prev, nxt in zip(distances, distances[1:])
                 )
-                if distances[-1] <= tol and trending:
+                if distances[-1] <= _LHC_TOL and trending:
                     continue
                 final = distances[-1]
                 witness = {

@@ -453,6 +453,49 @@ class TestDeterminism:
         assert _strip_wall_time(first.stdout) == _strip_wall_time(second.stdout)
 
 
+class TestArgumentsEcho:
+    """``arguments`` follows the declaration order of a command's parameters,
+    whatever order the flags are given in, and leaves out ``--out``."""
+
+    @pytest.mark.parametrize(
+        "name, declared, flags",
+        [
+            (
+                "solve",
+                ["file", "step", "tol", "max_iters", "restarts", "seed", "grid"],
+                [["COORD"], ["--step", "0.2"], ["--tol", "1e-6"], ["--max-iters", "40"],
+                 ["--restarts", "2"], ["--seed", "3"], ["--grid", "0.25"]],
+            ),
+            ("verify", ["file", "point", "grid"], [["COORD"], ["--point", "1,1"], ["--grid", "0.25"]]),
+            (
+                "theorems",
+                ["suite", "instances", "step", "tol", "max_iters", "restarts", "seed", "grid"],
+                [["--suite", "t1"], ["--instances", "1"], ["--step", "0.2"], ["--tol", "1e-6"],
+                 ["--max-iters", "40"], ["--restarts", "1"], ["--seed", "3"], ["--grid", "0.25"]],
+            ),
+            (
+                "examples",
+                ["name", "run", "dump", "seed"],
+                [["--name", "lhc-remark"], ["--run"], ["--dump", "DUMP"], ["--seed", "3"]],
+            ),
+        ],
+        ids=["solve", "verify", "theorems", "examples"],
+    )
+    def test_declaration_order_whatever_the_flag_order(
+        self, runner, coordinate_file, tmp_path, name, declared, flags
+    ):
+        values = {"COORD": coordinate_file, "DUMP": str(tmp_path / "game.json")}
+        reports = []
+        for order in (flags, flags[::-1]):
+            argv = [name] + [values.get(a, a) for flag in order for a in flag]
+            argv += ["--out", str(tmp_path / "report.json")]
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, result.output
+            reports.append((tmp_path / "report.json").read_text())
+        assert _strip_wall_time(reports[0]) == _strip_wall_time(reports[1])
+        assert list(json.loads(reports[1])["arguments"]) == declared
+
+
 def _readme_cli_lines():
     """Every ``ordnash ...`` command line of the README's CLI code block."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -536,10 +536,8 @@ def _assert_row_matches(game, runs, row, ref):
     assert int(runs.iters[row]) == iters
     assert bool(runs.converged[row]) == converged
     assert [(i, r.hex()) for i, r in runs.traces[row]] == [(i, r.hex()) for i, r in trace]
-    batched = runs.selection(game, row)
-    assert batched.provenance == sel.provenance
-    assert _bits(batched.stacked) == _bits(sel.stacked)
-    assert batched.directions == sel.directions
+    assert _bits(runs.operator[row]) == _bits(sel.stacked)
+    assert tuple(runs.provenance[row]) == sel.provenance
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
@@ -596,7 +594,34 @@ class TestBatchedRestarts:
             assert alone.iters[0] == runs.iters[row]
             assert alone.converged[0] == runs.converged[row]
             assert alone.traces[0] == runs.traces[row]
-            assert alone.selection(game, 0) == runs.selection(game, row)
+            assert _bits(alone.operator[0]) == _bits(runs.operator[row])
+            assert tuple(alone.provenance[0]) == tuple(runs.provenance[row])
+
+    @pytest.mark.parametrize("name", sorted(BATCH_GAMES))
+    def test_solution_directions_equal_a_fresh_selection(self, name):
+        """The Directions and provenance that solve_svip builds from its arrays
+        equal selection_T at the returned point, sign of zero included."""
+        game = BATCH_GAMES[name]()
+        cfg = SolverConfig(restarts=4, max_iters=_iters_for(name), seed=42)
+        sol = solve_svip(game, cfg)
+        sel = selection_T(game, sol.point, sample_seed=cfg.seed)
+        assert sol.provenance == sel.provenance
+        assert [d.player for d in sol.operator_value] == [d.player for d in sel.directions]
+        assert [[v.hex() for v in d.vector] for d in sol.operator_value] == [
+            [v.hex() for v in d.vector] for d in sel.directions
+        ]
+
+    @pytest.mark.parametrize("name", ["arrow-debreu", "shared-3"])
+    def test_starting_points_equal_one_row_projections(self, name):
+        """One batched projection of the starts equals projecting each start alone."""
+        game = BATCH_GAMES[name]()
+        cfg = SolverConfig(restarts=7, seed=5)
+        # The same box without shared rows gives the starts before projection.
+        raw = _starting_points(GameSpec(players=game.players), cfg)
+        region = _joint_region(game)
+        expected = np.array([project_feasible(region, row) for row in raw])
+        assert not np.array_equal(expected, raw)  # some start is moved
+        assert _bits(_starting_points(game, cfg)) == _bits(expected)
 
 
 # Recorded from the sequential solver (one restart after another) before the
