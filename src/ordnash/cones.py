@@ -6,14 +6,17 @@ upper contour set at the current point:
 * ``gradient_normal_direction`` -- the normalized negative utility gradient,
   by central finite differences (valid for concave utilities); it is the
   one-profile case of ``gradient_directions``, which the solver calls on all
-  of its restarts at once;
+  of its restarts at once; where the gradient is flat, ``flat_maxima`` tells
+  which profiles maximize a quadratic utility over the own block;
 * ``polyhedral_normal_generators`` -- active-row normals when the contour set
   is an open polyhedron;
 * ``sampled_separating_direction`` -- a separator recovered from an inner
   sample of the contour set via the minimum-norm point of the sample hull.
 
 The empty contour set has normal cone equal to the whole space; that case is
-flagged with the ``FULL_SPACE`` provenance instead of a direction list.
+flagged with the ``FULL_SPACE`` provenance instead of a direction list.  The
+selection takes it also at a flat maximum, whose strict upper contour set
+lies within the flatness tolerance of the point.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "ConeGenerators",
     "gradient_directions",
     "gradient_normal_direction",
+    "flat_maxima",
     "polyhedral_normal_generators",
     "contour_polyhedron",
     "sampled_separating_direction",
@@ -58,6 +62,14 @@ __all__ = [
 _UNIT_TOL = 1e-12
 _FD_STEP = 1e-6  # central-difference step of the utility gradient
 _FLAT_TOL = 1e-10  # a gradient norm at most this is flat
+# A second difference of flat_maxima is trusted to this share of the largest
+# utility value it reads: far above the rounding of the differences, so
+# utilities whose terms cancel by up to about 1e6 are still decided safely.
+_HESSIAN_RTOL = 1e-9
+# flat_maxima marks a row only when the ball that holds its strict upper
+# contour set spans at most this share of the widest own box side, so that a
+# uniform draw over the box lands in it with probability at most 1e-9.
+_FLAT_SHARE = 1e-9
 _SEPARATOR_TOL = 1e-9  # a hull min-norm point this short has no separator
 _HULL_TOL = 1e-9  # a hull min-norm point this short counts as zero
 _FEASIBLE_MARGIN = 1e-9  # Chebyshev radius that makes {a y < b} nonempty
@@ -190,6 +202,65 @@ def gradient_normal_direction(game: GameSpec, player: PlayerId, x: Profile) -> D
     """
     directions, flat = gradient_directions(game, player, x.stacked[None, :])
     return None if flat[0] else Direction(player, tuple(directions[0]))
+
+
+def _stencil(dim: int) -> np.ndarray:
+    """Own-block offsets of the second differences: 0, then +e_k and -e_k
+    for each k, then e_k + e_l for each k < l."""
+    eye = np.eye(dim)
+    pairs = [eye[k] + eye[l] for k in range(dim) for l in range(k + 1, dim)]
+    return np.vstack([np.zeros((1, dim)), np.stack([eye, -eye], axis=1).reshape(-1, dim), *pairs])
+
+
+def flat_maxima(game: GameSpec, player: PlayerId, points: np.ndarray) -> np.ndarray:
+    """Which flat profiles maximize the player's utility over the own block.
+
+    ``points`` is an (m, n) array of stacked profiles at which
+    :func:`gradient_directions` finds the gradient flat.  The (m,) result
+    marks a row when the utility's degree in the own block is at most 2, so
+    that its own Hessian H depends on the rivals alone, and when H, from
+    unit-step second differences of the compiled utility around the row (one
+    compiled call on the stacked stencil), is negative definite by more than
+    ``_HESSIAN_RTOL`` of the largest value read.  Then u(y) > u(x) needs
+    ||y - x|| < 2 ||grad u(x)|| / lambda_min(-H), and at a flat row the
+    gradient norm is at most ``_FLAT_TOL``: the strict upper contour set lies
+    in the ball of diameter 4 ``_FLAT_TOL`` / lambda_min(-H) around x.  The
+    row is marked only when that diameter is at most ``_FLAT_SHARE`` of the
+    widest side of the player's box, too small for a uniform sample of the
+    box to find; a small curvature (``-1e-12*(x1-0.5)^2``) gives a ball
+    wider than the box, and its rows stay unmarked.  Any other row, a
+    non-finite value among them, is left unmarked.  Each row is decided as
+    it would be alone.
+    """
+    pref = game.players[player].preference
+    points = np.asarray(points, dtype=np.float64).reshape(-1, game.total_dim)
+    sl = game.own_slice(player)
+    own = frozenset(range(sl.start, sl.stop))
+    degree = pref.parsed.degree(own) if isinstance(pref, UtilityPreference) else None
+    if degree is None or degree > 2:
+        return np.zeros(points.shape[0], dtype=bool)
+    dim = game.dims[player]
+    steps = _stencil(dim)
+    batch = np.repeat(points[:, None, :], steps.shape[0], axis=1)
+    batch[:, :, sl] += steps
+    values = pref.fn(batch)
+    finite = np.isfinite(values).all(axis=1)
+    values = np.where(finite[:, None], values, 0.0)  # eigvalsh needs finite input
+    center, up, down = values[:, 0], values[:, 1 : 2 * dim : 2], values[:, 2 : 2 * dim + 1 : 2]
+    hessian = np.empty((points.shape[0], dim, dim))
+    hessian[:, range(dim), range(dim)] = (up + down) - 2.0 * center[:, None]
+    pair = 2 * dim + 1
+    for k in range(dim):
+        for l in range(k + 1, dim):
+            cross = ((values[:, pair] - up[:, k]) - up[:, l]) + center
+            hessian[:, k, l] = hessian[:, l, k] = cross
+            pair += 1
+    # An error of margin in each entry moves an eigenvalue by at most dim * margin.
+    margin = dim * _HESSIAN_RTOL * np.abs(values).max(axis=1)
+    curvature = -np.linalg.eigvalsh(hessian).max(axis=1)  # lambda_min(-H)
+    lo, hi = game.player_box(player)
+    small = 4.0 * _FLAT_TOL <= _FLAT_SHARE * np.max(hi - lo) * curvature
+    return finite & (curvature > margin) & small
 
 
 def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

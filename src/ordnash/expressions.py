@@ -24,6 +24,7 @@ it is given, as an ndarray of shape ``values.shape[:-1]``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -54,8 +55,22 @@ class Expr:
         """Zero-based indices of the variables referenced by this node."""
         raise NotImplementedError
 
+    def degree(self, own: frozenset[int]) -> int | None:
+        """Polynomial degree in the variables ``own``, the others held fixed.
+
+        None when the node is no polynomial in them that the tree shows: a
+        divisor or a negative power of a base that depends on them.  The
+        degree is read off the tree, so it bounds the true one from above
+        (``x1 - x1`` reads 1).
+        """
+        raise NotImplementedError
+
     def _emit(self) -> str:
         raise NotImplementedError
+
+
+def _combine(left: int | None, right: int | None, op) -> int | None:
+    return None if left is None or right is None else op(left, right)
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,9 @@ class Literal(Expr):
 
     def variables(self) -> frozenset[int]:
         return frozenset()
+
+    def degree(self, own: frozenset[int]) -> int | None:
+        return 0
 
     def _emit(self) -> str:
         return repr(self.value)
@@ -76,6 +94,9 @@ class Variable(Expr):
     def variables(self) -> frozenset[int]:
         return frozenset({self.index})
 
+    def degree(self, own: frozenset[int]) -> int | None:
+        return 1 if self.index in own else 0
+
     def _emit(self) -> str:
         return f"v[..., {self.index}]"
 
@@ -86,6 +107,9 @@ class Negate(Expr):
 
     def variables(self) -> frozenset[int]:
         return self.operand.variables()
+
+    def degree(self, own: frozenset[int]) -> int | None:
+        return self.operand.degree(own)
 
     def _emit(self) -> str:
         return f"(-{self.operand._emit()})"
@@ -99,6 +123,9 @@ class Add(Expr):
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
 
+    def degree(self, own: frozenset[int]) -> int | None:
+        return _combine(self.left.degree(own), self.right.degree(own), max)
+
     def _emit(self) -> str:
         return f"({self.left._emit()} + {self.right._emit()})"
 
@@ -110,6 +137,9 @@ class Sub(Expr):
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
+
+    def degree(self, own: frozenset[int]) -> int | None:
+        return _combine(self.left.degree(own), self.right.degree(own), max)
 
     def _emit(self) -> str:
         return f"({self.left._emit()} - {self.right._emit()})"
@@ -123,6 +153,9 @@ class Mul(Expr):
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
 
+    def degree(self, own: frozenset[int]) -> int | None:
+        return _combine(self.left.degree(own), self.right.degree(own), operator.add)
+
     def _emit(self) -> str:
         return f"({self.left._emit()} * {self.right._emit()})"
 
@@ -134,6 +167,9 @@ class Div(Expr):
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
+
+    def degree(self, own: frozenset[int]) -> int | None:
+        return self.left.degree(own) if self.right.degree(own) == 0 else None
 
     def _emit(self) -> str:
         return f"({self.left._emit()} / {self.right._emit()})"
@@ -147,12 +183,20 @@ class Power(Expr):
     def variables(self) -> frozenset[int]:
         return self.base.variables()
 
+    def degree(self, own: frozenset[int]) -> int | None:
+        base = self.base.degree(own)
+        if base is None:
+            return None
+        if self.exponent >= 0:
+            return base * self.exponent
+        return 0 if base == 0 else None
+
     def _emit(self) -> str:
         return f"({self.base._emit()} ** {self.exponent})"
 
 
 # Cap on the expression tree depth, and on the nesting of parentheses and
-# unary minus while parsing.  The tree walks (variables, _emit) and the
+# unary minus while parsing.  The tree walks (variables, degree, _emit) and the
 # parser recurse once per level, and compile_expression emits one bracket
 # per level, which CPython refuses beyond 200.
 MAX_DEPTH = 100

@@ -645,30 +645,57 @@ def feasible_region(
     return FeasibleRegion(lo.copy(), hi.copy(), normals, offsets[binding], forced_empty)
 
 
-# Seeded uniform draws of recent sample_contour calls, oldest first.  Every
-# flat-gradient fallback of a solve draws the same points again; the bound
-# keeps callers that use a new seed per call (cone trials) from growing it.
+# Seeded draw streams of recent sample_contour calls, oldest first.  The
+# fixed-seed callers (theorem 2's separators, band players, flat utility rows
+# that the solver cannot certify) read the same draws again; the bound keeps
+# callers that use a new seed per call (cone trials) from growing it.
 _DRAW_CACHE_SIZE = 8
-_draw_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+_draw_cache: OrderedDict[tuple, "_DrawStream"] = OrderedDict()
 
 
-def _uniform_draws(seed, attempts: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``default_rng(seed).uniform(lo, hi, (attempts, dim))``, read-only and
-    shared with later calls for the same seed, count and bounds.  Only integer
-    seeds are reused; any other seed (None, a Generator) draws afresh."""
+class _DrawStream:
+    """Uniform draws over [lo, hi] from one generator, in draw order.
+
+    ``draws`` holds the rows drawn so far (read-only).  Successive
+    ``uniform`` calls continue one stream, so row r is the same whatever
+    the chunks it was drawn in: the rows equal those of one
+    ``default_rng(seed).uniform(lo, hi, (attempts, dim))`` call.
+    """
+
+    __slots__ = ("rng", "lo", "hi", "draws")
+
+    def __init__(self, seed, lo: np.ndarray, hi: np.ndarray):
+        self.rng = np.random.default_rng(seed)
+        self.lo, self.hi = lo, hi
+        self.draws = np.empty((0, lo.size))
+        self.draws.flags.writeable = False
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows ``start:stop`` of the stream, drawing the missing ones."""
+        if stop > len(self.draws):
+            more = self.rng.uniform(
+                self.lo, self.hi, size=(stop - len(self.draws), self.lo.size)
+            )
+            self.draws = np.concatenate((self.draws, more))
+            self.draws.flags.writeable = False
+        return self.draws[start:stop]
+
+
+def _draw_stream(seed, lo: np.ndarray, hi: np.ndarray) -> _DrawStream:
+    """The stream of ``seed`` over [lo, hi], shared with later calls for the
+    same seed and bounds.  Only integer seeds are reused; any other seed
+    (None, a Generator) gets a fresh stream that is not kept."""
     if not isinstance(seed, (int, np.integer)):
-        return np.random.default_rng(seed).uniform(lo, hi, size=(attempts, lo.size))
-    key = (int(seed), attempts, lo.shape, lo.tobytes(), hi.shape, hi.tobytes())
-    draws = _draw_cache.get(key)
-    if draws is None:
-        draws = np.random.default_rng(seed).uniform(lo, hi, size=(attempts, lo.size))
-        draws.flags.writeable = False
-        _draw_cache[key] = draws
+        return _DrawStream(seed, lo, hi)
+    key = (int(seed), lo.shape, lo.tobytes(), hi.shape, hi.tobytes())
+    stream = _draw_cache.get(key)
+    if stream is None:
+        stream = _draw_cache[key] = _DrawStream(seed, lo, hi)
         if len(_draw_cache) > _DRAW_CACHE_SIZE:
             _draw_cache.popitem(last=False)
     else:
         _draw_cache.move_to_end(key)
-    return draws
+    return stream
 
 
 def sample_contour(
@@ -682,14 +709,21 @@ def sample_contour(
 ) -> np.ndarray:
     """Seeded rejection sample of the strict upper contour set over ``bounds``.
 
-    Draws ``max_attempts`` (default ``max(20 * count, 2000)``) uniform points
-    from ``bounds`` (default: the player's box) and returns the first
-    ``count`` that ``player`` strictly prefers at ``x``, in draw order, as one
-    (m, dim) float64 array.  ``m`` is below ``count`` (possibly 0, shape
-    ``(0, dim)``) when the contour set misses the sampling box or is thin.
-    The draws depend only on the seed, the attempt count and the bounds, so
-    the last few distinct draw sets are kept and reused (read-only); the
-    returned array is always a fresh copy.
+    Returns the first ``count`` of ``max_attempts`` (default
+    ``max(20 * count, 2000)``) uniform draws from ``bounds`` (default: the
+    player's box) that ``player`` strictly prefers at ``x``, in draw order,
+    as one (m, dim) float64 array: the draws of
+    ``default_rng(seed).uniform(lo, hi, (attempts, dim))``, masked and cut to
+    ``count``.  ``m`` is below ``count`` (possibly 0, shape ``(0, dim)``) when
+    the contour set misses the sampling box or is thin.
+
+    The draws are made and tested in chunks, the first of ``2 * count`` rows
+    and each later one twice the last, and drawing stops once ``count`` are
+    accepted; a call that accepts fewer tests all ``max_attempts``.  A
+    ``Generator`` passed as ``seed`` is advanced only by the rows drawn.  The
+    draws of an integer seed depend only on it and the bounds, so the streams
+    of the last few are kept and read again (read-only); the returned array
+    is always a fresh copy.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -700,9 +734,20 @@ def sample_contour(
     if count == 0:
         return np.empty((0, game.dims[player]))
     attempts = max_attempts if max_attempts is not None else max(20 * count, 2000)
-    draws = _uniform_draws(seed, attempts, lo, hi)
-    mask = strict_upper_mask(game, player, draws, x)
-    return draws[mask][:count]
+    if attempts < 0:
+        raise ValueError(f"max_attempts must be nonnegative, got {attempts}")
+    stream = _draw_stream(seed, lo, hi)
+    accepted = [np.empty((0, game.dims[player]))]
+    found = start = 0
+    chunk = 2 * count
+    while found < count and start < attempts:
+        stop = min(start + chunk, attempts)
+        draws = stream.rows(start, stop)
+        hits = draws[strict_upper_mask(game, player, draws, x)]
+        accepted.append(hits)
+        found += len(hits)
+        start, chunk = stop, 2 * chunk
+    return np.concatenate(accepted)[:count]
 
 
 def _probe_profiles(game: GameSpec, count: int, seed: int) -> np.ndarray:

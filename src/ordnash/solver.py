@@ -2,8 +2,12 @@
 
 The operator evaluated at a profile x stacks one normal direction per player:
 unit vectors from the player's contour normal cone, or the zero direction when
-the contour set is (empirically) empty.  A profile solves the variational
-problem when the natural residual
+the contour set is (empirically) empty.  At a flat gradient of a utility that
+is a quadratic in the own block, curved enough that its strict upper contour
+set is far too small for a sample of the box to find, the point maximizes the
+utility over that block up to the flatness tolerance, and the zero direction
+is taken without sampling (``cones.flat_maxima``).  A profile solves the
+variational problem when the natural residual
 
     r(x) = || x - Proj_{K(x)}(x - step * g(x)) ||
 
@@ -25,7 +29,8 @@ the loop when it converges or reaches ``max_iters``.  The loop state is arrays
 only: points, operator values, an (R, P) provenance array, per-player steps,
 residuals and iteration counts; ``Direction`` objects are built once, for the
 returned run.  Each iteration makes one finite-difference gradient call per
-utility player for all live rows (``cones.gradient_directions``), one clip
+utility player for all live rows (``cones.gradient_directions``), one
+``cones.flat_maxima`` call per utility player for its flat rows, one clip
 (box-only games) or one row-batched Dykstra per player (shared rows), and
 falls back to ``selection_T`` only for rows that need it.  The starting points
 and the polish of converged rows on shared games are each projected onto the
@@ -50,6 +55,7 @@ from .cones import (
     Provenance,
     _row_norms,
     contour_polyhedron,
+    flat_maxima,
     gradient_directions,
     gradient_normal_direction,
     polyhedral_normal_generators,
@@ -157,7 +163,11 @@ def selection_T(game: GameSpec, x: Profile, *, sample_seed: int = 0) -> Selectio
     Mechanism precedence per player: utility gradient, then polyhedral active
     rows (lowest row index first), then a sampled separator.  The zero
     direction is returned (and flagged) when the contour set is empty or no
-    nonzero element could be produced.
+    nonzero element could be produced.  Where a utility's gradient is flat,
+    :func:`cones.flat_maxima` decides first: at a row it marks, ``x``
+    maximizes the utility over the own block up to the flatness tolerance,
+    and the player gets the zero direction with ``FULL_SPACE`` provenance
+    without sampling; elsewhere the flat player's contour set is sampled.
     """
     directions: list[Direction] = []
     provenance: list[Provenance] = []
@@ -175,6 +185,9 @@ def selection_T(game: GameSpec, x: Profile, *, sample_seed: int = 0) -> Selectio
             if d is not None:
                 directions.append(d)
                 provenance.append(Provenance.GRADIENT)
+            elif flat_maxima(game, player, x.stacked[None, :])[0]:
+                directions.append(Direction.zero(player, dim))
+                provenance.append(Provenance.FULL_SPACE)
             else:
                 d, prov = _sampled_selection(game, player, x, sample_seed)
                 directions.append(d)
@@ -412,9 +425,12 @@ def _select_rows(game: GameSpec, x: np.ndarray, seed: int) -> tuple[np.ndarray, 
 
     When every player has a utility or the trivial preference, one batched
     gradient call per utility player covers all rows, and trivial players
-    keep the zero direction.  A row with a flat gradient, and every row of
-    any other game, gets its whole selection from :func:`selection_T`, the
-    only route to polyhedral, sampled and band selections.
+    keep the zero direction.  The flat rows of each utility player go to one
+    :func:`cones.flat_maxima` call; a row it marks keeps the zero direction
+    with ``FULL_SPACE`` provenance.  A row with a flat gradient that is not
+    marked, and every row of any other game, gets its whole selection from
+    :func:`selection_T`, the only route to polyhedral, sampled and band
+    selections.  Every row equals :func:`selection_T` at that row.
     """
     g = np.zeros(x.shape)
     provenance = np.empty((x.shape[0], game.n_players), dtype=object)
@@ -428,7 +444,11 @@ def _select_rows(game: GameSpec, x: np.ndarray, seed: int) -> tuple[np.ndarray, 
             directions, flat = gradient_directions(game, player, x)
             g[:, game.own_slice(player)] = directions
             provenance[:, player] = Provenance.GRADIENT
-            fallback |= flat
+            if flat.any():
+                rows = np.flatnonzero(flat)
+                maxima = flat_maxima(game, player, x[rows])
+                provenance[rows[maxima], player] = Provenance.FULL_SPACE
+                fallback[rows[~maxima]] = True
     else:
         fallback = np.ones(x.shape[0], dtype=bool)
     if fallback.any():

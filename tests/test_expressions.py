@@ -229,3 +229,37 @@ class TestOneRoute:
         utility = game.players[1].preference.fn(points)
         np.testing.assert_array_equal(_bits([a[0, 0] for a, _ in rows]), _bits(utility))
         np.testing.assert_array_equal(_bits([b[0] for _, b in rows]), _bits(utility))
+
+
+class TestDegree:
+    """Expr.degree reads the polynomial degree in the own variables off the tree."""
+
+    @pytest.mark.parametrize(
+        "text, degree",
+        [
+            ("3", 0),
+            ("x2", 0),  # a rival
+            ("x1", 1),
+            ("-(x1 - 0.5*x2)^2", 2),
+            ("x1*x2 + x2^5", 1),
+            ("-(1 + x2)*x1^2", 2),
+            ("x1^2/(1 + x2^2)", 2),  # an own-free divisor keeps the numerator's degree
+            ("x2^-1*x1", 1),  # a negative power of an own-free base
+            ("x1^0", 0),
+            ("-(x1)^4", 4),
+            ("((-(x1)^2)^3)^3", 18),
+            ("x1 - x1", 1),  # read off the tree, not simplified
+            ("x1/x1", None),
+            ("-x1^2/(1 + x1^2)", None),
+            ("x1^-1", None),
+            ("(1/x1)^0", None),
+            ("x2 + 1/x1", None),
+        ],
+    )
+    def test_own_degree(self, text, degree):
+        assert parse_expression(text).degree(frozenset({0})) == degree
+
+    def test_block_of_two(self):
+        own = frozenset({0, 1})
+        assert parse_expression("x1*x2 - x1^2 + x3^3").degree(own) == 2
+        assert parse_expression("x1*x2*x1").degree(own) == 3

@@ -599,16 +599,96 @@ class TestSampleContour:
             sample_contour(pull_game, 0, x, count=-1, seed=0)
 
 
-class TestDrawCache:
-    """sample_contour reuses its seeded draws from a small LRU."""
-
-    @staticmethod
-    def _fresh(game, player, x, count, seed, bounds=None, attempts=None):
-        lo, hi = game.player_box(player) if bounds is None else bounds
-        draws = np.random.default_rng(seed).uniform(
-            lo, hi, size=(attempts or max(20 * count, 2000), game.dims[player])
+def _halfspace_block_game():
+    """A 2-coordinate HalfspaceContour player whose rows move with the rival."""
+    rows = (
+        ContourRow(("1", "x3"), "0.5 - x3"),
+        ContourRow(("-x3", "1"), "0.2"),
+    )
+    return GameSpec(
+        (
+            PlayerSpec(2, ((-1.0, 1.0),) * 2, HalfspaceContour(rows)),
+            PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x3-x1)^2")),
         )
-        return draws[strict_upper_mask(game, player, draws, x)][:count]
+    )
+
+
+# (game, coords, player): one sampling player of every preference variant.
+_SWEEP_GAMES = [
+    (make_pull_to_half_rival(), [1.0, 0.0], 0),
+    (random_concave_quadratic(4, players=2, dims=2), [0.3, -0.2, 0.5, 0.1], 1),
+    (example_coordinate_pref(), [0.2, -0.4], 1),
+    (GameSpec((PlayerSpec(2, ((-1.0, 1.0),) * 2, CoordinateOrder()),)), [0.1, -0.3], 0),
+    (example_trivial_pref(), [0.2, -0.2], 0),
+    (_halfspace_block_game(), [0.1, 0.4, -0.6], 0),
+    (example_lhc_remark()[2], [-0.5, 0.3], 0),
+]
+
+
+def _reference_sample(game, player, x, count, seed, bounds=None, attempts=None):
+    """sample_contour by its definition: every draw made, masked, then cut."""
+    lo, hi = game.player_box(player) if bounds is None else bounds
+    if attempts is None:
+        attempts = max(20 * count, 2000)
+    draws = np.random.default_rng(seed).uniform(lo, hi, size=(attempts, game.dims[player]))
+    return draws[strict_upper_mask(game, player, draws, x)][:count]
+
+
+class TestEarlyStop:
+    """sample_contour stops drawing at ``count`` and still returns the full-draw result."""
+
+    @pytest.mark.parametrize("case", range(len(_SWEEP_GAMES)))
+    def test_matches_the_full_draw_bit_for_bit(self, case):
+        game, coords, player = _SWEEP_GAMES[case]
+        x = split_profile(game, coords)
+        dim = game.dims[player]
+        wide = (np.full(dim, -1.5), np.full(dim, 1.25))
+        model._draw_cache.clear()
+        for seed in (0, 11):
+            for bounds in (None, wide):
+                for attempts in (None, 100, 3000):
+                    # 5000 exceeds what 3000 attempts can accept; 1000 needs
+                    # more than the first chunk where acceptance is low.
+                    for count in (0, 1, 1000, 5000, 1):
+                        if count == 5000 and attempts is None:
+                            continue  # 100,000 draws add time and no case
+                        want = _reference_sample(game, player, x, count, seed, bounds, attempts)
+                        for _ in ("cold or extended", "warm"):
+                            got = sample_contour(
+                                game, player, x, count=count, seed=seed,
+                                bounds=bounds, max_attempts=attempts,
+                            )
+                            assert got.shape == want.shape == (len(want), dim)
+                            assert got.tobytes() == want.tobytes()
+
+    def test_high_acceptance_tests_fewer_rows_than_attempts(self, pull_game, monkeypatch):
+        rows = []
+        real = model.strict_upper_mask
+
+        def counting(game, player, candidates, x):
+            rows.append(len(candidates))
+            return real(game, player, candidates, x)
+
+        monkeypatch.setattr(model, "strict_upper_mask", counting)
+        x = split_profile(pull_game, [1.0, 0.0])  # nearly the whole box is preferred
+        got = sample_contour(pull_game, 0, x, count=300, seed=21)
+        assert len(got) == 300
+        assert rows == [600]  # the first chunk, 2 * count, accepts enough
+        rows.clear()
+        empty = split_profile(pull_game, [0.0, 0.0])  # the best response: nothing beats it
+        assert sample_contour(pull_game, 0, empty, count=300, seed=21).shape == (0, 1)
+        assert sum(rows) == 6000 and rows == [600, 1200, 2400, 1800]
+
+    def test_a_generator_seed_advances_by_the_rows_drawn(self, pull_game):
+        x = split_profile(pull_game, [1.0, 0.0])
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        sample_contour(pull_game, 0, x, count=100, seed=rng)
+        twin.uniform(-1.0, 1.0, size=(200, 1))
+        assert rng.random() == twin.random()
+
+
+class TestDrawCache:
+    """sample_contour keeps the draw streams of recent integer seeds in a small LRU."""
 
     def test_cold_and_warm_calls_agree(self, pull_game):
         model._draw_cache.clear()
@@ -617,7 +697,7 @@ class TestDrawCache:
         assert len(model._draw_cache) == 1
         warm = sample_contour(pull_game, 0, x, count=300, seed=5)
         np.testing.assert_array_equal(cold, warm)
-        np.testing.assert_array_equal(warm, self._fresh(pull_game, 0, x, 300, 5))
+        np.testing.assert_array_equal(warm, _reference_sample(pull_game, 0, x, 300, 5))
 
     def test_returned_array_does_not_alias_the_cache(self, pull_game):
         x = split_profile(pull_game, [1.0, 0.0])
@@ -626,9 +706,9 @@ class TestDrawCache:
         assert first.flags.writeable
         first[:] = 99.0
         np.testing.assert_array_equal(sample_contour(pull_game, 0, x, count=300, seed=6), expected)
-        for draws in model._draw_cache.values():
-            assert not draws.flags.writeable
-            assert not np.shares_memory(draws, first)
+        for stream in model._draw_cache.values():
+            assert not stream.draws.flags.writeable
+            assert not np.shares_memory(stream.draws, first)
 
     def test_keys_separate_seed_bounds_and_attempts(self, pull_game):
         x = split_profile(pull_game, [1.0, 0.0])
@@ -649,16 +729,19 @@ class TestDrawCache:
                 bounds=call.get("bounds"), max_attempts=call["attempts"],
             )
 
+        model._draw_cache.clear()
         results = []
         for call in calls:
             got = run(call)
-            expected = self._fresh(
+            expected = _reference_sample(
                 pull_game, 0, x, 3000, call["seed"], call.get("bounds"), call["attempts"]
             )
             np.testing.assert_array_equal(got, expected)
             results.append(got.tobytes())
         assert len(set(results)) == len(results)
-        # Each key again, warm and in another order.
+        # One stream per seed and bounds: a longer run extends a shorter one.
+        assert len(model._draw_cache) == 4
+        # Each call again, warm and in another order.
         for call, first in reversed(list(zip(calls, results))):
             assert run(call).tobytes() == first
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_budget_pair, make_pull_to_half_rival
-from ordnash.cones import Direction, Provenance, _row_norms
+from ordnash import cones, model, solver
+from ordnash.cones import Direction, Provenance, _row_norms, gradient_normal_direction
 from ordnash.corpus import (
     arrow_debreu_instance,
     example_coordinate_pref,
@@ -676,3 +677,147 @@ def test_solve_svip_pinned_to_sequential_results(name):
         trace_len,
         converged,
     )
+
+
+class TestFlatMaxima:
+    """At a flat gradient of a negative-definite quadratic utility the solver
+    takes the zero direction without sampling, as the sample would give."""
+
+    SHAPES = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+    @staticmethod
+    def _record_flat_rows(monkeypatch):
+        """Wrap the solver's flat_maxima; returns the list of (game, player, rows, marks)."""
+        calls = []
+
+        def recording(game, player, points):
+            marks = cones.flat_maxima(game, player, points)
+            calls.append((game, player, np.array(points), marks))
+            return marks
+
+        monkeypatch.setattr(solver, "flat_maxima", recording)
+        return calls
+
+    @staticmethod
+    def _count_samples(monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return model.sample_contour(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "sample_contour", counting)
+        return calls
+
+    @pytest.mark.parametrize("players, dims", SHAPES)
+    def test_marked_rows_select_what_the_sample_gives(self, monkeypatch, players, dims):
+        flat_calls = self._record_flat_rows(monkeypatch)
+        cfg = SolverConfig(restarts=4, max_iters=300, seed=42)
+        seen, marked = set(), 0
+        for seed in (1, 2, 3):
+            game = random_concave_quadratic(seed, players=players, dims=dims)
+            flat_calls.clear()
+            solve_svip(game, cfg)
+            for _, player, rows, marks in flat_calls:
+                # A batch decides each row as that row alone.
+                alone = [cones.flat_maxima(game, player, row[None, :])[0] for row in rows]
+                assert marks.tolist() == alone
+                for row in rows[marks]:
+                    key = (seed, player, row.tobytes())
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    marked += 1
+                    d, prov = solver._sampled_selection(
+                        game, player, split_profile(game, row), cfg.seed
+                    )
+                    assert [v.hex() for v in d.vector] == [(0.0).hex()] * dims
+                    assert prov == Provenance.FULL_SPACE
+        assert marked > 0
+
+    @pytest.mark.parametrize("players, dims", SHAPES)
+    def test_a_solve_draws_no_contour_sample(self, monkeypatch, players, dims):
+        samples = self._count_samples(monkeypatch)
+        flat_calls = self._record_flat_rows(monkeypatch)
+        game = random_concave_quadratic(7, players=players, dims=dims)
+        solve_svip(game, SolverConfig(restarts=4, max_iters=300, seed=42))
+        assert any(marks.any() for *_, marks in flat_calls)
+        assert samples == []
+
+    @staticmethod
+    def _one_player(expr, dim=1):
+        return GameSpec((PlayerSpec(dim, ((-1.0, 1.0),) * dim, UtilityPreference(expr)),))
+
+    @pytest.mark.parametrize(
+        "expr, dim",
+        [
+            ("-(x1)^4", 1),  # degree 4
+            ("((-(x1)^2)^3)^3", 1),  # degree 18
+            ("x1^2 - x2^2 + 0.5*x1*x2", 2),  # indefinite quadratic
+            ("-x1^2/(1 + x1^2)", 1),  # divides by an own variable
+        ],
+    )
+    def test_refused_utilities_are_still_sampled(self, monkeypatch, expr, dim):
+        game = self._one_player(expr, dim)
+        x = split_profile(game, [0.0] * dim)
+        assert gradient_normal_direction(game, 0, x) is None  # flat at the origin
+        assert not cones.flat_maxima(game, 0, x.stacked[None, :])[0]
+        samples = self._count_samples(monkeypatch)
+        sel = selection_T(game, x, sample_seed=3)
+        assert len(samples) == 1
+        expected = solver._sampled_selection(game, 0, x, 3)
+        assert sel.provenance == (expected[1],)
+        assert sel.directions[0].vector == expected[0].vector
+
+    @pytest.mark.parametrize("scale, marked", [(0.2, True), (0.05, False)])
+    def test_curvature_must_confine_the_contour_set(self, scale, marked):
+        # On [-1, 1] the ball of diameter 4e-10 / (2 scale) is certified only
+        # when it spans at most 1e-9 of the side, that is for scale >= 0.1.
+        game = self._one_player(f"-{scale}*x1^2")
+        assert cones.flat_maxima(game, 0, np.zeros((1, 1)))[0] == marked
+
+    @pytest.mark.parametrize(
+        "expr, dim, target, draws, point",
+        [
+            ("-1e-12*(x1-0.5)^2", 1, [0.5], 376, ["0x1.0001387e96a25p-1"]),
+            (
+                "-1e-12*((x1-0.5)^2 + (x2+0.25)^2)",
+                2,
+                [0.5, -0.25],
+                96,
+                ["0x1.fe5993624a410p-2", "-0x1.07c96bd2bf684p-2"],
+            ),
+        ],
+    )
+    def test_small_curvature_is_sampled_toward_the_maximizer(
+        self, monkeypatch, expr, dim, target, draws, point
+    ):
+        # Every gradient of this utility is flat, but its contour sets are wide:
+        # no row is marked, and the sampled selection moves the point to the
+        # maximizer with the calls and the point of the sampled route.
+        game = self._one_player(expr, dim)
+        flat_calls = self._record_flat_rows(monkeypatch)
+        samples = self._count_samples(monkeypatch)
+        run = solve_svip(game, SolverConfig(restarts=4, max_iters=200, seed=42))
+        assert flat_calls and not any(marks.any() for *_, marks in flat_calls)
+        assert len(samples) == draws
+        assert run.converged
+        assert [v.hex() for v in run.point.stacked] == point
+        assert np.allclose(run.point.stacked, target, atol=1e-2)
+
+    def test_rival_dependent_hessian_is_checked_at_each_row(self, monkeypatch):
+        # Player 0's own Hessian is -2 (1 + x2): negative definite only for x2 > -1.
+        game = GameSpec(
+            (
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(1 + x2)*x1^2")),
+                PlayerSpec(1, ((-3.0, 1.0),), UtilityPreference("-(x2 + 2)^2")),
+            )
+        )
+        rows = np.array([[0.0, -2.5], [0.0, -1.0], [0.0, 0.5], [0.0, -0.75]])
+        assert cones.flat_maxima(game, 0, rows).tolist() == [False, False, True, True]
+        samples = self._count_samples(monkeypatch)
+        below = selection_T(game, split_profile(game, [0.0, -2.5]), sample_seed=0)
+        assert len(samples) == 1 and below.provenance[0] == Provenance.SAMPLED
+        above = selection_T(game, split_profile(game, [0.0, 0.5]), sample_seed=0)
+        assert len(samples) == 1 and above.provenance[0] == Provenance.FULL_SPACE
+        assert above.directions[0].vector == (0.0,)
