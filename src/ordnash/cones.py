@@ -70,8 +70,7 @@ _HESSIAN_RTOL = 1e-9
 # contour set spans at most this share of the widest own box side, so that a
 # uniform draw over the box lands in it with probability at most 1e-9.
 _FLAT_SHARE = 1e-9
-_SEPARATOR_TOL = 1e-9  # a hull min-norm point this short has no separator
-_HULL_TOL = 1e-9  # a hull min-norm point this short counts as zero
+_HULL_TOL = 1e-9  # a hull min-norm point at most this short counts as zero
 _FEASIBLE_MARGIN = 1e-9  # Chebyshev radius that makes {a y < b} nonempty
 
 
@@ -367,20 +366,24 @@ def sampled_separating_direction(samples, xblock: Block) -> Direction | None:
     Computes the minimum-norm point z of conv{y - x} over the samples and
     returns the unit direction -z/||z||.  Returns None when there are no
     samples (the empirical contour set is empty).  Raises
-    :class:`SeparatorError` when ||z|| falls below ``_SEPARATOR_TOL``: the
+    :class:`SeparatorError` when z counts as zero (:func:`_is_zero`): the
     hull of the samples already surrounds the point, so no separator exists.
     """
     pts = _stack_samples(samples)
     if pts.shape[0] == 0:
         return None
-    diffs = pts - xblock.array
-    result = min_norm_point(diffs)
-    norm = float(np.linalg.norm(result.point))
-    if norm < _SEPARATOR_TOL:
+    z = min_norm_point(pts - xblock.array).point
+    if _is_zero(z):
         raise SeparatorError(
-            f"no separator found: sample hull reaches within {norm:.3e} of the point"
+            "no separator found: sample hull reaches within "
+            f"{float(np.linalg.norm(z)):.3e} of the point"
         )
-    return Direction.unit(xblock.player, -result.point)
+    return Direction.unit(xblock.player, -z)
+
+
+def _is_zero(z: np.ndarray) -> bool:
+    """Does the hull min-norm point ``z`` count as zero?  One rule for every hull test."""
+    return float(np.linalg.norm(z)) <= _HULL_TOL
 
 
 def cone_membership(
@@ -408,5 +411,4 @@ def zero_in_hull(generators) -> bool:
         ]
     if not vectors:
         return False
-    result = min_norm_point(np.vstack(vectors))
-    return float(np.linalg.norm(result.point)) <= _HULL_TOL
+    return _is_zero(min_norm_point(np.vstack(vectors)).point)

@@ -1,9 +1,12 @@
 """Minimum-norm point in the convex hull of finitely many points.
 
-Gilbert-style Frank-Wolfe iteration with pairwise (away) steps and exact line
-search.  Pairwise steps give linear convergence on polytopes, which matters
-here because hull-membership decisions compare the final norm against
-thresholds as small as 1e-9.
+Wolfe's finite method (Wolfe, Math. Programming 1976).  A corral of at most
+d + 1 affinely independent points carries the current point x, the
+minimum-norm point of the corral's affine hull.  Each major cycle adds the
+point that minimizes <p, x>; minor cycles then drop the points whose affine
+weights turn nonpositive until the corral's affine minimizer lies inside its
+hull.  Every major cycle strictly decreases ||x||, so the method ends after
+finitely many small affine solves, with no step size and no iteration cap.
 """
 
 from __future__ import annotations
@@ -14,79 +17,70 @@ import numpy as np
 
 __all__ = ["MinNormResult", "min_norm_point"]
 
+# Wolfe gap ||x||^2 - min <p, x> at which the loop stops, as a share of
+# max ||p||^2: far above the gap's rounding (a few 1e-16), and ||x||^2 then
+# exceeds the hull minimum by at most twice as much.
+_GAP_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class MinNormResult:
-    point: np.ndarray  # the (near-)minimum-norm point of the hull
-    gap: float  # final Frank-Wolfe dual gap <z, z - p_s>
-    iters: int
-    converged: bool
+    point: np.ndarray  # the minimum-norm point of the hull
+    gap: float  # final Wolfe gap ||z||^2 - min <z, p>
+    iters: int  # major cycles
+    converged: bool  # gap <= _GAP_TOL * max ||p||^2
 
 
-def min_norm_point(
-    points,
-    *,
-    rel_gap: float = 1e-12,
-    abs_gap: float = 1e-24,
-    norm_stop: float = 1e-12,
-    max_iters: int = 50_000,
-) -> MinNormResult:
+def min_norm_point(points) -> MinNormResult:
     """Minimize ||z|| over z in conv(points).
 
-    Stops when the dual gap certifies near-optimality (``rel_gap`` relative to
-    ||z||^2, floored by ``abs_gap``), when ||z|| falls below ``norm_stop``
-    (zero is in the hull for every practical purpose), or when rounding stalls
-    progress.
+    Stops when the Wolfe gap is at most ``_GAP_TOL * max ||p||^2``
+    (``converged``), or when rounding keeps a major cycle from decreasing
+    ||z||^2, which then returns the last point with its gap.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.size == 0:
-        raise ValueError("min_norm_point needs at least one point")
-    m = pts.shape[0]
+    if pts.size == 0 or not np.isfinite(pts).all():
+        raise ValueError("min_norm_point needs one or more finite points")
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    tol = _GAP_TOL * float(sq_norms.max())
 
-    start = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
-    weights = np.zeros(m)
-    weights[start] = 1.0
-    z = pts[start].copy()
+    corral = np.array([np.argmin(sq_norms)])
+    weights = np.ones(1)
+    x = pts[corral[0]].copy()
+    sq = float(x @ x)
+    cycles = 0
+    while True:
+        scores = pts @ x
+        j = int(np.argmin(scores))
+        gap = sq - float(scores[j])
+        if gap <= tol:
+            return MinNormResult(x, gap, cycles, True)
+        cycles += 1
 
-    stall = 0
-    best_sq = float(z @ z)
-    gap = float("inf")
-    for it in range(1, max_iters + 1):
-        sq = float(z @ z)
-        if np.sqrt(sq) <= norm_stop:
-            return MinNormResult(z, 0.0, it, True)
-        scores = pts @ z
-        fw = int(np.argmin(scores))
-        gap = sq - float(scores[fw])
-        if gap <= max(abs_gap, rel_gap * sq):
-            return MinNormResult(z, gap, it, True)
+        corral, lam = np.append(corral, j), np.append(weights, 0.0)
+        while True:
+            # Affine weights of the minimum-norm point of aff(corral), by
+            # least squares on the offsets from the first member: duplicate
+            # or affinely dependent members leave it rank-deficient, and
+            # its minimum-norm solution is still an affine minimizer.
+            base = pts[corral[0]]
+            offsets = np.linalg.lstsq((pts[corral[1:]] - base).T, -base, rcond=None)[0]
+            mu = np.concatenate(([1.0 - offsets.sum()], offsets))
+            if mu.min() > 0.0:
+                break
+            # Move from lam toward mu until the first weight reaches zero,
+            # and drop the points whose weight it zeroes.
+            down = np.flatnonzero(mu <= 0.0)
+            w = lam[down]
+            ratios = np.divide(w, w - mu[down], out=np.zeros(len(down)), where=w > 0.0)
+            theta = float(ratios.min())
+            lam = (1.0 - theta) * lam + theta * mu
+            lam[down[np.argmin(ratios)]] = 0.0
+            keep = lam > 0.0
+            corral, lam = corral[keep], lam[keep]
 
-        support = np.flatnonzero(weights > 0)
-        away = int(support[np.argmax(scores[support])])
-        direction = pts[fw] - pts[away]
-        denom = float(direction @ direction)
-        if denom <= 0.0:
-            return MinNormResult(z, gap, it, True)
-        step = (float(scores[away]) - float(scores[fw])) / denom
-        step = min(step, float(weights[away]))
-        if step <= 0.0:
-            return MinNormResult(z, gap, it, True)
-        weights[fw] += step
-        weights[away] -= step
-        if weights[away] < 1e-16:
-            weights[away] = 0.0
-        z += step * direction
-
-        # Rounding can stall the gap above the target; give up after a quiet
-        # stretch and report the best certificate we have.
-        if sq < best_sq - 1e-18:
-            best_sq = sq
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 256:
-                return MinNormResult(z, gap, it, False)
-        if it % 1024 == 0:
-            z = weights @ pts  # shed accumulated drift
-
-    return MinNormResult(z, gap, max_iters, False)
+        new_x = mu @ pts[corral]
+        new_sq = float(new_x @ new_x)
+        if not new_sq < sq:
+            return MinNormResult(x, gap, cycles, False)
+        weights, x, sq = mu, new_x, new_sq

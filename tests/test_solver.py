@@ -785,7 +785,7 @@ class TestFlatMaxima:
                 2,
                 [0.5, -0.25],
                 96,
-                ["0x1.fe5993624a410p-2", "-0x1.07c96bd2bf684p-2"],
+                ["0x1.fe5993624a24ep-2", "-0x1.07c96bd2e60ecp-2"],
             ),
         ],
     )
