@@ -4,7 +4,8 @@ The package models generalized games whose players rank outcomes by ordinal
 preferences (utility-based or purely relational), computes normal-cone
 selections of the strict upper contour sets, solves the associated
 quasivariational inequality by a projected multistart iteration, and
-independently certifies candidate equilibria with grid and exact checks.
+independently certifies candidate equilibria with grid and variational-inequality
+checks.
 """
 
 __version__ = "0.1.0"

@@ -356,6 +356,12 @@ class FeasibleRegion:
     forced_empty: bool = False
 
     def contains(self, point: np.ndarray, tol: float = _FEAS_TOL) -> bool:
+        """Whether one point lies in the region: the test of :meth:`contains_many`,
+        on Python floats when the region is an interval."""
+        if self.lo.size == 1:
+            p = np.asarray(point, dtype=np.float64)
+            if p.size == 1:
+                return self._interval_contains(p.item(), tol)
         return bool(self.contains_many(point, tol)[0])
 
     def contains_many(self, points: np.ndarray, tol: float = _FEAS_TOL) -> np.ndarray:
@@ -379,10 +385,14 @@ class FeasibleRegion:
     def linear_min(self, c: np.ndarray) -> np.ndarray | None:
         """A minimizer of ``<c, y>`` over the region, or None if it is empty.
 
-        A box gives its best corner and a small polytope its best vertex (the
-        first in basis order on ties); a larger shape, or a small one without
-        a vertex, takes one HiGHS LP, exact up to the solver's tolerances.
+        A box gives its best corner.  An interval (one coordinate) and a
+        polytope of 2-3 coordinates give their best vertex, the first in basis
+        order on ties; both are exact by construction.  More coordinates or
+        rows than that, or a shape without a contained vertex, take one HiGHS
+        LP, exact only up to the solver's tolerances.
         """
+        if self.lo.size == 1:
+            return self._interval_min(c)
         if self.forced_empty or (self.lo > self.hi).any():
             return None
         if self.normals.shape[0] == 0:
@@ -391,6 +401,56 @@ class FeasibleRegion:
             vertices = self._vertices()
             if vertices.shape[0]:
                 return vertices[int(np.argmin(vertices @ c))]
+        return self._highs_min(c)
+
+    @cached_property
+    def _interval(self) -> tuple[float, float, list[tuple[float, float]]]:
+        """A one-coordinate region as Python floats: lo, hi and the rows (a, b)."""
+        rows = list(zip(self.normals[:, 0].tolist(), self.offsets.tolist()))
+        return float(self.lo[0]), float(self.hi[0]), rows
+
+    def _interval_contains(self, y: float, tol: float) -> bool:
+        """:meth:`contains_many`'s test of one point of a one-coordinate region."""
+        if self.forced_empty:
+            return False
+        lo, hi, rows = self._interval
+        if not (y >= lo - tol and y <= hi + tol):
+            return False
+        for a, b in rows:
+            if not y * a - b <= tol * max(1.0, abs(b)):
+                return False
+        return True
+
+    def _interval_min(self, c: np.ndarray) -> np.ndarray | None:
+        """:meth:`linear_min` of a one-coordinate region, on Python floats.
+
+        The vertices are, in basis order, ``hi``, ``lo`` and ``b / a`` for each
+        row with |a| >= 1e-12 (``b / a`` is bit for bit what a 1x1
+        ``np.linalg.solve`` returns).  Of those within the default tolerance,
+        the first of least ``c * y`` wins, and a NaN product counts as least,
+        as in ``np.argmin``.
+        """
+        lo, hi, rows = self._interval
+        if self.forced_empty or lo > hi:
+            return None
+        cost = float(c[0])
+        if not rows:
+            return np.array([lo if cost > 0 else hi])
+        if len(rows) <= _VERTEX_MAX_ROWS:
+            best = least = None
+            for y in [hi, lo] + [b / a for a, b in rows if abs(a) >= 1e-12]:
+                if self._interval_contains(y, _FEAS_TOL):
+                    value = y * cost
+                    if value != value:
+                        return np.array([y])
+                    if best is None or value < least:
+                        best, least = y, value
+            if best is not None:
+                return np.array([best])
+        return self._highs_min(c)
+
+    def _highs_min(self, c: np.ndarray) -> np.ndarray | None:
+        """:meth:`linear_min` by one HiGHS LP, within the solver's tolerances."""
         result = linprog(
             c=c,
             A_ub=self.normals,
@@ -401,8 +461,9 @@ class FeasibleRegion:
         return result.x if result.status == 0 else None
 
     def _vertices(self) -> np.ndarray:
-        """Vertices in basis order: each ``dim`` of the box and halfspace rows
-        with |det| >= 1e-12, solved in one stacked call, kept if contained."""
+        """Vertices of a region of 2-3 coordinates in basis order: each ``dim``
+        of the box and halfspace rows with |det| >= 1e-12, solved in one
+        stacked call, kept if contained."""
         normals = np.asarray(self.normals, dtype=np.float64)
         a_sq, bases = _vertex_systems(self.lo.size, normals.shape[0], normals.tobytes())
         b_all = np.concatenate([self.hi, -self.lo, self.offsets])
@@ -583,7 +644,13 @@ def _strict_upper_table(
 
     if isinstance(pref, HalfspaceContour):
         a, b = _contour_rows(pref, points)
-        return np.all(own[None, :, :] @ a.transpose(0, 2, 1) < b[:, None, :], axis=2)
+        if own.shape[1] == 1:
+            # One coordinate: a broadcast product, equal to the matmul up to
+            # the sign of zero, which ``<`` ignores.
+            lhs = own[None] * a[:, :, 0][:, None, :]
+        else:
+            lhs = own[None, :, :] @ a.transpose(0, 2, 1)
+        return np.all(lhs < b[:, None, :], axis=2)
 
     if isinstance(pref, ThresholdBand):
         if game.total_dim != 2:

@@ -2,10 +2,11 @@
 
 Everything here re-derives its verdict from the game definition alone:
 grid search over feasible deviations (``check_gne_grid``, ``brute_force_gne``),
-the variational inequality margin minimized exactly over each feasible
-region by ``FeasibleRegion.linear_min`` (``check_svip``), executable forms of
-the two bridge properties between variational solutions and equilibria, and
-a numeric lower-hemicontinuity probe for contour maps.
+the variational inequality margin minimized over each feasible region by
+``FeasibleRegion.linear_min`` (``check_svip``; exact by construction up to 3
+coordinates and 4 rows, else one HiGHS LP, exact up to its tolerances),
+executable forms of the two bridge properties between variational solutions
+and equilibria, and a numeric lower-hemicontinuity probe for contour maps.
 
 ``brute_force_gne`` decides each player's whole lattice at once: utility
 games through one utility tensor per player, every other game through
@@ -68,6 +69,9 @@ _SEPARATOR_SEED = 0
 # lhc_probe: tolerance on the distances, and points sampled per base interval.
 _LHC_TOL = 1e-6
 _LHC_SAMPLES_PER_BASE = 5
+# check_svip: below this norm the squares that np.linalg.norm sums are
+# subnormal and lose bits, so the operator value is rescaled first.
+_NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 @dataclass(frozen=True)
@@ -158,18 +162,29 @@ def check_gne_grid(game: GameSpec, x: Profile, h: float) -> Certificate:
 
 
 def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) -> Certificate:
-    """Exact variational-inequality check of a point and operator value.
+    """Variational-inequality check of a point and operator value.
 
     Normalizes the stacked operator value to unit norm, then computes
     m = min over feasible y of <g, y - x>, player by player over
     ``model.feasible_region`` with the rivals at ``x``.  Each minimum comes
-    from :meth:`FeasibleRegion.linear_min`, exact on every shape; should it
+    from :meth:`FeasibleRegion.linear_min`: exact by construction on a box, an
+    interval, or 2-3 coordinates with at most 4 rows; on a larger region, or
+    one without a vertex, HiGHS finds it within its own tolerances.  Should it
     find none, the own block stands in.  Passes when m >= -tol.  A zero
-    operator value passes vacuously.
+    operator value passes vacuously, and a non-finite one raises ValueError.
+    One whose squares overflow, or underflow below the normal range, is
+    divided by its largest magnitude first.
     """
     regions = _require_feasible(game, x)
     g = _stack_operator(game, operator_value)
-    norm = float(np.linalg.norm(g))
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        norm = float(np.linalg.norm(g))
+    if not _NORM_FLOOR <= norm < np.inf:  # zero, non-finite, or squares out of range
+        if not np.isfinite(g).all():
+            raise ValueError(f"operator value must be finite, got {g.tolist()}")
+        if g.any():
+            g = g / np.abs(g).max()
+            norm = float(np.linalg.norm(g))
     if norm == 0.0:
         return Certificate(
             kind="svip",

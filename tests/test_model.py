@@ -228,6 +228,35 @@ class TestStrictUpperTable:
             np.testing.assert_array_equal(row, expected)
 
 
+class TestHalfspaceTable:
+    def test_one_coordinate_product_equals_the_matmul_formula(self):
+        """A one-coordinate block's table is a broadcast product; it equals the
+        stacked-matmul formula, rows with zero coefficients included."""
+        rng = np.random.default_rng(5)
+        box = ((-1.0, 1.0),)
+        grid = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
+        zeros = 0
+        for _ in range(40):
+            rows = []
+            for _ in range(int(rng.integers(1, 4))):
+                slope = float(rng.choice([0.0, 0.0, 1.0, -2.0, 0.3]))
+                shift = float(rng.choice([0.0, -0.25, 0.5]))
+                offset = str(rng.choice(["0", "x2", "0.5*x1 - x2", "x1*x2"]))
+                rows.append(ContourRow((f"{slope!r}*x2 + {shift!r}",), offset))
+            game = GameSpec(
+                (PlayerSpec(1, box, HalfspaceContour(tuple(rows))), PlayerSpec(1, box, TrivialZero()))
+            )
+            profiles = rng.choice(grid, (30, 2))
+            candidates = np.concatenate([grid, rng.uniform(-1.0, 1.0, 20)])[:, None]
+            a, b = model._contour_rows(game.players[0].preference, profiles)
+            want = np.all(candidates[None] @ a.transpose(0, 2, 1) < b[:, None, :], axis=2)
+            zeros += int((a == 0.0).sum())
+            np.testing.assert_array_equal(
+                model._strict_upper_table(game, 0, candidates, profiles), want
+            )
+        assert zeros > 100
+
+
 class TestOrdinalInvariance:
     """Strict preference only uses the order of utility values, so any
     strictly increasing reparametrization leaves every comparison unchanged."""
@@ -490,9 +519,68 @@ def _seeded_region(rng, normal_pool):
     return FeasibleRegion(lo, hi, normals, offsets, forced_empty=bool(rng.random() < 0.05))
 
 
+def _assert_linear_min_bit_equal(region, c):
+    try:
+        want = formula_linear_min(region, c)
+    except ValueError:  # HiGHS refuses a NaN cost
+        with pytest.raises(ValueError):
+            region.linear_min(c)
+        return
+    got = region.linear_min(c)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.asarray(got).shape == np.asarray(want).shape
+        np.testing.assert_array_equal(
+            np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64)
+        )
+
+
+def _interval(lo, hi, normals=(), offsets=(), forced_empty=False):
+    return FeasibleRegion(
+        np.array([lo]),
+        np.array([hi]),
+        np.array(normals, dtype=np.float64).reshape(-1, 1),
+        np.array(offsets, dtype=np.float64),
+        forced_empty,
+    )
+
+
+# One-coordinate regions at the edges of the interval route, by name.
+_INTERVAL_EDGES = {
+    "forced-empty": _interval(0.0, 1.0, [1.0], [0.5], forced_empty=True),
+    "forced-empty-box": _interval(0.0, 1.0, forced_empty=True),
+    "lo-above-hi": _interval(1.0, 0.0, [1.0], [0.5]),
+    "lo-above-hi-box": _interval(1.0, 0.0),
+    "flat-box": _interval(0.25, 0.25, [1.0], [0.25]),
+    # |a| < 1e-12: no vertex of its own; the tolerance keeps or drops hi/lo.
+    "normal-1e-13-slack": _interval(-1.0, 1.0, [1e-13], [-0.5e-13]),
+    "normal-1e-13-empty": _interval(-1.0, 1.0, [1e-13], [-1.0]),
+    "normal-1e-12": _interval(-1.0, 1.0, [1e-12], [-0.5e-12]),
+    # Row vertices just outside the box, within and beyond the tolerance.
+    "vertex-above-hi-within-tol": _interval(0.0, 1.0, [1.0], [1.0 + 5e-10]),
+    "vertex-below-lo-within-tol": _interval(0.0, 1.0, [-1.0], [5e-10]),
+    "vertex-above-hi-beyond-tol": _interval(0.0, 1.0, [1.0], [1.0 + 2e-9]),
+    "vertex-scaled-row": _interval(0.0, 1.0, [-3.0], [-0.3]),
+    # c = 0 ties: hi, then lo, then the rows, whichever is contained first.
+    "tie-hi-first": _interval(0.0, 1.0, [1.0], [2.0]),
+    "tie-lo-first": _interval(0.0, 1.0, [1.0], [0.5]),
+    "tie-row-first": _interval(0.0, 1.0, [1.0, -1.0], [0.5, -0.5]),
+    "tie-between-rows": _interval(0.0, 1.0, [2.0, 1.0, -4.0], [0.8, 0.4, -1.6]),
+    # No vertex within the tolerance: the HiGHS fallback, as before.
+    "no-vertex": _interval(0.0, 1.0, [1.0, -1.0], [0.5, -0.5 - 1e-8]),
+    # More rows than the vertex route takes: HiGHS as well.
+    "five-rows": _interval(0.0, 1.0, [1.0, -1.0, 2.0, 0.5, -0.25], [0.9, -0.1, 1.5, 0.4, 0.0]),
+    "no-rows": _interval(-0.5, 2.0),
+    # An infinite cost makes NaN at the vertex 0, which np.argmin takes.
+    "zero-vertex": _interval(-1.0, 1.0, [1.0], [0.0]),
+}
+
+
 class TestRegionRoutesMatchTheirFormulas:
-    """``contains_many`` and ``linear_min`` (cached vertex systems) against
-    their formulas, bit for bit, on 2,000 regions."""
+    """``contains``, ``contains_many`` and ``linear_min`` (the interval route
+    in one coordinate, cached vertex systems in 2-3) against their formulas,
+    bit for bit: on 2,000 regions, on 2,000 intervals, and at the edges of
+    the interval route."""
 
     def test_contains_many_and_linear_min_are_bit_equal(self):
         rng = np.random.default_rng(2024)
@@ -513,12 +601,48 @@ class TestRegionRoutesMatchTheirFormulas:
             assert region.contains(points[0]) == formula_contains(region, points[0])[0]
             costs = [rng.normal(size=dim), np.zeros(dim), np.round(rng.normal(size=dim))]
             for c in costs:
-                got, want = region.linear_min(c), formula_linear_min(region, c)
-                assert (got is None) == (want is None)
-                if want is not None:
-                    np.testing.assert_array_equal(
-                        np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64)
-                    )
+                _assert_linear_min_bit_equal(region, c)
+
+    @pytest.mark.parametrize("name", list(_INTERVAL_EDGES))
+    def test_interval_linear_min_is_bit_equal_at_the_edges(self, name):
+        region = _INTERVAL_EDGES[name]
+        for cost in (-1.0, 0.0, -0.0, 1.0, 1e-300, -2.5, np.nan, np.inf, -np.inf):
+            with np.errstate(invalid="ignore"):  # the formula's inf * 0
+                _assert_linear_min_bit_equal(region, np.array([cost]))
+        assert region.is_empty == (formula_linear_min(region, np.zeros(1)) is None)
+
+    @pytest.mark.parametrize("name", list(_INTERVAL_EDGES))
+    @pytest.mark.parametrize("tol", [1e-9, 0.0, 1e-3])
+    def test_interval_contains_is_bit_equal_at_the_edges(self, name, tol):
+        region = _INTERVAL_EDGES[name]
+        lo, hi = float(region.lo[0]), float(region.hi[0])
+        scalars = [lo - tol, hi + tol, lo, hi, np.nextafter(lo - tol, -np.inf)]
+        scalars += [np.nextafter(hi + tol, np.inf), 0.5 * (lo + hi)]
+        scalars += [b / a for a, b in zip(region.normals[:, 0], region.offsets)]
+        for y in scalars:
+            want = bool(formula_contains(region, [[y]], tol)[0])
+            assert region.contains_many(np.array([[y]]), tol)[0] == want
+            for point in (np.array([y]), np.array([[y]]), [y], y):
+                assert region.contains(point, tol) is want
+
+    def test_random_intervals_are_bit_equal(self):
+        rng = np.random.default_rng(12)
+        normal_values = np.array([1.0, -1.0, 0.3, -7.0, 1e-13, -1e-13, 1e-12, 2e-12, -1e6])
+        for _ in range(2000):
+            lo = float(np.round(rng.uniform(-1.0, 0.5), 2))
+            hi = lo + float(np.round(rng.uniform(-0.05, 1.5), 2))
+            rows = int(rng.integers(0, 5))
+            normals = rng.choice(normal_values, rows) * rng.choice([1.0, 0.5, 3.0], rows)
+            centre = rng.uniform(min(lo, hi), max(lo, hi))
+            offsets = normals * centre + rng.choice([0.0, 1e-10, -1e-10, 0.1, 0.4], rows)
+            region = _interval(lo, hi, normals, offsets, forced_empty=bool(rng.random() < 0.03))
+            for c in (rng.normal(), 0.0, float(np.round(rng.normal()))):
+                _assert_linear_min_bit_equal(region, np.array([c]))
+            points = np.concatenate([[lo, hi], offsets / normals])
+            points = np.concatenate([points, rng.uniform(lo - 0.5, hi + 0.5, 4)])
+            np.testing.assert_array_equal(
+                [region.contains(p) for p in points], formula_contains(region, points[:, None])
+            )
 
 
 class TestSampleContour:

@@ -212,32 +212,73 @@ def _assert_margin_matches_linprog(dim, rows, seed):
 
 
 def _formula_margin(game, point, g):
-    """check_svip's margin written out over the region formulas."""
+    """check_svip's margin and minimizer written out over the region formulas."""
     g = np.asarray(g, dtype=np.float64) / np.linalg.norm(g)
     margin = 0.0
+    minimizer = []
     for player in range(game.n_players):
         sl = game.own_slice(player)
         region = feasible_region(game, player, np.delete(point, np.arange(sl.start, sl.stop)))
         best = formula_linear_min(region, g[sl])
         margin += float(g[sl] @ best) - float(g[sl] @ point[sl])
-    return margin
+        minimizer.extend(best)
+    return margin, minimizer
 
 
 class TestCheckSvip:
     @pytest.mark.parametrize("seed", range(4))
     def test_arrow_debreu_margins_are_bit_equal_to_the_formula(self, seed):
+        """600 calls per seed at the budget-line and inside points of the
+        ``svip`` bench operation (its unit direction, and random ones):
+        verdict, detail and witness bit for bit the formula's."""
         game = arrow_debreu_instance(seed)
         rng = np.random.default_rng(seed)
-        for share in rng.uniform(0.05, 0.85, 25):
+        for share in rng.uniform(0.05, 0.85, 150):
             for point in ([share, 1.0 - share], [share, 0.9 - share]):
                 point = np.array(point)
                 for g in (np.full(2, -1.0), rng.normal(size=2)):
                     cert = check_svip(game, split_profile(game, point), g)
-                    margin = _formula_margin(game, point, g)
+                    margin, minimizer = _formula_margin(game, point, g)
                     assert cert.passed == (margin >= -1e-6)
                     assert cert.detail == f"margin {margin:.6e} against tolerance 1.0e-06"
-                    if not cert.passed:
+                    if cert.passed:
+                        assert cert.witness is None
+                    else:
                         assert _bits(cert.witness["margin"]) == _bits(margin)
+                        np.testing.assert_array_equal(
+                            _bits(cert.witness["minimizer"]), _bits(minimizer)
+                        )
+
+    @pytest.mark.parametrize(
+        "g",
+        [[1e200, 1e200], [1e308, 1e308], [1e-200, 1e-200], [1e-320, 1e-320], [3e-162, 3e-162]],
+    )
+    def test_norm_overflow_and_underflow_are_rescaled(self, g):
+        # The squares overflow to inf, underflow to 0, or are subnormal (the
+        # last case read -0.675); the verdict is that of [1, 1].
+        game = arrow_debreu_instance(1)
+        x = split_profile(game, [0.3, 0.7])
+        cert, unit = check_svip(game, x, g), check_svip(game, x, [1.0, 1.0])
+        assert not cert.passed
+        assert cert.detail == unit.detail == "margin -7.071068e-01 against tolerance 1.0e-06"
+        assert cert.witness == unit.witness
+        assert cert.witness["margin"] == pytest.approx(-math.sqrt(0.5), abs=1e-15)
+
+    def test_one_huge_entry_is_rescaled(self):
+        game = arrow_debreu_instance(1)
+        x = split_profile(game, [0.3, 0.7])
+        cert = check_svip(game, x, [0.0, -1e300])
+        assert cert == check_svip(game, x, [0.0, -1.0])
+        assert cert.passed
+
+    @pytest.mark.parametrize(
+        "g", [[np.nan, 1.0], [1.0, np.nan], [np.inf, 0.0], [-np.inf, -np.inf], [np.inf, np.nan]]
+    )
+    def test_non_finite_operator_rejected(self, g):
+        game = arrow_debreu_instance(1)
+        x = split_profile(game, [0.3, 0.7])
+        with pytest.raises(ValueError, match="must be finite"):
+            check_svip(game, x, g)
 
     def test_corner_with_descent_direction_passes(self):
         game = example_coordinate_pref()
@@ -283,7 +324,8 @@ class TestCheckSvip:
     @pytest.mark.parametrize("dim, rows", [(4, 2), (2, 6)])
     @pytest.mark.parametrize("seed", range(5))
     def test_margin_matches_linprog_beyond_vertex_shapes(self, dim, rows, seed):
-        """Blocks outside the vertex-enumeration shapes are minimized exactly."""
+        """Blocks outside the vertex-enumeration shapes take HiGHS; they match
+        the reference LP's objective to 1e-9."""
         _assert_margin_matches_linprog(dim, rows, seed)
 
     @pytest.mark.parametrize("dim, rows", [(1, 1), (2, 3), (3, 4)])
