@@ -72,6 +72,7 @@ _HESSIAN_RTOL = 1e-9
 _FLAT_SHARE = 1e-9
 _HULL_TOL = 1e-9  # a hull min-norm point at most this short counts as zero
 _FEASIBLE_MARGIN = 1e-9  # Chebyshev radius that makes {a y < b} nonempty
+_ACTIVE_TOL = 1e-9  # a contour row with slack at least -this at the point is active
 
 
 class Provenance(str, Enum):
@@ -93,7 +94,8 @@ class Direction:
     def __post_init__(self):
         object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
         norm = float(np.linalg.norm(self.vector))
-        if norm != 0.0 and abs(norm - 1.0) > _UNIT_TOL:
+        # A non-finite entry gives a NaN or infinite norm, which fails both tests.
+        if not (norm == 0.0 or abs(norm - 1.0) <= _UNIT_TOL):
             raise ValueError(
                 f"direction must be unit or zero, got norm {norm!r}"
             )
@@ -136,12 +138,23 @@ class ConeGenerators:
                 )
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, bit-equal to ``np.linalg.norm`` of that row."""
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The dot of each row of the (m, d) ``rows`` with ``other``, one (d,)
+    vector or the same row of an (m, d) array, as an (m,) array.
+
+    Each entry is rounded as one 1-D dot of two contiguous vectors rounds:
+    a matvec, ``einsum``, ``norm(axis=1)`` or a dot of a strided row can
+    differ from it in the last bit, so rows of length two or more are dotted
+    one at a time, and rows of length one are multiplied.  A row norm is
+    ``np.sqrt(_row_dots(rows, rows))``, bit-equal to ``np.linalg.norm`` of
+    that row.
+    """
     if rows.shape[1] == 1:
-        return np.sqrt(rows[:, 0] * rows[:, 0])
-    rows = np.ascontiguousarray(rows)  # a strided dot rounds unlike a contiguous one
-    return np.sqrt([row @ row for row in rows])
+        return (rows * other)[:, 0]
+    pairs = zip(
+        np.ascontiguousarray(rows), np.ascontiguousarray(np.broadcast_to(other, rows.shape))
+    )
+    return np.array([row @ o for row, o in pairs], dtype=np.float64)
 
 
 def gradient_directions(
@@ -154,7 +167,7 @@ def gradient_directions(
     shifted profiles.  Returns the (R, dim) unit directions and the (R,)
     mask of flat rows, whose gradient norm is at most ``_FLAT_TOL`` and whose
     direction row is zero.  Each row is bit-equal to the computation at that
-    profile alone: the block norm is one 1-D dot per row (:func:`_row_norms`).
+    profile alone: the block norm is one 1-D dot per row (:func:`_row_dots`).
     """
     pref = game.players[player].preference
     if not isinstance(pref, UtilityPreference):
@@ -179,7 +192,7 @@ def gradient_directions(
         )
     pairs = values.reshape(-1, 2)
     grad = ((pairs[:, 0] - pairs[:, 1]) / (2.0 * _FD_STEP)).reshape(-1, dim)
-    norms = _row_norms(grad)
+    norms = np.sqrt(_row_dots(grad, grad))
     flat = norms <= _FLAT_TOL
     # A flat row divides by norm + 1 (any nonzero value) and is zeroed below.
     directions = -grad / (norms + flat)[:, None]
@@ -295,7 +308,6 @@ def polyhedral_normal_generators(
     rows: tuple[np.ndarray, np.ndarray],
     xblock: Block,
     *,
-    atol: float = 1e-9,
     assume_nonempty: bool = False,
 ) -> ConeGenerators:
     """Normal-cone generators of an open polyhedron {y : A y < b} at ``xblock``.
@@ -324,7 +336,7 @@ def polyhedral_normal_generators(
     if not assume_nonempty and not _strictly_feasible(a, b):
         return ConeGenerators(xblock.player, (), Provenance.FULL_SPACE)
     slack = a @ point - b
-    active = slack >= -atol
+    active = slack >= -_ACTIVE_TOL
     if not np.any(active):
         raise InteriorPointError(
             "point is strictly inside the contour set; interior point has trivial cone"

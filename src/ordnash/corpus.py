@@ -35,6 +35,11 @@ __all__ = [
 
 _MAX_PLAYERS = 3
 _MAX_DIMS = 2
+# random_concave_quadratic: bliss points are drawn from [-this, this].
+_TARGET_SCALE = 0.9
+# quadratic_equilibrium: best-response iterations, and the move that ends them.
+_BR_ITERS = 100_000
+_BR_TOL = 1e-14
 
 
 def example_trivial_pref() -> GameSpec:
@@ -106,7 +111,6 @@ def _quadratic_params(
     players: int,
     dims: int,
     max_coupling: float,
-    target_scale: float,
     nonnegative_coupling: bool,
 ):
     """Seeded bliss points and per-player coupling blocks, spectral-capped.
@@ -116,7 +120,7 @@ def _quadratic_params(
     spectral norm at most ``max_coupling``.
     """
     total = players * dims
-    targets = rng.uniform(-target_scale, target_scale, size=total)
+    targets = rng.uniform(-_TARGET_SCALE, _TARGET_SCALE, size=total)
     weights = np.zeros((total, total))
     low = 0.0 if nonnegative_coupling else -1.0
     for player in range(players):
@@ -137,21 +141,20 @@ def random_concave_quadratic(
     dims: int = 1,
     *,
     max_coupling: float = 0.5,
-    target_scale: float = 0.9,
     nonnegative_coupling: bool = False,
 ) -> GameSpec:
     """Seeded strictly concave quadratic game on [-1, 1] per coordinate.
 
     Player nu maximizes -||x_own - M x_rivals - c||^2 where the coupling
     block M is seeded with spectral norm at most ``max_coupling`` and the
-    bliss point c is seeded within ``target_scale``.  The clamped
+    bliss point c is seeded within ``_TARGET_SCALE``.  The clamped
     best-response map is a contraction, so the equilibrium is unique and
     :func:`quadratic_equilibrium` computes it with the same parameters.
     """
     _check_family_bounds(players, dims)
     rng = np.random.default_rng(seed)
     targets, weights = _quadratic_params(
-        rng, players, dims, max_coupling, target_scale, nonnegative_coupling
+        rng, players, dims, max_coupling, nonnegative_coupling
     )
     total = players * dims
 
@@ -184,27 +187,25 @@ def quadratic_equilibrium(
     dims: int = 1,
     *,
     max_coupling: float = 0.5,
-    target_scale: float = 0.9,
     nonnegative_coupling: bool = False,
-    iters: int = 100_000,
-    tol: float = 1e-14,
 ) -> np.ndarray:
     """Unique equilibrium of the matching quadratic game, to high precision.
 
     Iterates the clamped best-response map x <- clip(c + W x, -1, 1) from the
-    origin; the spectral cap makes this a contraction.  Uses the same
+    origin, at most ``_BR_ITERS`` times, until no coordinate moves by more than
+    ``_BR_TOL``; the spectral cap makes this a contraction.  Uses the same
     generator consumption order as :func:`random_concave_quadratic`, so
     identical arguments describe the same game.
     """
     _check_family_bounds(players, dims)
     rng = np.random.default_rng(seed)
     targets, weights = _quadratic_params(
-        rng, players, dims, max_coupling, target_scale, nonnegative_coupling
+        rng, players, dims, max_coupling, nonnegative_coupling
     )
     x = np.zeros(players * dims)
-    for _ in range(iters):
+    for _ in range(_BR_ITERS):
         new = np.clip(targets + weights @ x, -1.0, 1.0)
-        if np.max(np.abs(new - x)) <= tol:
+        if np.max(np.abs(new - x)) <= _BR_TOL:
             return new
         x = new
     return x

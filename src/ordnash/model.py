@@ -10,7 +10,6 @@ verifier) is built on that single predicate and on the feasible-region map.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -24,6 +23,7 @@ from .errors import (
     EvaluationError,
     ExpressionError,
     GameFormatError,
+    InfeasiblePointError,
     ProfileError,
 )
 from .expressions import ColumnView, Expr, compile_expression, parse_expression
@@ -355,25 +355,26 @@ class FeasibleRegion:
     offsets: np.ndarray  # shape (k,)
     forced_empty: bool = False
 
-    def contains(self, point: np.ndarray, tol: float = _FEAS_TOL) -> bool:
+    def contains(self, point: np.ndarray) -> bool:
         """Whether one point lies in the region: the test of :meth:`contains_many`,
         on Python floats when the region is an interval."""
         if self.lo.size == 1:
             p = np.asarray(point, dtype=np.float64)
             if p.size == 1:
-                return self._interval_contains(p.item(), tol)
-        return bool(self.contains_many(point, tol)[0])
+                return self._interval_contains(p.item())
+        return bool(self.contains_many(point)[0])
 
-    def contains_many(self, points: np.ndarray, tol: float = _FEAS_TOL) -> np.ndarray:
-        """Which rows of an (m, dim) array lie in the region, within ``tol``."""
+    def contains_many(self, points: np.ndarray) -> np.ndarray:
+        """Which rows of an (m, dim) array lie in the region: within ``_FEAS_TOL``
+        of the box, and of each row relative to max(1, |offset|)."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if self.forced_empty:
             return np.zeros(pts.shape[0], dtype=bool)
-        mask = np.all((pts >= self.lo - tol) & (pts <= self.hi + tol), axis=1)
+        mask = np.all((pts >= self.lo - _FEAS_TOL) & (pts <= self.hi + _FEAS_TOL), axis=1)
         if self.normals.size:
             slack = pts @ self.normals.T - self.offsets
             mask &= np.all(
-                slack <= tol * np.maximum(1.0, np.abs(self.offsets)), axis=1
+                slack <= _FEAS_TOL * np.maximum(1.0, np.abs(self.offsets)), axis=1
             )
         return mask
 
@@ -409,15 +410,15 @@ class FeasibleRegion:
         rows = list(zip(self.normals[:, 0].tolist(), self.offsets.tolist()))
         return float(self.lo[0]), float(self.hi[0]), rows
 
-    def _interval_contains(self, y: float, tol: float) -> bool:
+    def _interval_contains(self, y: float) -> bool:
         """:meth:`contains_many`'s test of one point of a one-coordinate region."""
         if self.forced_empty:
             return False
         lo, hi, rows = self._interval
-        if not (y >= lo - tol and y <= hi + tol):
+        if not (y >= lo - _FEAS_TOL and y <= hi + _FEAS_TOL):
             return False
         for a, b in rows:
-            if not y * a - b <= tol * max(1.0, abs(b)):
+            if not y * a - b <= _FEAS_TOL * max(1.0, abs(b)):
                 return False
         return True
 
@@ -426,7 +427,7 @@ class FeasibleRegion:
 
         The vertices are, in basis order, ``hi``, ``lo`` and ``b / a`` for each
         row with |a| >= 1e-12 (``b / a`` is bit for bit what a 1x1
-        ``np.linalg.solve`` returns).  Of those within the default tolerance,
+        ``np.linalg.solve`` returns).  Of those the region contains,
         the first of least ``c * y`` wins, and a NaN product counts as least,
         as in ``np.argmin``.
         """
@@ -439,7 +440,7 @@ class FeasibleRegion:
         if len(rows) <= _VERTEX_MAX_ROWS:
             best = least = None
             for y in [hi, lo] + [b / a for a, b in rows if abs(a) >= 1e-12]:
-                if self._interval_contains(y, _FEAS_TOL):
+                if self._interval_contains(y):
                     value = y * cost
                     if value != value:
                         return np.array([y])
@@ -461,37 +462,18 @@ class FeasibleRegion:
         return result.x if result.status == 0 else None
 
     def _vertices(self) -> np.ndarray:
-        """Vertices of a region of 2-3 coordinates in basis order: each ``dim``
-        of the box and halfspace rows with |det| >= 1e-12, solved in one
-        stacked call, kept if contained."""
-        normals = np.asarray(self.normals, dtype=np.float64)
-        a_sq, bases = _vertex_systems(self.lo.size, normals.shape[0], normals.tobytes())
+        """Vertices of a region of 2-3 coordinates in basis order: of the rows
+        ``[I; -I; normals]``, every ``dim``-subset in ``itertools.combinations``
+        order whose matrix has |det| >= 1e-12, solved in one stacked call, and
+        kept if contained."""
+        dim = self.lo.size
+        a_all = np.vstack([np.eye(dim), -np.eye(dim), self.normals])
         b_all = np.concatenate([self.hi, -self.lo, self.offsets])
-        points = np.linalg.solve(a_sq, b_all[bases][..., None])[..., 0]
+        bases = np.array(list(itertools.combinations(range(a_all.shape[0]), dim)))
+        a_sq = a_all[bases]
+        regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
+        points = np.linalg.solve(a_sq[regular], b_all[bases[regular]][..., None])[..., 0]
         return points[self.contains_many(points)]
-
-
-@functools.lru_cache(maxsize=256)
-def _vertex_systems(dim: int, rows: int, normals: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The square systems of :meth:`FeasibleRegion._vertices` for a region of
-    ``dim`` coordinates whose ``rows`` halfspace normals have these bytes.
-
-    Of the rows ``[I; -I; normals]``, every ``dim``-subset in
-    ``itertools.combinations`` order whose matrix has |det| >= 1e-12: the
-    (s, dim, dim) matrices and the (s, dim) row indices.  They depend on the
-    normals only, which a player's regions share whatever the rivals, so they
-    are kept (read-only) and only the offsets change from call to call.
-    """
-    a_all = np.vstack(
-        [np.eye(dim), -np.eye(dim), np.frombuffer(normals).reshape(rows, dim)]
-    )
-    bases = np.array(list(itertools.combinations(range(2 * dim + rows), dim)))
-    a_sq = a_all[bases]
-    regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
-    a_sq, bases = a_sq[regular], bases[regular]
-    a_sq.flags.writeable = False
-    bases.flags.writeable = False
-    return a_sq, bases
 
 
 @dataclass(frozen=True)
@@ -710,6 +692,40 @@ def feasible_region(
     offsets = game.constraints.rhs - rival_a @ rivals
     forced_empty = other.size > 0 and bool(np.min(offsets[other]) < -_FEAS_TOL)
     return FeasibleRegion(lo.copy(), hi.copy(), normals, offsets[binding], forced_empty)
+
+
+def _joint_region(game: GameSpec) -> FeasibleRegion:
+    """The self-consistent feasible set {x in box : A x <= b} over all coordinates.
+
+    Its slice at rivals x_-i, the own blocks y with (y, x_-i) in the set, is
+    player i's region :func:`feasible_region` at x_-i; the two differ only
+    in how ``_FEAS_TOL`` scales a row (by max(1, |b|) here, by the row's
+    offset at x_-i there).
+    """
+    if isinstance(game.constraints, SharedLinear):
+        normals, offsets = game.constraints.matrix, game.constraints.rhs
+    else:
+        normals, offsets = np.empty((0, game.total_dim)), np.empty(0)
+    return FeasibleRegion(
+        game.box_lo.copy(), game.box_hi.copy(), normals.copy(), offsets.copy()
+    )
+
+
+def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
+    """Each player's feasible region at ``x``; raises if a block lies outside its own."""
+    point = x.stacked
+    regions = []
+    for player in range(game.n_players):
+        sl = game.own_slice(player)
+        rivals = np.concatenate((point[: sl.start], point[sl.stop :]))
+        region = feasible_region(game, player, rivals)
+        if not region.contains(point[sl]):
+            raise InfeasiblePointError(
+                f"player {player} block {x.block(player).values} is outside "
+                f"its feasible set"
+            )
+        regions.append(region)
+    return regions
 
 
 # Seeded draw streams of recent sample_contour calls, oldest first.  The

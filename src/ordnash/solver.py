@@ -53,7 +53,7 @@ import numpy as np
 from .cones import (
     Direction,
     Provenance,
-    _row_norms,
+    _row_dots,
     contour_polyhedron,
     flat_maxima,
     gradient_directions,
@@ -61,11 +61,7 @@ from .cones import (
     polyhedral_normal_generators,
     sampled_separating_direction,
 )
-from .errors import (
-    InfeasiblePointError,
-    InfeasibleRegionError,
-    SeparatorError,
-)
+from .errors import InfeasibleRegionError, SeparatorError
 from .model import (
     BoxOnly,
     CoordinateOrder,
@@ -77,6 +73,8 @@ from .model import (
     ThresholdBand,
     TrivialZero,
     UtilityPreference,
+    _joint_region,
+    _require_feasible,
     feasible_region,
     sample_contour,
     split_profile,
@@ -119,6 +117,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -234,19 +234,6 @@ def _sampled_selection(
     return d, Provenance.SAMPLED
 
 
-def _row_dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``v @ row`` for each row of ``rows`` as an (m, 1) column, each entry
-    rounded as one 1-D dot rounds.
-
-    A matvec or ``einsum`` over rows of length two or more can differ from
-    the 1-D dot in the last bit, so those rows are dotted one at a time.
-    """
-    if v.size == 1:
-        return rows * v
-    rows = np.ascontiguousarray(rows)  # a strided dot rounds unlike a contiguous one
-    return np.array([[v @ row] for row in rows], dtype=np.float64).reshape(-1, 1)
-
-
 def _dykstra(
     lo: np.ndarray,
     hi: np.ndarray,
@@ -275,7 +262,7 @@ def _dykstra(
         corrections[0] = w - y
         for i, normal in enumerate(normals):
             w = y + corrections[i + 1]
-            excess = _row_dots(w, normal) - offsets[:, i : i + 1]
+            excess = _row_dots(w, normal)[:, None] - offsets[:, i : i + 1]
             y = np.where(excess > 0.0, w - (excess / sq_norms[i]) * normal, w)
             corrections[i + 1] = w - y
         settled = np.maximum.reduce(np.abs(y - y_start), axis=1) < _DYKSTRA_MOVE_TOL
@@ -305,25 +292,9 @@ def project_feasible(region: FeasibleRegion, point) -> np.ndarray:
     return _project_onto(region, np.asarray(point, dtype=np.float64).ravel()[None, :])[0]
 
 
-def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
-    """Each player's feasible region at ``x``; raises if a block lies outside its own."""
-    point = x.stacked
-    regions = []
-    for player in range(game.n_players):
-        sl = game.own_slice(player)
-        rivals = np.concatenate((point[: sl.start], point[sl.stop :]))
-        region = feasible_region(game, player, rivals)
-        if not region.contains(point[sl]):
-            raise InfeasiblePointError(
-                f"player {player} block {x.block(player).values} is outside "
-                f"its feasible set"
-            )
-        regions.append(region)
-    return regions
-
-
 def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
-    """One stacked vector from a Selection, a list of Directions or an array."""
+    """One stacked vector from a Selection, a list of Directions or an array;
+    raises ValueError unless it is finite and of the game's size."""
     if isinstance(operator_value, Selection):
         g = operator_value.stacked
     elif isinstance(operator_value, (list, tuple)) and operator_value and isinstance(
@@ -336,6 +307,8 @@ def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
         raise ValueError(
             f"operator value has {g.size} coordinates, game has {game.total_dim}"
         )
+    if not np.isfinite(g).all():
+        raise ValueError(f"operator value must be finite, got {g.tolist()}")
     return g
 
 
@@ -369,24 +342,14 @@ def _project_rows(game: GameSpec, regions, target: np.ndarray) -> np.ndarray:
 
 def _residuals(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float, regions) -> np.ndarray:
     """Natural residual ``||x - Proj_K(x)(x - step * g)||`` of every row of ``x``."""
-    return _row_norms(x - _project_rows(game, regions, x - step * g))
-
-
-def _joint_region(game: GameSpec) -> FeasibleRegion:
-    """The self-consistent feasible set {x in box : A x <= b} over all coordinates."""
-    if isinstance(game.constraints, SharedLinear):
-        normals, offsets = game.constraints.matrix, game.constraints.rhs
-    else:
-        normals, offsets = np.empty((0, game.total_dim)), np.empty(0)
-    return FeasibleRegion(
-        game.box_lo.copy(), game.box_hi.copy(), normals.copy(), offsets.copy()
-    )
+    moves = x - _project_rows(game, regions, x - step * g)
+    return np.sqrt(_row_dots(moves, moves))
 
 
 def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -> float:
     """Distance from ``x`` to the projected step taken with size ``alpha``."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and np.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     g = _stack_operator(game, operator_value)
     _require_feasible(game, x)
     point = x.stacked[None, :]
@@ -523,9 +486,10 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
 
         if it % _ADAPT_WINDOW == 0:
             budget = _ADAPT_WINDOW * alpha
+            moves = x - anchor
             net = np.column_stack(
                 [
-                    _row_norms(x[:, sl] - anchor[:, sl])
+                    np.sqrt(_row_dots(moves[:, sl], moves[:, sl]))
                     for sl in map(game.own_slice, range(game.n_players))
                 ]
             )

@@ -7,6 +7,9 @@ the variational inequality margin minimized over each feasible region by
 coordinates and 4 rows, else one HiGHS LP, exact up to its tolerances),
 executable forms of the two bridge properties between variational solutions
 and equilibria, and a numeric lower-hemicontinuity probe for contour maps.
+Feasibility comes from ``model`` alone: the player regions at a profile
+(``_require_feasible``) and the joint region over the lattice
+(``_joint_region``).
 
 ``brute_force_gne`` decides each player's whole lattice at once: utility
 games through one utility tensor per player, every other game through
@@ -30,19 +33,14 @@ from .model import (
     Profile,
     TrivialZero,
     UtilityPreference,
+    _joint_region,
+    _require_feasible,
     _strict_upper_table,
-    feasible_region,
     sample_contour,
     split_profile,
     strict_upper_mask,
 )
-from .solver import (
-    SolverConfig,
-    _joint_region,
-    _require_feasible,
-    _stack_operator,
-    solve_svip,
-)
+from .solver import SolverConfig, _stack_operator, solve_svip
 
 __all__ = [
     "Certificate",
@@ -179,9 +177,7 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
     g = _stack_operator(game, operator_value)
     with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
         norm = float(np.linalg.norm(g))
-    if not _NORM_FLOOR <= norm < np.inf:  # zero, non-finite, or squares out of range
-        if not np.isfinite(g).all():
-            raise ValueError(f"operator value must be finite, got {g.tolist()}")
+    if not _NORM_FLOOR <= norm < np.inf:  # zero, or squares out of range
         if g.any():
             g = g / np.abs(g).max()
             norm = float(np.linalg.norm(g))
@@ -254,12 +250,16 @@ def _utility_tensor(
 def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate]]:
     """Enumerate all grid equilibria: no feasible grid deviation improves.
 
-    Exhaustive over the profile lattice of step ``h`` (budget-guarded).  When
-    every player has a utility, each utility is evaluated once over the whole
-    lattice (:func:`_utility_tensor`, on broadcast columns rather than a
-    materialized profile array) and a profile survives when no feasible own
-    grid point has a strictly larger value.  Other preference variants go
-    through the generic strict-preference oracle.
+    Exhaustive over the profile lattice of step ``h`` (budget-guarded).  On a
+    shared game, one joint tensor (:func:`_feasible_tensor`) marks the
+    jointly feasible profiles; it masks the profiles and, sliced at the
+    rivals, gives every player's feasible own grid points, so no per-player
+    region is built.  When every player has a utility, each utility is
+    evaluated once over the whole lattice (:func:`_utility_tensor`, on
+    broadcast columns rather than a materialized profile array) and a profile
+    survives when no feasible own grid point has a strictly larger value.
+    Other preference variants go through the generic strict-preference
+    oracle.
     """
     axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
     feasible = _feasible_tensor(game, axes)
@@ -306,14 +306,15 @@ def _generic_equilibria(
 
     A profile stays an equilibrium candidate ("live") while no player has a
     feasible own grid point it strictly prefers there.  Players are taken in
-    order, and each decides its whole lattice at once.  The feasible own grid
-    points at a rival point are its pool: a box-only game has one pool, a
-    shared one builds one feasible region per live rival point.  The live
-    profiles of all live rival points with the same pool are stacked, rival
-    point by rival point, and decided by one (profiles, pool)
-    strict-preference table, chunked to at most ``_CHUNK_ENTRIES`` entries.
-    Only live profiles, and the pool at their rival points, are evaluated.
-    Returns the boolean tensor of the surviving profiles.
+    order, and each decides its whole lattice at once.  The pool of a rival
+    point is the set of own grid points that the joint tensor ``feasible``
+    marks at it, the slice of the shared set at those rivals; on a box-only
+    game (``feasible`` None) it is every own grid point.  The live profiles
+    of all live rival points with the same pool are stacked, rival point by
+    rival point, and decided by one (profiles, pool) strict-preference table,
+    chunked to at most ``_CHUNK_ENTRIES`` entries.  Only live profiles, and
+    the pool at their rival points, are evaluated.  Returns the boolean
+    tensor of the surviving profiles.
     """
     shape = tuple(a.size for a in axes)
     equilibrium = np.ones(shape, dtype=bool) if feasible is None else feasible.copy()
@@ -331,13 +332,10 @@ def _generic_equilibria(
             break  # no live profile is left to decide
         rivals = _cartesian(axes[: sl.start] + axes[sl.stop :])[i * live_view.shape[2] + k]
         pools = {}  # pool mask bytes -> the live rival points with that pool
-        if isinstance(game.constraints, BoxOnly):
-            # Box-only regions ignore the rivals: every rival point has one pool.
-            mask = feasible_region(game, player, rivals[0]).contains_many(own_points)
-            pools[mask.tobytes()] = list(range(i.size))
+        if feasible is None:
+            pools[np.ones(own_points.shape[0], dtype=bool).tobytes()] = list(range(i.size))
         else:
-            for rival, at in enumerate(rivals):
-                mask = feasible_region(game, player, at).contains_many(own_points)
+            for rival, mask in enumerate(feasible.reshape(live_view.shape)[i, :, k]):
                 pools.setdefault(mask.tobytes(), []).append(rival)
         for key, members in pools.items():
             pool = own_points[np.frombuffer(key, dtype=bool)]

@@ -50,6 +50,11 @@ class TestDirection:
         with pytest.raises(ValueError):
             Direction(0, (0.5, 0.5))
 
+    @pytest.mark.parametrize("vector", [(np.nan,), (np.nan, 1.0), (np.inf, 0.0)])
+    def test_rejects_non_finite(self, vector):
+        with pytest.raises(ValueError):
+            Direction(0, vector)
+
     def test_unit_rejects_zero_vector(self):
         with pytest.raises(ValueError):
             Direction.unit(0, [0.0, 0.0])
@@ -246,6 +251,14 @@ class TestPolyhedralGenerators:
         gens = polyhedral_normal_generators(rows, Block(0, (0.2,)))
         assert gens.provenance is Provenance.FULL_SPACE
         assert gens.directions == ()
+
+    @pytest.mark.parametrize("slack, active", [(-0.5e-9, True), (-2e-9, False)])
+    def test_activity_tolerance(self, slack, active):
+        # At y = (0.5, 0) the row y1 < 0.5 - slack has that slack, and counts
+        # as active within 1e-9 of its boundary; -y2 < 0 is on its boundary.
+        rows = (np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([0.5 - slack, 0.0]))
+        gens = polyhedral_normal_generators(rows, Block(0, (0.5, 0.0)))
+        assert [d.vector for d in gens.directions] == [(1.0, 0.0)] * active + [(0.0, -1.0)]
 
     def test_interior_point_is_an_error(self):
         rows = (np.array([[1.0]]), np.array([1.0]))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_budget_pair, make_pull_to_half_rival
 from ordnash import cones, model, solver
-from ordnash.cones import Direction, Provenance, _row_norms, gradient_normal_direction
+from ordnash.cones import Direction, Provenance, _row_dots, gradient_normal_direction
 from ordnash.corpus import (
     arrow_debreu_instance,
     example_coordinate_pref,
@@ -28,13 +28,12 @@ from ordnash.model import (
     SharedLinear,
     TrivialZero,
     UtilityPreference,
+    _joint_region,
     feasible_region,
     split_profile,
 )
 from ordnash.solver import (
     SolverConfig,
-    _joint_region,
-    _row_dots,
     _run_restarts,
     _starting_points,
     SvipSolution,
@@ -66,6 +65,7 @@ class TestSolverConfig:
             {"tol": -1e-8},
             {"max_iters": 0},
             {"restarts": 0},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -101,7 +101,7 @@ class TestProjection:
         once = project_feasible(region, [0.9, 0.9])
         twice = project_feasible(region, once)
         np.testing.assert_allclose(twice, once, atol=1e-10)
-        assert region.contains(once, tol=1e-9)
+        assert region.contains(once)
 
     def test_empty_region_raises(self):
         region = FeasibleRegion(
@@ -197,6 +197,26 @@ class TestNaturalResidual:
         with pytest.raises(ValueError):
             natural_residual(game, x, [1.0, 0.0], alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "operator, alpha",
+        [
+            ([np.nan, 1.0], 0.1),
+            ([np.inf, 0.0], 0.1),
+            ([1.0, 0.0], np.nan),
+            ([1.0, 0.0], np.inf),
+            ([1.0, np.nan], 0.1),
+            ([-np.inf, -np.inf], 0.1),
+            ([np.inf, np.nan], 0.1),
+        ],
+    )
+    def test_rejects_non_finite_input(self, operator, alpha):
+        # Unchecked, the first four gave nan, 1.0, nan and 1.414; the operator
+        # values are rejected with check_svip's error.
+        game = example_coordinate_pref()
+        x = split_profile(game, [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            natural_residual(game, x, operator, alpha=alpha)
+
     def test_rejects_infeasible_point(self):
         game = example_coordinate_pref()
         x = split_profile(game, [2.0, 0.0])
@@ -231,14 +251,13 @@ class TestFixedPointStep:
     def test_shared_constraint_iterates_stay_feasible(self, budget_game):
         cfg = SolverConfig()
         x = split_profile(budget_game, [0.0, 0.0])
-        region_tol = 1e-9
         for _ in range(30):
             x = fixed_point_step(budget_game, x, cfg)
             for player in range(budget_game.n_players):
                 region = feasible_region(
                     budget_game, player, x.rivals(player)
                 )
-                assert region.contains(x.block(player).array, tol=region_tol)
+                assert region.contains(x.block(player).array)
         # The chain settles on the budget line.
         assert sum(x.stacked) == pytest.approx(1.0, abs=1e-9)
 
@@ -551,8 +570,8 @@ def test_row_reductions_round_like_one_vector(n):
     norms = [float(np.linalg.norm(row.copy())).hex() for row in rows]
     dots = [float(v @ row.copy()).hex() for row in rows]
     for layout in (rows, np.asfortranarray(rows), np.repeat(rows, 2, axis=1)[:, ::2]):
-        assert [float(r).hex() for r in _row_norms(layout)] == norms
-        assert [float(d).hex() for d in _row_dots(layout, v)[:, 0]] == dots
+        assert [float(r).hex() for r in np.sqrt(_row_dots(layout, layout))] == norms
+        assert [float(d).hex() for d in _row_dots(layout, v)] == dots
 
 
 def _iters_for(name):

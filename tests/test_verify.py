@@ -642,6 +642,41 @@ def _mixed_budget_like(seed):
     return GameSpec(players, budget)
 
 
+def _zero_coefficient_game(seed):
+    """Three scalar players under two seeded rows, each with no coefficient
+    for one player, so that the row decides that player's region from the
+    rivals alone."""
+    rng = np.random.default_rng(seed)
+    box = ((-1.0, 1.0),)
+    c = float(rng.choice([-0.5, 0.0, 0.25]))
+    players = (
+        PlayerSpec(1, box, CoordinateOrder()),
+        PlayerSpec(1, box, HalfspaceContour((_away(f"x3-{c}", "x2"),))),
+        PlayerSpec(1, box, CoordinateOrder()),
+    )
+    a = rng.choice([-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0], (2, 3))
+    a[[0, 1], rng.choice(3, 2, replace=False)] = 0.0
+    b = np.round(rng.uniform(0.2, 1.0, 2), 2)
+    return GameSpec(players, SharedLinear(tuple(map(tuple, a)), tuple(b)))
+
+
+def _large_offset_game(seed):
+    """Two scalar players under seeded rows with |b| > 1: the tolerance of a
+    row scales with |b| in the joint region and with |b - rival part| in a
+    player's region."""
+    rng = np.random.default_rng(seed)
+    box = ((-1.0, 1.0),)
+    t, u = (float(v) for v in np.round(rng.uniform(-1.0, 1.0, 2), 2))
+    players = (
+        PlayerSpec(1, box, UtilityPreference(f"-(x1-{t}*x2-{u})^2")),
+        PlayerSpec(1, box, CoordinateOrder()),
+    )
+    a = np.round(rng.uniform(1.0, 3.0, (2, 2)) * 2.0) / 2.0 * rng.choice([-1.0, 1.0], (2, 2))
+    reach = np.abs(a).sum(axis=1)  # a x ranges over [-reach, reach] on the box
+    b = np.round(rng.uniform(1.2, 0.9 * reach), 2) * rng.choice([-1.0, 1.0], 2)
+    return GameSpec(players, SharedLinear(tuple(map(tuple, a)), tuple(b)))
+
+
 def _found(game, h):
     return [tuple(p.stacked) for p, _ in brute_force_gne(game, h)]
 
@@ -656,6 +691,71 @@ class TestGenericMatchesPerRivalPointOracle:
         found = _found(game, 0.02)
         assert found == _per_rival_point_equilibria(game, 0.02)
         assert found
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("make", [_zero_coefficient_game, _large_offset_game])
+    def test_shared_rows_with_zero_coefficients_and_large_offsets(self, make, seed):
+        game = make(seed)
+        found = _found(game, 0.1)
+        assert found == _per_rival_point_equilibria(game, 0.1)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f"{family}-{seed}"
+            for family in (
+                "coordinate",
+                "halfspace",
+                "utility-halfspace",
+                "blocks",
+                "mixed-budget",
+                "zero-coefficient",
+                "large-offset",
+            )
+            for seed in range(2)
+        ],
+    )
+    def test_pools_equal_player_regions_on_the_grid(self, name):
+        """At every rival point with a jointly feasible profile, the joint
+        tensor's slice is the set of own grid points the player's region
+        contains."""
+        family, seed = name.rsplit("-", 1)
+        makers = {
+            "mixed-budget": _mixed_budget_like,
+            "zero-coefficient": _zero_coefficient_game,
+            "large-offset": _large_offset_game,
+        }
+        game = makers.get(family, lambda s: _generic_game(family, s, True))(int(seed))
+        axes = _grid_axes(game.box_lo, game.box_hi, 0.1, "profile")
+        feasible = _feasible_tensor(game, axes)
+        for player in range(game.n_players):
+            sl = game.own_slice(player)
+            own_points = _cartesian(axes[sl])
+            before = int(np.prod(feasible.shape[: sl.start]))
+            view = feasible.reshape(before, own_points.shape[0], -1)
+            for flat, rivals in enumerate(_cartesian(axes[: sl.start] + axes[sl.stop :])):
+                i, k = divmod(flat, view.shape[2])
+                if view[i, :, k].any():
+                    region = feasible_region(game, player, rivals)
+                    np.testing.assert_array_equal(
+                        view[i, :, k], region.contains_many(own_points)
+                    )
+
+    def test_shared_pools_build_no_player_region(self, monkeypatch):
+        """On a shared game the pools are slices of the joint tensor, so no
+        per-player feasible region is built."""
+        from ordnash import model, verify
+
+        calls = []
+
+        def counted(*args, original=model.feasible_region):
+            calls.append(args[1])
+            return original(*args)
+
+        for module in (model, verify):
+            monkeypatch.setattr(module, "feasible_region", counted, raising=False)
+        assert _found(_mixed_budget_like(0), 0.05)
+        assert calls == []
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("shared", [False, True])
