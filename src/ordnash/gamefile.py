@@ -148,7 +148,7 @@ def _parse_constraints(data, where: str):
                 a=tuple(tuple(_number(v) for v in row) for row in a),
                 b=tuple(_number(v) for v in b),
             )
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise GameFormatError(f"{where}: bad SharedLinear data: {err}") from err
     raise GameFormatError(f"{where}: unknown constraints type {tag!r}")
 
@@ -170,7 +170,7 @@ def game_from_dict(data: dict) -> GameSpec:
             raise GameFormatError(f"{where}: 'dim' must be a positive integer")
         try:
             box_tuple = tuple((_number(lo), _number(hi)) for lo, hi in box)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise GameFormatError(f"{where}: bad box data: {err}") from err
         pref = _parse_preference(pref_data, f"{where} preference")
         try:

@@ -72,6 +72,11 @@ def _as_float_tuple(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Block:
     """One player's strategy block."""
@@ -241,11 +246,11 @@ class SharedLinear:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return np.array(self.a, dtype=np.float64)
+        return _read_only(np.array(self.a, dtype=np.float64))
 
     @cached_property
     def rhs(self) -> np.ndarray:
-        return np.array(self.b, dtype=np.float64)
+        return _read_only(np.array(self.b, dtype=np.float64))
 
 
 ConstraintMapSpec = Union[BoxOnly, SharedLinear]
@@ -308,11 +313,11 @@ class GameSpec:
 
     @cached_property
     def box_lo(self) -> np.ndarray:
-        return np.array([lo for p in self.players for lo, _ in p.box])
+        return _read_only(np.array([lo for p in self.players for lo, _ in p.box]))
 
     @cached_property
     def box_hi(self) -> np.ndarray:
-        return np.array([hi for p in self.players for _, hi in p.box])
+        return _read_only(np.array([hi for p in self.players for _, hi in p.box]))
 
     def player_box(self, player: PlayerId) -> tuple[np.ndarray, np.ndarray]:
         sl = self.own_slice(player)
@@ -320,9 +325,9 @@ class GameSpec:
 
     @cached_property
     def _row_split(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per player, the shared rows as :func:`feasible_region` reads them:
-        rival columns of A, own columns of the binding rows, and the indices
-        of the binding rows and of the others (read-only; regions share them)."""
+        """Per player, the shared rows as :func:`_feasible_offsets` reads them:
+        rival columns of A, own columns of the binding rows (the normals), and
+        the indices of the binding rows and of the others (read-only, shared)."""
         split = []
         for player in range(self.n_players):
             own = np.zeros(self.total_dim, dtype=bool)
@@ -335,9 +340,7 @@ class GameSpec:
                 np.flatnonzero(binds),
                 np.flatnonzero(~binds),
             )
-            for part in parts:
-                part.flags.writeable = False
-            split.append(parts)
+            split.append(tuple(map(_read_only, parts)))
         return tuple(split)
 
 
@@ -667,13 +670,39 @@ def strictly_prefers(
     return bool(mask[0])
 
 
+def _feasible_offsets(
+    game: GameSpec, player: PlayerId, rivals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Player i's feasible set K_i(x_-i) on a game with shared rows, at one
+    (r,) rival point or at each row of an (m, r) array.
+
+    The set is the box ``game.player_box`` cut by the binding rows, whose
+    normals are ``game._row_split[player][1]``.  Returns their offsets, (k,)
+    or (m, k), and the 0-d or (m,) mask of rivals that violate a non-binding
+    row, which empties the set.  Each row equals the one-point call bit for
+    bit: one matvec per row (a batched product can differ in the last bit).
+    """
+    rival_a, _, binding, other = game._row_split[player]
+    if rivals.ndim == 1:
+        products = rival_a @ rivals
+    else:
+        products = np.array([rival_a @ row for row in rivals])
+    offsets = game.constraints.rhs - products
+    if other.size:
+        forced_empty = offsets.take(other, axis=-1).min(axis=-1) < -_FEAS_TOL
+    else:
+        forced_empty = np.zeros(offsets.shape[:-1], dtype=bool)
+    return offsets.take(binding, axis=-1), forced_empty
+
+
 def feasible_region(
     game: GameSpec, player: PlayerId, rivals: Sequence[float]
 ) -> FeasibleRegion:
     """Feasible set K_i(x_-i) of ``player`` with the rivals fixed at ``rivals``.
 
-    ``rivals`` concatenates the other players' blocks in player order.  The
-    solver projects onto these regions and the verifier checks against them.
+    ``rivals`` concatenates the other players' blocks in player order.  This
+    is the one-point case of :func:`_feasible_offsets`, which the solver
+    calls at all its rows at once; the verifier checks against these regions.
     A shared row binds the player when its largest own coefficient exceeds
     1e-15 in absolute value; a row that does not is decided by the rivals
     alone, and if they violate it the region is ``forced_empty``.
@@ -686,12 +715,9 @@ def feasible_region(
         )
     lo, hi = game.player_box(player)
     if isinstance(game.constraints, BoxOnly):
-        return FeasibleRegion(lo.copy(), hi.copy(), np.empty((0, lo.size)), np.empty(0))
-
-    rival_a, normals, binding, other = game._row_split[player]
-    offsets = game.constraints.rhs - rival_a @ rivals
-    forced_empty = other.size > 0 and bool(np.min(offsets[other]) < -_FEAS_TOL)
-    return FeasibleRegion(lo.copy(), hi.copy(), normals, offsets[binding], forced_empty)
+        return FeasibleRegion(lo, hi, np.empty((0, lo.size)), np.empty(0))
+    offsets, forced_empty = _feasible_offsets(game, player, rivals)
+    return FeasibleRegion(lo, hi, game._row_split[player][1], offsets, bool(forced_empty))
 
 
 def _joint_region(game: GameSpec) -> FeasibleRegion:
@@ -706,9 +732,7 @@ def _joint_region(game: GameSpec) -> FeasibleRegion:
         normals, offsets = game.constraints.matrix, game.constraints.rhs
     else:
         normals, offsets = np.empty((0, game.total_dim)), np.empty(0)
-    return FeasibleRegion(
-        game.box_lo.copy(), game.box_hi.copy(), normals.copy(), offsets.copy()
-    )
+    return FeasibleRegion(game.box_lo, game.box_hi, normals, offsets)
 
 
 def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
@@ -750,8 +774,7 @@ class _DrawStream:
     def __init__(self, seed, lo: np.ndarray, hi: np.ndarray):
         self.rng = np.random.default_rng(seed)
         self.lo, self.hi = lo, hi
-        self.draws = np.empty((0, lo.size))
-        self.draws.flags.writeable = False
+        self.draws = _read_only(np.empty((0, lo.size)))
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Rows ``start:stop`` of the stream, drawing the missing ones."""
@@ -759,8 +782,7 @@ class _DrawStream:
             more = self.rng.uniform(
                 self.lo, self.hi, size=(stop - len(self.draws), self.lo.size)
             )
-            self.draws = np.concatenate((self.draws, more))
-            self.draws.flags.writeable = False
+            self.draws = _read_only(np.concatenate((self.draws, more)))
         return self.draws[start:stop]
 
 

@@ -12,9 +12,11 @@ variational problem when the natural residual
     r(x) = || x - Proj_{K(x)}(x - step * g(x)) ||
 
 vanishes, where the projection is taken player by player with rivals fixed:
-player i's block goes onto K_i(x_-i) = ``model.feasible_region(game, i,
-rivals)``, the same map the verifier checks against (a plain clip on box-only
-games, Dykstra's alternating projections once shared rows bind).
+player i's block goes onto K_i(x_-i), the set ``model.feasible_region``
+builds at one rival point and the verifier checks against (a plain clip on
+box-only games, Dykstra's alternating projections once shared rows bind).
+The iteration reads K_i at all rows as arrays: the player's box and binding
+normals, and (R, k) offsets from ``model._feasible_offsets``.
 
 ``solve_svip`` iterates the projected step from several seeded interior
 starting points.  Because the operator values are unit-scale, a constant step
@@ -31,16 +33,17 @@ residuals and iteration counts; ``Direction`` objects are built once, for the
 returned run.  Each iteration makes one finite-difference gradient call per
 utility player for all live rows (``cones.gradient_directions``), one
 ``cones.flat_maxima`` call per utility player for its flat rows, one clip
-(box-only games) or one row-batched Dykstra per player (shared rows), and
-falls back to ``selection_T`` only for rows that need it.  The starting points
-and the polish of converged rows on shared games are each projected onto the
-joint region by one row-batched Dykstra call.  Every row is bit-identical to
-iterating its start alone, so results, traces and the lowest-index tie-break
-do not depend on R.  That is kept by one rule: a reduction of length two or
-more (a block norm, a halfspace product, the residual over the stacked
-vector) is one 1-D ``dot`` per contiguous row, because a matvec, ``einsum``,
-``norm(axis=1)`` or a strided row can differ from it in the last bit;
-length-1 reductions and elementwise steps are vectorized.
+(box-only games) or one ``_feasible_offsets`` call and one row-batched
+Dykstra per player (shared rows), and falls back to ``selection_T`` only for
+rows that need it.  The starting points and the polish of converged rows on
+shared games are each projected onto the joint region by one row-batched
+Dykstra call.  Every row is bit-identical to iterating its start alone, so
+results, traces and the lowest-index tie-break do not depend on R.  That is
+kept by one rule: a reduction of length two or more (a block norm, a
+halfspace product, the residual over the stacked vector) is one 1-D ``dot``
+per contiguous row, because a matvec, ``einsum``, ``norm(axis=1)`` or a
+strided row can differ from it in the last bit; length-1 reductions and
+elementwise steps are vectorized.
 """
 
 from __future__ import annotations
@@ -73,9 +76,9 @@ from .model import (
     ThresholdBand,
     TrivialZero,
     UtilityPreference,
+    _feasible_offsets,
     _joint_region,
     _require_feasible,
-    feasible_region,
     sample_contour,
     split_profile,
 )
@@ -244,14 +247,17 @@ def _dykstra(
     """Dykstra alternating projections of each row of ``points`` onto its region.
 
     Row ``r`` of the (m, dim) ``points`` is projected onto the box [lo, hi]
-    intersected with {y : normals @ y <= offsets[r]}, offsets being (m, k).
-    Every row cycles until its own iterate stops moving, so each row equals
-    the projection of that point alone.  A settled row leaves the cycle with
-    its value, so a batch costs about what its rows cost one by one.
+    intersected with {y : normals @ y <= offsets[r]}, offsets being (m, k),
+    or (k,) for one region.  Every row cycles until its own iterate stops
+    moving, so each row equals the projection of that point alone.  A settled
+    row leaves the cycle with its value, so a batch costs about what its rows
+    cost one by one.
     """
     if normals.size == 0:
         return np.clip(points, lo, hi)
     out = np.array(points, dtype=np.float64)
+    if offsets.ndim == 1:  # one region for every row
+        offsets = np.broadcast_to(offsets, (out.shape[0], offsets.size))
     y, rows = out, np.arange(out.shape[0])  # the rows still cycling
     corrections = np.zeros((1 + normals.shape[0],) + y.shape)
     sq_norms = np.einsum("ij,ij->i", normals, normals)
@@ -278,18 +284,12 @@ def _dykstra(
     return out
 
 
-def _project_onto(region: FeasibleRegion, points: np.ndarray) -> np.ndarray:
-    """Every row of the (m, dim) ``points`` projected onto one nonempty region
-    by a single :func:`_dykstra` call; each row equals its one-row projection."""
-    offsets = np.broadcast_to(region.offsets, (points.shape[0], region.offsets.size))
-    return _dykstra(region.lo, region.hi, region.normals, offsets, points)
-
-
 def project_feasible(region: FeasibleRegion, point) -> np.ndarray:
     """Euclidean projection onto a feasible region (box and halfspaces)."""
     if region.is_empty:
         raise InfeasibleRegionError("infeasible constraint set")
-    return _project_onto(region, np.asarray(point, dtype=np.float64).ravel()[None, :])[0]
+    point = np.asarray(point, dtype=np.float64).ravel()[None, :]
+    return _dykstra(region.lo, region.hi, region.normals, region.offsets, point)[0]
 
 
 def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
@@ -312,37 +312,37 @@ def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
     return g
 
 
-def _block_regions(game: GameSpec, x: np.ndarray) -> list[tuple] | None:
-    """Per player, the feasible regions at each row of ``x`` (rivals from that row)
-    as (region of row 0, (m, k) offsets of all rows); None on box-only games."""
+def _row_offsets(game: GameSpec, x: np.ndarray) -> list[np.ndarray]:
+    """Per player, the (m, k) offsets of K_i(x_-i) at the rivals of each row of
+    ``x`` (none on box-only games).  Dropping the forced-empty masks holds only
+    while the Jacobi iterate may leave the joint region and the polish of
+    converged rows projects them back onto it."""
     if isinstance(game.constraints, BoxOnly):
-        return None
-    blocks = []
+        return []
+    offsets = []
     for player in range(game.n_players):
         sl = game.own_slice(player)
-        regions = [
-            feasible_region(game, player, np.concatenate((row[: sl.start], row[sl.stop :])))
-            for row in x
-        ]
-        blocks.append((regions[0], np.array([r.offsets for r in regions])))
-    return blocks
+        rivals = np.concatenate((x[:, : sl.start], x[:, sl.stop :]), axis=1)
+        offsets.append(_feasible_offsets(game, player, rivals)[0])
+    return offsets
 
 
-def _project_rows(game: GameSpec, regions, target: np.ndarray) -> np.ndarray:
-    """Project each player's block of every target row onto its feasible set;
-    ``regions`` comes from :func:`_block_regions` at the rows the rivals sit at."""
-    if regions is None:
+def _project_rows(game: GameSpec, offsets: list, target: np.ndarray) -> np.ndarray:
+    """Project each player's block of every target row onto its feasible set at
+    the player's (m, k) or (k,) ``offsets``; a clip on box-only games."""
+    if isinstance(game.constraints, BoxOnly):
         return np.clip(target, game.box_lo, game.box_hi)
     out = np.empty_like(target)
-    for player, (region, offsets) in enumerate(regions):
+    for player, rows in enumerate(offsets):
         sl = game.own_slice(player)
-        out[:, sl] = _dykstra(region.lo, region.hi, region.normals, offsets, target[:, sl])
+        lo, hi = game.player_box(player)
+        out[:, sl] = _dykstra(lo, hi, game._row_split[player][1], rows, target[:, sl])
     return out
 
 
-def _residuals(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float, regions) -> np.ndarray:
+def _residuals(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float, offsets) -> np.ndarray:
     """Natural residual ``||x - Proj_K(x)(x - step * g)||`` of every row of ``x``."""
-    moves = x - _project_rows(game, regions, x - step * g)
+    moves = x - _project_rows(game, offsets, x - step * g)
     return np.sqrt(_row_dots(moves, moves))
 
 
@@ -351,18 +351,16 @@ def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -
     if not (alpha > 0 and np.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     g = _stack_operator(game, operator_value)
-    _require_feasible(game, x)
-    point = x.stacked[None, :]
-    return float(_residuals(game, point, g, alpha, _block_regions(game, point))[0])
+    offsets = [region.offsets for region in _require_feasible(game, x)]
+    return float(_residuals(game, x.stacked[None, :], g, alpha, offsets)[0])
 
 
 def fixed_point_step(game: GameSpec, x: Profile, cfg: SolverConfig) -> Profile:
     """One projected step: every player moves simultaneously, rivals fixed at x."""
     sel = selection_T(game, x, sample_seed=cfg.seed)
-    _require_feasible(game, x)
-    point = x.stacked[None, :]
-    target = point - cfg.step * sel.stacked
-    return split_profile(game, _project_rows(game, _block_regions(game, point), target))
+    offsets = [region.offsets for region in _require_feasible(game, x)]
+    target = x.stacked[None, :] - cfg.step * sel.stacked
+    return split_profile(game, _project_rows(game, offsets, target))
 
 
 def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
@@ -378,7 +376,7 @@ def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
             "infeasible constraint set: no feasible starting point exists"
         )
     if isinstance(game.constraints, SharedLinear):
-        points = _project_onto(region, points)
+        points = _dykstra(region.lo, region.hi, region.normals, region.offsets, points)
     return points
 
 
@@ -464,8 +462,8 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
     anchor = x.copy()
     g, provenance = _select_rows(game, x, cfg.seed)
     for it in range(1, cfg.max_iters + 1):
-        regions = _block_regions(game, x)
-        res = _residuals(game, x, g, cfg.step, regions)
+        offsets = _row_offsets(game, x)
+        res = _residuals(game, x, g, cfg.step, offsets)
         for row, value in zip(live.tolist(), res.tolist()):
             runs.traces[row].append((it, value))
         done = res <= cfg.tol
@@ -477,12 +475,11 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
             res, alpha, anchor = res[keep], alpha[keep], anchor[keep]
             if live.size == 0:
                 break
-            if regions is not None:
-                regions = [(region, offsets[keep]) for region, offsets in regions]
+            offsets = [rows[keep] for rows in offsets]
 
         # Per-player working steps; the reference residual above always uses
         # the configured step, so damping cannot fake convergence.
-        x = _project_rows(game, regions, x - alpha[:, block_of] * g)
+        x = _project_rows(game, offsets, x - alpha[:, block_of] * g)
 
         if it % _ADAPT_WINDOW == 0:
             budget = _ADAPT_WINDOW * alpha
@@ -507,9 +504,10 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
     if isinstance(game.constraints, SharedLinear) and rows.size:
         # The Jacobi update can leave a converged point a residual-sized
         # distance outside the self-consistent region; polish it back in.
-        x = _project_onto(_joint_region(game), runs.points[rows])
+        joint = _joint_region(game)
+        x = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, runs.points[rows])
         g, provenance = _select_rows(game, x, cfg.seed)
-        res = _residuals(game, x, g, cfg.step, _block_regions(game, x))
+        res = _residuals(game, x, g, cfg.step, _row_offsets(game, x))
         runs.points[rows], runs.operator[rows], runs.provenance[rows] = x, g, provenance
         runs.residuals[rows], runs.converged[rows] = res, res <= cfg.tol
     return runs

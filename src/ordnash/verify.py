@@ -8,8 +8,9 @@ coordinates and 4 rows, else one HiGHS LP, exact up to its tolerances),
 executable forms of the two bridge properties between variational solutions
 and equilibria, and a numeric lower-hemicontinuity probe for contour maps.
 Feasibility comes from ``model`` alone: the player regions at a profile
-(``_require_feasible``) and the joint region over the lattice
-(``_joint_region``).
+(``_require_feasible``, through ``feasible_region``, the one-point case of
+the ``_feasible_offsets`` rule the solver projects with at all its rows)
+and the joint region over the lattice (``_joint_region``).
 
 ``brute_force_gne`` decides each player's whole lattice at once: utility
 games through one utility tensor per player, every other game through

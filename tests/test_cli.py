@@ -248,6 +248,19 @@ class TestHostileInputs:
         assert report["exit_code"] == 1
         assert "box-width" in report["error"]
 
+    def test_integer_too_large_for_a_float_exit_one_with_report(self, runner, tmp_path):
+        game = {
+            "players": [{"dim": 1, "box": [[0, 10**400]], "preference": {"type": "TrivialZero"}}],
+            "constraints": {"type": "SharedLinear", "a": [[1]], "b": [10**400]},
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game))
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 1
+        report = json.loads(result.stdout)  # exactly one JSON document
+        assert report["exit_code"] == 1
+        assert "too large to convert to float" in report["error"]
+
     @pytest.mark.parametrize(
         "expr, message",
         [("1e999*x1", "overflows a float"), ("((0.0)/(0.0))", "not finite"), ("(10.0)^400", "not finite")],

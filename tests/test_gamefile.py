@@ -270,6 +270,25 @@ class TestParseErrors:
             game_from_dict(data)
         assert "must be finite" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "box, a, b, message",
+        [
+            ([[0, 10**400]], [[1]], [1], "player 0: bad box data"),
+            ([[0, 1]], [[10**400]], [1], "bad SharedLinear data"),
+            ([[0, 1]], [[1]], [-(10**400)], "bad SharedLinear data"),
+        ],
+        ids=["box", "a", "b"],
+    )
+    def test_integer_too_large_for_a_float(self, box, a, b, message):
+        data = {
+            "players": [{"dim": 1, "box": box, "preference": {"type": "TrivialZero"}}],
+            "constraints": {"type": "SharedLinear", "a": a, "b": b},
+        }
+        with pytest.raises(GameFormatError) as err:
+            game_from_dict(json.loads(json.dumps(data)))
+        assert message in str(err.value)
+        assert "too large to convert to float" in str(err.value)
+
     def test_integer_and_float_numbers_accepted(self):
         data = {
             "players": [

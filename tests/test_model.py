@@ -485,6 +485,50 @@ class TestFeasibleRegion:
             np.testing.assert_array_equal(region.offsets, offsets[rows])
             assert region.forced_empty == any(offsets[i] < -1e-9 for i in free)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("rival_dim", range(4))
+    def test_feasible_offsets_equal_feasible_region_at_each_row(self, rival_dim, rows):
+        """The array builder's offsets and forced-empty mask at each rival row
+        equal the one-row region bit for bit, and both equal the matvec
+        ``b - A_rivals @ rivals``.  Row 0 never binds player 0, and the
+        rivals violate it at some rows; zeros in A and the rivals make
+        products of -0.0, subtracted from offsets of -0.0."""
+        rng = np.random.default_rng(10 * rival_dim + rows)
+        empty_seen = set()
+        for trial in range(6):
+            own_dim = int(rng.integers(1, 3))
+            rival_dims = [rival_dim] if trial % 2 else [1] * rival_dim
+            dims = [own_dim] + [d for d in rival_dims if d]
+            n = sum(dims)
+            a = rng.uniform(-1.0, 1.0, (rows, n))
+            a[rng.random(a.shape) < 0.3] = 0.0
+            a[0, :own_dim] = 0.0
+            b = rng.uniform(-0.5, 1.5, rows)
+            b[1:][rng.random(rows - 1) < 0.5] = -0.0
+            b[0] = float(a[0, own_dim:].sum()) / 2 if rival_dim else rng.choice([-0.5, -0.0, 0.5])
+            game = GameSpec(
+                tuple(PlayerSpec(d, ((0.0, 1.0),) * d, TrivialZero()) for d in dims),
+                SharedLinear(a=a.tolist(), b=b.tolist()),
+            )
+            for player in range(game.n_players):
+                sl = game.own_slice(player)
+                own_cols = np.zeros(n, dtype=bool)
+                own_cols[sl] = True
+                rivals = rng.uniform(-0.2, 1.2, (7, n - game.dims[player]))
+                rivals[rng.random(rivals.shape) < 0.2] = 0.0
+                offsets, forced_empty = model._feasible_offsets(game, player, rivals)
+                binding = np.max(np.abs(a[:, sl]), axis=1) > 1e-15
+                for row, values in enumerate(rivals):
+                    region = feasible_region(game, player, values)
+                    reference = b - a[:, ~own_cols] @ values
+                    assert offsets[row].tobytes() == region.offsets.tobytes()
+                    assert region.offsets.tobytes() == reference[binding].tobytes()
+                    assert forced_empty[row] == region.forced_empty
+                    assert region.forced_empty == bool((reference[~binding] < -1e-9).any())
+                    if player == 0:
+                        empty_seen.add(bool(forced_empty[row]))
+        assert empty_seen == {False, True}
+
     def test_rivals_arity_checked(self, budget_game):
         with pytest.raises(ProfileError):
             feasible_region(budget_game, 0, rivals=[0.1, 0.2])

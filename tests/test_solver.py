@@ -644,6 +644,31 @@ class TestBatchedRestarts:
         assert _bits(_starting_points(game, cfg)) == _bits(expected)
 
 
+@pytest.mark.parametrize("name", ["arrow-debreu", "shared-3"])
+def test_region_builds_on_shared_games(name, monkeypatch):
+    """The restarts read every player's feasible set at all rows as arrays and
+    build no region; natural_residual and fixed_point_step build each
+    player's region once, in ``_require_feasible``."""
+    calls = []
+
+    def counted(*args, original=model.feasible_region):
+        calls.append(args[1])
+        return original(*args)
+
+    for module in (model, solver):
+        monkeypatch.setattr(module, "feasible_region", counted, raising=False)
+    game = BATCH_GAMES[name]()
+    cfg = SolverConfig(restarts=4, max_iters=_iters_for(name), seed=42)
+    solve_svip(game, cfg)
+    assert calls == []
+    x = split_profile(game, _starting_points(game, cfg)[0])
+    natural_residual(game, x, np.ones(game.total_dim), alpha=0.1)
+    assert calls == list(range(game.n_players))
+    calls.clear()
+    fixed_point_step(game, x, cfg)
+    assert calls == list(range(game.n_players))
+
+
 # Recorded from the sequential solver (one restart after another) before the
 # restarts were batched: float.hex of the point and the residual, iterations,
 # restart, trace length and convergence, with 4 restarts and seed 42.
