@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     EvaluationError,
@@ -43,6 +42,7 @@ from .model import (
     Profile,
     UtilityPreference,
     evaluate_contour_rows,
+    linprog,
 )
 
 __all__ = [

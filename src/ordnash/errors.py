@@ -2,9 +2,26 @@
 
 Every error raised deliberately by ordnash derives from :class:`OrdnashError`
 so callers (and the CLI) can distinguish tool failures from genuine bugs.
+:func:`shown_number` is how a message shows a number read from a problem file.
 """
 
 from __future__ import annotations
+
+
+# A number with more digits than this is named by its digit count in messages.
+_SHOWN_DIGITS = 20
+
+
+def shown_number(value) -> str:
+    """``value`` as an error message shows it: as written, or, past
+    ``_SHOWN_DIGITS`` digits, by its digit count, so that a huge literal in a
+    problem file cannot flood the report."""
+    text = str(value)
+    digits = sum(c.isdigit() for c in text)
+    if digits <= _SHOWN_DIGITS:
+        return text
+    kind = "integer" if text.lstrip("-").isdigit() else "number"
+    return f"a {digits}-digit {kind}"
 
 
 class OrdnashError(Exception):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionError
+from .errors import _SHOWN_DIGITS, EvaluationError, ExpressionError, shown_number
 
 __all__ = [
     "Expr",
@@ -310,7 +310,7 @@ class _Parser:
             token = self.advance()
         if token[0] != "number" or any(c in token[1] for c in ".eE"):
             raise ExpressionError("exponent must be an integer literal", token[2])
-        return sign * int(token[1])
+        return sign * _small_integer(token[1], "exponent", token[2])
 
     def atom(self) -> Expr:
         token = self.advance()
@@ -318,10 +318,12 @@ class _Parser:
         if kind == "number":
             value = float(text)
             if not np.isfinite(value):
-                raise ExpressionError(f"number {text!r} overflows a float", position)
+                raise ExpressionError(
+                    f"number overflows a float: {shown_number(text)}", position
+                )
             return Literal(value)
         if kind == "var":
-            index = int(text[1:])
+            index = _small_integer(text[1:], "variable index", position)
             if index < 1:
                 raise ExpressionError("variables are numbered from x1", position)
             return Variable(index - 1)
@@ -332,6 +334,15 @@ class _Parser:
             self.nesting -= 1
             return node
         raise ExpressionError(f"unexpected token {text!r}", position)
+
+
+def _small_integer(digits: str, what: str, position: int) -> int:
+    """The integer ``digits`` spells; more than ``_SHOWN_DIGITS`` digits is a
+    parse error (no game has that many coordinates, and no float power needs
+    such an exponent)."""
+    if len(digits) > _SHOWN_DIGITS:
+        raise ExpressionError(f"{what} is {shown_number(digits)}", position)
+    return int(digits)
 
 
 def parse_expression(text: str) -> Expr:

@@ -194,6 +194,10 @@ def loads_game(text: str) -> GameSpec:
         raise GameFormatError(
             f"invalid problem file: {err.msg} (line {err.lineno}, column {err.colno})"
         ) from err
+    except ValueError as err:  # json's int() refuses this many digits
+        raise GameFormatError("invalid problem file: an integer has too many digits") from err
+    except RecursionError as err:
+        raise GameFormatError("invalid problem file: arrays or objects nest too deeply") from err
     return game_from_dict(data)
 
 

@@ -11,13 +11,11 @@ verifier) is built on that single predicate and on the feasible-region map.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     EvaluationError,
@@ -25,6 +23,7 @@ from .errors import (
     GameFormatError,
     InfeasiblePointError,
     ProfileError,
+    shown_number,
 )
 from .expressions import ColumnView, Expr, compile_expression, parse_expression
 
@@ -66,6 +65,14 @@ _BIND_TOL = 1e-15
 # validate_spec's irreflexivity probe: this many seeded profiles.
 _PROBE_COUNT = 16
 _PROBE_SEED = 0
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: importing
+    scipy.optimize takes most of the time of a fresh ``import ordnash``."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -269,10 +276,12 @@ class PlayerSpec:
             self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box)
         )
         if self.dim < 1:
-            raise ValueError(f"player dimension must be positive, got {self.dim}")
+            raise ValueError(
+                f"player dimension must be positive, got {shown_number(self.dim)}"
+            )
         if len(self.box) != self.dim:
             raise ValueError(
-                f"box has {len(self.box)} intervals for a {self.dim}-dimensional block"
+                f"box has {len(self.box)} intervals but dim is {shown_number(self.dim)}"
             )
         for lo, hi in self.box:
             if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -752,57 +761,6 @@ def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
     return regions
 
 
-# Seeded draw streams of recent sample_contour calls, oldest first.  The
-# fixed-seed callers (theorem 2's separators, band players, flat utility rows
-# that the solver cannot certify) read the same draws again; the bound keeps
-# callers that use a new seed per call (cone trials) from growing it.
-_DRAW_CACHE_SIZE = 8
-_draw_cache: OrderedDict[tuple, "_DrawStream"] = OrderedDict()
-
-
-class _DrawStream:
-    """Uniform draws over [lo, hi] from one generator, in draw order.
-
-    ``draws`` holds the rows drawn so far (read-only).  Successive
-    ``uniform`` calls continue one stream, so row r is the same whatever
-    the chunks it was drawn in: the rows equal those of one
-    ``default_rng(seed).uniform(lo, hi, (attempts, dim))`` call.
-    """
-
-    __slots__ = ("rng", "lo", "hi", "draws")
-
-    def __init__(self, seed, lo: np.ndarray, hi: np.ndarray):
-        self.rng = np.random.default_rng(seed)
-        self.lo, self.hi = lo, hi
-        self.draws = _read_only(np.empty((0, lo.size)))
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows ``start:stop`` of the stream, drawing the missing ones."""
-        if stop > len(self.draws):
-            more = self.rng.uniform(
-                self.lo, self.hi, size=(stop - len(self.draws), self.lo.size)
-            )
-            self.draws = _read_only(np.concatenate((self.draws, more)))
-        return self.draws[start:stop]
-
-
-def _draw_stream(seed, lo: np.ndarray, hi: np.ndarray) -> _DrawStream:
-    """The stream of ``seed`` over [lo, hi], shared with later calls for the
-    same seed and bounds.  Only integer seeds are reused; any other seed
-    (None, a Generator) gets a fresh stream that is not kept."""
-    if not isinstance(seed, (int, np.integer)):
-        return _DrawStream(seed, lo, hi)
-    key = (int(seed), lo.shape, lo.tobytes(), hi.shape, hi.tobytes())
-    stream = _draw_cache.get(key)
-    if stream is None:
-        stream = _draw_cache[key] = _DrawStream(seed, lo, hi)
-        if len(_draw_cache) > _DRAW_CACHE_SIZE:
-            _draw_cache.popitem(last=False)
-    else:
-        _draw_cache.move_to_end(key)
-    return stream
-
-
 def sample_contour(
     game: GameSpec,
     player: PlayerId,
@@ -810,25 +768,20 @@ def sample_contour(
     count: int,
     seed: int,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    max_attempts: int | None = None,
 ) -> np.ndarray:
     """Seeded rejection sample of the strict upper contour set over ``bounds``.
 
-    Returns the first ``count`` of ``max_attempts`` (default
-    ``max(20 * count, 2000)``) uniform draws from ``bounds`` (default: the
-    player's box) that ``player`` strictly prefers at ``x``, in draw order,
-    as one (m, dim) float64 array: the draws of
-    ``default_rng(seed).uniform(lo, hi, (attempts, dim))``, masked and cut to
-    ``count``.  ``m`` is below ``count`` (possibly 0, shape ``(0, dim)``) when
-    the contour set misses the sampling box or is thin.
+    Returns the first ``count`` of ``max(20 * count, 2000)`` uniform draws
+    from ``bounds`` (default: the player's box) that ``player`` strictly
+    prefers at ``x``, in draw order, as one (m, dim) float64 array: the draws
+    of ``default_rng(seed).uniform(lo, hi, (attempts, dim))``, masked and cut
+    to ``count``.  ``m`` is below ``count`` (possibly 0, shape ``(0, dim)``)
+    when the contour set misses the sampling box or is thin.
 
-    The draws are made and tested in chunks, the first of ``2 * count`` rows
-    and each later one twice the last, and drawing stops once ``count`` are
-    accepted; a call that accepts fewer tests all ``max_attempts``.  A
-    ``Generator`` passed as ``seed`` is advanced only by the rows drawn.  The
-    draws of an integer seed depend only on it and the bounds, so the streams
-    of the last few are kept and read again (read-only); the returned array
-    is always a fresh copy.
+    The draws are made and tested in chunks from one generator, the first of
+    ``2 * count`` rows and each later one twice the last, and drawing stops
+    once ``count`` are accepted.  A ``Generator`` passed as ``seed`` is
+    advanced only by the rows drawn.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -838,16 +791,14 @@ def sample_contour(
         lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
     if count == 0:
         return np.empty((0, game.dims[player]))
-    attempts = max_attempts if max_attempts is not None else max(20 * count, 2000)
-    if attempts < 0:
-        raise ValueError(f"max_attempts must be nonnegative, got {attempts}")
-    stream = _draw_stream(seed, lo, hi)
+    attempts = max(20 * count, 2000)
+    rng = np.random.default_rng(seed)
     accepted = [np.empty((0, game.dims[player]))]
     found = start = 0
     chunk = 2 * count
     while found < count and start < attempts:
         stop = min(start + chunk, attempts)
-        draws = stream.rows(start, stop)
+        draws = rng.uniform(lo, hi, size=(stop - start, lo.size))
         hits = draws[strict_upper_mask(game, player, draws, x)]
         accepted.append(hits)
         found += len(hits)

@@ -35,8 +35,8 @@ utility player for all live rows (``cones.gradient_directions``), one
 ``cones.flat_maxima`` call per utility player for its flat rows, one clip
 (box-only games) or one ``_feasible_offsets`` call and one row-batched
 Dykstra per player (shared rows), and falls back to ``selection_T`` only for
-rows that need it.  The starting points and the polish of converged rows on
-shared games are each projected onto the joint region by one row-batched
+rows that need it.  The starting points and the final points of every row
+on shared games are each projected onto the joint region by one row-batched
 Dykstra call.  Every row is bit-identical to iterating its start alone, so
 results, traces and the lowest-index tie-break do not depend on R.  That is
 kept by one rule: a reduction of length two or more (a block norm, a
@@ -315,8 +315,8 @@ def _stack_operator(game: GameSpec, operator_value) -> np.ndarray:
 def _row_offsets(game: GameSpec, x: np.ndarray) -> list[np.ndarray]:
     """Per player, the (m, k) offsets of K_i(x_-i) at the rivals of each row of
     ``x`` (none on box-only games).  Dropping the forced-empty masks holds only
-    while the Jacobi iterate may leave the joint region and the polish of
-    converged rows projects them back onto it."""
+    while the Jacobi iterate may leave the joint region and the final polish
+    of every row projects it back onto it."""
     if isinstance(game.constraints, BoxOnly):
         return []
     offsets = []
@@ -500,16 +500,16 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
     else:
         leave(live, np.ones(live.size, dtype=bool), res, cfg.max_iters)
 
-    rows = np.flatnonzero(runs.converged)
-    if isinstance(game.constraints, SharedLinear) and rows.size:
-        # The Jacobi update can leave a converged point a residual-sized
-        # distance outside the self-consistent region; polish it back in.
+    if isinstance(game.constraints, SharedLinear):
+        # The Jacobi update can leave a point outside the self-consistent
+        # region (a residual-sized distance once converged); polish every row
+        # back in and judge convergence at the polished point.
         joint = _joint_region(game)
-        x = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, runs.points[rows])
+        x = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, runs.points)
         g, provenance = _select_rows(game, x, cfg.seed)
         res = _residuals(game, x, g, cfg.step, _row_offsets(game, x))
-        runs.points[rows], runs.operator[rows], runs.provenance[rows] = x, g, provenance
-        runs.residuals[rows], runs.converged[rows] = res, res <= cfg.tol
+        runs.points, runs.operator, runs.provenance = x, g, provenance
+        runs.residuals, runs.converged = res, res <= cfg.tol
     return runs
 
 

@@ -128,6 +128,23 @@ class TestSolveCommand:
         assert to_file.stdout == ""
         assert _strip_wall_time(out.read_text()) == _strip_wall_time(direct.stdout)
 
+    @pytest.mark.parametrize("max_iters, exit_code", [("2", 0), ("3", 2)])
+    def test_short_shared_solve_reports_a_feasible_point(
+        self, runner, tmp_path, max_iters, exit_code
+    ):
+        """A solve stopped after a few iterations keeps the shared budget
+        x1 + x2 <= 1: after 2 iterations the polished point is an equilibrium
+        (exit 0); after 3 it is not yet converged (exit 2)."""
+        path = str(tmp_path / "ad.json")
+        runner.invoke(main, ["examples", "--name", "arrow-debreu", "--dump", path])
+        result = runner.invoke(main, ["solve", path, "--restarts", "1", "--max-iters", max_iters])
+        report = _report(result)
+        assert result.exit_code == report["exit_code"] == exit_code
+        assert report["error"] is None
+        assert report["solution"]["converged"] is (exit_code == 0)
+        x1, x2 = report["solution"]["point"]
+        assert x1 + x2 <= 1 + 1e-9
+
     def test_malformed_file_exit_one(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -260,6 +277,44 @@ class TestHostileInputs:
         report = json.loads(result.stdout)  # exactly one JSON document
         assert report["exit_code"] == 1
         assert "too large to convert to float" in report["error"]
+
+    @pytest.mark.parametrize(
+        "player, message",
+        [
+            ({"dim": int("9" * 401)}, "player 0: box has 1 intervals but dim is a 401-digit integer"),
+            (
+                {"preference": {"type": "HalfspaceContour", "rows": [{"coeffs": ["9" * 401], "offset": "0"}]}},
+                "contour row 0: number overflows a float: a 401-digit integer",
+            ),
+            ({"preference": {"type": "Utility", "expr": "1" + "0" * 400 + ".5*x1"}}, "overflows a float: a 402-digit number"),
+            ({"preference": {"type": "Utility", "expr": "x" + "9" * 401}}, "variable index is a 401-digit integer"),
+            ({"preference": {"type": "Utility", "expr": "x1^" + "9" * 5000}}, "exponent is a 5000-digit integer"),
+        ],
+        ids=["dim", "coefficient", "float-literal", "variable-index", "exponent"],
+    )
+    def test_oversized_integers_named_by_digit_count(self, runner, tmp_path, player, message):
+        spec = {"dim": 1, "box": [[0.0, 1.0]], "preference": {"type": "TrivialZero"}, **player}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"players": [spec], "constraints": {"type": "BoxOnly"}}))
+        result = runner.invoke(main, ["verify", str(path), "--point", "0.5"])
+        assert result.exit_code == 1
+        error = _report(result)["error"]
+        assert message in error and len(error) < 200
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"players": [{"dim": ' + "9" * 5000 + "}]}", "an integer has too many digits"),
+            ("[" * 100_000, "nest too deeply"),
+        ],
+        ids=["5000-digit-integer", "deep-nesting"],
+    )
+    def test_json_beyond_the_parser_limits_exit_one_with_report(self, runner, tmp_path, text, message):
+        path = tmp_path / "game.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["solve", str(path)])
+        assert result.exit_code == 1
+        assert message in _report(result)["error"]
 
     @pytest.mark.parametrize(
         "expr, message",
@@ -543,10 +598,12 @@ class TestVersion:
         assert __version__ in result.output
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """The Halton starts import scipy.stats only when a solve needs them."""
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
+def test_cli_import_leaves_scipy_stats_unloaded(module):
+    """The Halton starts import scipy.stats, and the first LP scipy.optimize,
+    only when a command needs them."""
     env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
-    code = "import sys, ordnash.cli; print('scipy.stats' in sys.modules)"
+    code = f"import sys, ordnash.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

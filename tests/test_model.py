@@ -791,11 +791,10 @@ _SWEEP_GAMES = [
 ]
 
 
-def _reference_sample(game, player, x, count, seed, bounds=None, attempts=None):
+def _reference_sample(game, player, x, count, seed, bounds=None):
     """sample_contour by its definition: every draw made, masked, then cut."""
     lo, hi = game.player_box(player) if bounds is None else bounds
-    if attempts is None:
-        attempts = max(20 * count, 2000)
+    attempts = max(20 * count, 2000)
     draws = np.random.default_rng(seed).uniform(lo, hi, size=(attempts, game.dims[player]))
     return draws[strict_upper_mask(game, player, draws, x)][:count]
 
@@ -809,23 +808,15 @@ class TestEarlyStop:
         x = split_profile(game, coords)
         dim = game.dims[player]
         wide = (np.full(dim, -1.5), np.full(dim, 1.25))
-        model._draw_cache.clear()
         for seed in (0, 11):
             for bounds in (None, wide):
-                for attempts in (None, 100, 3000):
-                    # 5000 exceeds what 3000 attempts can accept; 1000 needs
-                    # more than the first chunk where acceptance is low.
-                    for count in (0, 1, 1000, 5000, 1):
-                        if count == 5000 and attempts is None:
-                            continue  # 100,000 draws add time and no case
-                        want = _reference_sample(game, player, x, count, seed, bounds, attempts)
-                        for _ in ("cold or extended", "warm"):
-                            got = sample_contour(
-                                game, player, x, count=count, seed=seed,
-                                bounds=bounds, max_attempts=attempts,
-                            )
-                            assert got.shape == want.shape == (len(want), dim)
-                            assert got.tobytes() == want.tobytes()
+                # 1000 and 5000 need more than the first chunk where
+                # acceptance is low.
+                for count in (0, 1, 1000, 5000):
+                    want = _reference_sample(game, player, x, count, seed, bounds)
+                    got = sample_contour(game, player, x, count=count, seed=seed, bounds=bounds)
+                    assert got.shape == want.shape == (len(want), dim)
+                    assert got.tobytes() == want.tobytes()
 
     def test_high_acceptance_tests_fewer_rows_than_attempts(self, pull_game, monkeypatch):
         rows = []
@@ -853,72 +844,25 @@ class TestEarlyStop:
         assert rng.random() == twin.random()
 
 
-class TestDrawCache:
-    """sample_contour keeps the draw streams of recent integer seeds in a small LRU."""
+class TestRepeatedSeeds:
+    """sample_contour keeps no state between calls: a seed alone fixes the draws."""
 
-    def test_cold_and_warm_calls_agree(self, pull_game):
-        model._draw_cache.clear()
+    def test_same_seed_calls_agree(self, pull_game):
         x = split_profile(pull_game, [1.0, 0.0])
-        cold = sample_contour(pull_game, 0, x, count=300, seed=5)
-        assert len(model._draw_cache) == 1
-        warm = sample_contour(pull_game, 0, x, count=300, seed=5)
-        np.testing.assert_array_equal(cold, warm)
-        np.testing.assert_array_equal(warm, _reference_sample(pull_game, 0, x, 300, 5))
+        first = sample_contour(pull_game, 0, x, count=300, seed=5)
+        second = sample_contour(pull_game, 0, x, count=300, seed=5)
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(second, _reference_sample(pull_game, 0, x, 300, 5))
 
-    def test_returned_array_does_not_alias_the_cache(self, pull_game):
+    def test_returned_arrays_are_writable_and_unshared(self, pull_game):
         x = split_profile(pull_game, [1.0, 0.0])
         first = sample_contour(pull_game, 0, x, count=300, seed=6)
         expected = first.copy()
         assert first.flags.writeable
         first[:] = 99.0
-        np.testing.assert_array_equal(sample_contour(pull_game, 0, x, count=300, seed=6), expected)
-        for stream in model._draw_cache.values():
-            assert not stream.draws.flags.writeable
-            assert not np.shares_memory(stream.draws, first)
-
-    def test_keys_separate_seed_bounds_and_attempts(self, pull_game):
-        x = split_profile(pull_game, [1.0, 0.0])
-        wide = (np.array([-3.0]), np.array([3.0]))
-        # count exceeds every attempt count, so each result holds all accepted draws.
-        calls = [
-            dict(seed=1, attempts=2000),
-            dict(seed=2, attempts=2000),
-            dict(seed=1, attempts=2500),
-            dict(seed=1, attempts=2000, bounds=wide),
-            dict(seed=1, attempts=2000, bounds=(np.array([-3.0]), np.array([2.0]))),
-            dict(seed=1, attempts=2500, bounds=wide),
-        ]
-
-        def run(call):
-            return sample_contour(
-                pull_game, 0, x, count=3000, seed=call["seed"],
-                bounds=call.get("bounds"), max_attempts=call["attempts"],
-            )
-
-        model._draw_cache.clear()
-        results = []
-        for call in calls:
-            got = run(call)
-            expected = _reference_sample(
-                pull_game, 0, x, 3000, call["seed"], call.get("bounds"), call["attempts"]
-            )
-            np.testing.assert_array_equal(got, expected)
-            results.append(got.tobytes())
-        assert len(set(results)) == len(results)
-        # One stream per seed and bounds: a longer run extends a shorter one.
-        assert len(model._draw_cache) == 4
-        # Each call again, warm and in another order.
-        for call, first in reversed(list(zip(calls, results))):
-            assert run(call).tobytes() == first
-
-    def test_size_stays_bounded(self, pull_game):
-        x = split_profile(pull_game, [1.0, 0.0])
-        for seed in range(50):
-            sample_contour(pull_game, 0, x, count=10, seed=seed)
-            assert len(model._draw_cache) <= 8
-        assert len(model._draw_cache) == 8
-        # The most recent seeds are the ones kept.
-        assert sorted(key[0] for key in model._draw_cache) == list(range(42, 50))
+        second = sample_contour(pull_game, 0, x, count=300, seed=6)
+        np.testing.assert_array_equal(second, expected)
+        assert second.flags.writeable and not np.shares_memory(first, second)
 
     def test_generator_seeds_are_not_reused(self, pull_game):
         x = split_profile(pull_game, [1.0, 0.0])
