@@ -49,8 +49,10 @@ __all__ = [
     "Provenance",
     "Direction",
     "ConeGenerators",
+    "own_gradients",
     "gradient_directions",
     "gradient_normal_direction",
+    "own_quadratic",
     "flat_maxima",
     "polyhedral_normal_generators",
     "contour_polyhedron",
@@ -157,17 +159,14 @@ def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     return np.array([row @ o for row, o in pairs], dtype=np.float64)
 
 
-def gradient_directions(
-    game: GameSpec, player: PlayerId, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized negative own-gradients of the utility at many profiles.
+def own_gradients(game: GameSpec, player: PlayerId, points: np.ndarray) -> np.ndarray:
+    """Own-gradients of the player's utility at many profiles.
 
     ``points`` is an (R, n) array of stacked profiles.  Central differences
     with step ``_FD_STEP`` are taken by one compiled call on the (2 dim R, n)
-    shifted profiles.  Returns the (R, dim) unit directions and the (R,)
-    mask of flat rows, whose gradient norm is at most ``_FLAT_TOL`` and whose
-    direction row is zero.  Each row is bit-equal to the computation at that
-    profile alone: the block norm is one 1-D dot per row (:func:`_row_dots`).
+    shifted profiles; returns the (R, dim) gradients, each row bit-equal to
+    the computation at that profile alone.  Raises ``EvaluationError`` where
+    a utility value is non-finite.
     """
     pref = game.players[player].preference
     if not isinstance(pref, UtilityPreference):
@@ -191,7 +190,22 @@ def gradient_directions(
             f"utility expression {pref.expr!r} non-finite near {bad.tolist()}"
         )
     pairs = values.reshape(-1, 2)
-    grad = ((pairs[:, 0] - pairs[:, 1]) / (2.0 * _FD_STEP)).reshape(-1, dim)
+    return ((pairs[:, 0] - pairs[:, 1]) / (2.0 * _FD_STEP)).reshape(-1, dim)
+
+
+def gradient_directions(
+    game: GameSpec, player: PlayerId, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized negative own-gradients of the utility at many profiles.
+
+    ``points`` is an (R, n) array of stacked profiles; the gradients are
+    those of :func:`own_gradients`.  Returns the (R, dim) unit directions
+    and the (R,) mask of flat rows, whose gradient norm is at most
+    ``_FLAT_TOL`` and whose direction row is zero.  Each row is bit-equal to
+    the computation at that profile alone: the block norm is one 1-D dot per
+    row (:func:`_row_dots`).
+    """
+    grad = own_gradients(game, player, points)
     norms = np.sqrt(_row_dots(grad, grad))
     flat = norms <= _FLAT_TOL
     # A flat row divides by norm + 1 (any nonzero value) and is zeroed below.
@@ -224,6 +238,18 @@ def _stencil(dim: int) -> np.ndarray:
     return np.vstack([np.zeros((1, dim)), np.stack([eye, -eye], axis=1).reshape(-1, dim), *pairs])
 
 
+def own_quadratic(game: GameSpec, player: PlayerId) -> bool:
+    """Is the player's preference a utility of degree at most 2 in the own
+    block (``Expr.degree``), so that its own Hessian depends on the rivals
+    alone?"""
+    pref = game.players[player].preference
+    if not isinstance(pref, UtilityPreference):
+        return False
+    sl = game.own_slice(player)
+    degree = pref.parsed.degree(frozenset(range(sl.start, sl.stop)))
+    return degree is not None and degree <= 2
+
+
 def flat_maxima(game: GameSpec, player: PlayerId, points: np.ndarray) -> np.ndarray:
     """Which flat profiles maximize the player's utility over the own block.
 
@@ -246,11 +272,9 @@ def flat_maxima(game: GameSpec, player: PlayerId, points: np.ndarray) -> np.ndar
     """
     pref = game.players[player].preference
     points = np.asarray(points, dtype=np.float64).reshape(-1, game.total_dim)
-    sl = game.own_slice(player)
-    own = frozenset(range(sl.start, sl.stop))
-    degree = pref.parsed.degree(own) if isinstance(pref, UtilityPreference) else None
-    if degree is None or degree > 2:
+    if not own_quadratic(game, player):
         return np.zeros(points.shape[0], dtype=bool)
+    sl = game.own_slice(player)
     dim = game.dims[player]
     steps = _stencil(dim)
     batch = np.repeat(points[:, None, :], steps.shape[0], axis=1)

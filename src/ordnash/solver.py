@@ -26,6 +26,23 @@ best-response manifold) and re-doubled, up to the configured step, while it
 travels.  Convergence is always declared against the configured step and
 tolerance, never against the internal working steps.
 
+Newton finish.  On box-only games where every player is trivial or has a
+utility of degree at most 2 in the own block (``cones.own_quadratic``, the
+test ``flat_maxima`` makes), the equilibrium conditions on the coordinates
+strictly inside the box are a small system G = 0 in the stacked raw
+own-gradients G (``cones.own_gradients``, the gradient the selection
+normalizes).  Every ``_ADAPT_WINDOW`` iterations each live row tries one
+Newton step on those free coordinates, with a Jacobian from unit-step
+central differences of G (exact for quadratic utilities).  The row takes the
+Newton point only if it lies in the box without clipping and the unchanged
+convergence test passes there: the selection at that point and its residual
+at the configured step, at most the tolerance.  The next iteration measures
+the same residual and the row leaves converged, so the finish cannot fake
+convergence; a row whose tries all fail iterates exactly as it would
+without them.  Shared games, and utilities of higher own-degree, never try.
+Concave quadratic games then converge in about 10-50 iterations where step
+halving takes about 250.
+
 All restarts advance together as the rows of one (R, n) iterate; a row leaves
 the loop when it converges or reaches ``max_iters``.  The loop state is arrays
 only: points, operator values, an (R, P) provenance array, per-player steps,
@@ -44,6 +61,9 @@ halfspace product, the residual over the stacked vector) is one 1-D ``dot``
 per contiguous row, because a matvec, ``einsum``, ``norm(axis=1)`` or a
 strided row can differ from it in the last bit; length-1 reductions and
 elementwise steps are vectorized.
+
+A row's reported residual is always that of its returned point, and its
+trace ends there.
 """
 
 from __future__ import annotations
@@ -61,10 +81,12 @@ from .cones import (
     flat_maxima,
     gradient_directions,
     gradient_normal_direction,
+    own_gradients,
+    own_quadratic,
     polyhedral_normal_generators,
     sampled_separating_direction,
 )
-from .errors import InfeasibleRegionError, SeparatorError
+from .errors import EvaluationError, InfeasibleRegionError, SeparatorError
 from .model import (
     BoxOnly,
     CoordinateOrder,
@@ -432,13 +454,75 @@ class _Restarts:
     traces: list[list[tuple[int, float]]]
 
 
+def _newton_point(game: GameSpec, x: np.ndarray) -> np.ndarray | None:
+    """One Newton step from the (n,) profile ``x`` towards a zero of the
+    stacked own-gradients (:func:`cones.own_gradients`) of the utility players.
+
+    The step moves the free coordinates only, those of utility players that
+    lie strictly inside their box, and solves J d = -G on them, J being the
+    Jacobian of the gradient G by unit-step central differences: one
+    compiled call per utility player on the stacked shifted profiles.  Those
+    differences are exact when every utility is quadratic.  Returns None
+    when no coordinate is free, a utility value or a difference is
+    non-finite, or J is singular.
+    """
+    players = [
+        p for p, spec in enumerate(game.players) if isinstance(spec.preference, UtilityPreference)
+    ]
+    movable = np.zeros(x.size, dtype=bool)
+    for player in players:
+        movable[game.own_slice(player)] = True
+    free = np.flatnonzero(movable & (game.box_lo < x) & (x < game.box_hi))
+    if free.size == 0:
+        return None
+    shifts = np.zeros((1 + 2 * free.size, x.size))  # x, then x + e_k and x - e_k per free k
+    shifts[1::2][np.arange(free.size), free] = 1.0
+    shifts[2::2][np.arange(free.size), free] = -1.0
+    points, grads = x + shifts, np.zeros(shifts.shape)
+    try:
+        # The shifted profiles reach a unit beyond the box; a difference that
+        # overflows there only rejects the step.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for player in players:
+                grads[:, game.own_slice(player)] = own_gradients(game, player, points)
+            jacobian = ((grads[1::2] - grads[2::2]) / 2.0)[:, free].T
+    except EvaluationError:
+        return None
+    if not (np.isfinite(jacobian).all() and np.isfinite(grads[0]).all()):
+        return None
+    try:
+        move = np.linalg.solve(jacobian, grads[0, free])
+    except np.linalg.LinAlgError:
+        return None
+    point = x.copy()
+    point[free] -= move
+    return point
+
+
+def _newton_finish(game: GameSpec, cfg: SolverConfig, x: np.ndarray) -> None:
+    """Replace each row of the (R, n) box-game iterate ``x`` by its Newton
+    point (:func:`_newton_point`) where that point lies in the box without
+    clipping and passes the unchanged convergence test, the residual at the
+    configured step being at most the tolerance.  Rows are decided one at a
+    time, so each decision is that of the row alone."""
+    for row in range(x.shape[0]):
+        point = _newton_point(game, x[row])
+        if point is None or not ((game.box_lo <= point) & (point <= game.box_hi)).all():
+            continue
+        g, _ = _select_rows(game, point[None, :], cfg.seed)
+        if _residuals(game, point[None, :], g, cfg.step, [])[0] <= cfg.tol:
+            x[row] = point
+
+
 def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Restarts:
     """Iterate every restart as one row of a stacked (R, n) array.
 
     The loop state holds the live rows only.  A row leaves when it converges
     or reaches ``max_iters`` and keeps its selection at its final point.
     Each row's iterates, steps and trace equal those of its start iterated
-    alone.
+    alone.  The trace ends at the residual of the returned point: a row
+    stopped at ``max_iters``, and every row of a shared game after the
+    polish, gets one more entry, numbered one past its last iteration.
     """
     x = np.array(starts, dtype=np.float64)
     count = x.shape[0]
@@ -452,10 +536,15 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
         traces=[[] for _ in range(count)],
     )
 
-    def leave(rows, at, res, it):
+    def leave(rows, at, it):
         runs.points[rows], runs.operator[rows] = x[at], g[at]
-        runs.provenance[rows], runs.residuals[rows], runs.iters[rows] = provenance[at], res[at], it
+        runs.provenance[rows], runs.iters[rows] = provenance[at], it
 
+    newton = isinstance(game.constraints, BoxOnly) and all(
+        isinstance(spec.preference, TrivialZero) or own_quadratic(game, player)
+        for player, spec in enumerate(game.players)
+    )
+    measure = np.zeros(count, dtype=bool)  # rows whose returned point is not yet measured
     live = np.arange(count)
     alpha = np.full((count, game.n_players), cfg.step)
     block_of = np.repeat(np.arange(game.n_players), game.dims)  # player of each coordinate
@@ -468,8 +557,8 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
             runs.traces[row].append((it, value))
         done = res <= cfg.tol
         if done.any():
-            leave(live[done], done, res, it)
-            runs.converged[live[done]] = True
+            leave(live[done], done, it)
+            runs.residuals[live[done]], runs.converged[live[done]] = res[done], True
             keep = ~done
             live, x, g, provenance = live[keep], x[keep], g[keep], provenance[keep]
             res, alpha, anchor = res[keep], alpha[keep], anchor[keep]
@@ -495,21 +584,28 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
             alpha = np.where(grow, np.minimum(alpha * 2.0, cfg.step), alpha)
             alpha = np.where(shrink, np.maximum(alpha * 0.5, _STEP_FLOOR), alpha)
             anchor = x
+            if newton:
+                _newton_finish(game, cfg, x)
 
         g, provenance = _select_rows(game, x, cfg.seed)
     else:
-        leave(live, np.ones(live.size, dtype=bool), res, cfg.max_iters)
+        leave(live, np.ones(live.size, dtype=bool), cfg.max_iters)
+        measure[live] = True
 
     if isinstance(game.constraints, SharedLinear):
         # The Jacobi update can leave a point outside the self-consistent
         # region (a residual-sized distance once converged); polish every row
         # back in and judge convergence at the polished point.
         joint = _joint_region(game)
-        x = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, runs.points)
-        g, provenance = _select_rows(game, x, cfg.seed)
-        res = _residuals(game, x, g, cfg.step, _row_offsets(game, x))
-        runs.points, runs.operator, runs.provenance = x, g, provenance
-        runs.residuals, runs.converged = res, res <= cfg.tol
+        runs.points = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, runs.points)
+        runs.operator, runs.provenance = _select_rows(game, runs.points, cfg.seed)
+        measure[:] = True
+    rows = np.flatnonzero(measure)
+    x = runs.points[rows]
+    res = _residuals(game, x, runs.operator[rows], cfg.step, _row_offsets(game, x))
+    runs.residuals[rows], runs.converged[rows] = res, res <= cfg.tol
+    for row, value in zip(rows.tolist(), res.tolist()):
+        runs.traces[row].append((runs.traces[row][-1][0] + 1, value))
     return runs
 
 

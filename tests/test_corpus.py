@@ -24,6 +24,7 @@ from ordnash.model import (
     validate_spec,
 )
 from ordnash.solver import SolverConfig, solve_svip
+from ordnash.verify import check_gne_grid
 
 
 class TestBundledExamples:
@@ -89,13 +90,17 @@ class TestQuadraticFamily:
         with pytest.raises(ValueError):
             quadratic_equilibrium(0, players=0)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_analytic_equilibrium_matches_solver(self, seed):
-        game = random_concave_quadratic(seed)
-        reference = quadratic_equilibrium(seed)
-        sol = solve_svip(game, SolverConfig(restarts=4))
+    @pytest.mark.parametrize("players, dims", [(2, 1), (3, 1), (2, 2), (3, 2)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_analytic_equilibrium_matches_solver(self, seed, players, dims):
+        # The Newton finish lands on the equilibrium up to the rounding of the
+        # gradient differences, well inside max_iters 300.
+        game = random_concave_quadratic(seed, players=players, dims=dims)
+        reference = quadratic_equilibrium(seed, players=players, dims=dims)
+        sol = solve_svip(game, SolverConfig(restarts=4, max_iters=300))
         assert sol.converged
-        np.testing.assert_allclose(sol.point.stacked, reference, atol=1e-6)
+        np.testing.assert_allclose(sol.point.stacked, reference, rtol=0.0, atol=1e-9)
+        assert check_gne_grid(game, sol.point, 0.02).passed
 
     @pytest.mark.parametrize("players,dims", [(2, 1), (2, 2), (3, 1)])
     def test_analytic_equilibrium_is_a_fixed_point(self, players, dims):

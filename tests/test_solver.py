@@ -1,5 +1,7 @@
 """Projected-iteration solver: selections, projections, steps, convergence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from ordnash.corpus import (
     random_concave_quadratic,
 )
 from ordnash.errors import (
+    EvaluationError,
     InfeasiblePointError,
     InfeasibleRegionError,
 )
@@ -361,11 +364,36 @@ class TestSolveSvip:
             sol = solve_svip(game, cfg)
             assert sol.converged == (sol.residual <= cfg.tol)
 
-    def test_trace_is_recorded_per_iteration(self, pull_game):
-        sol = solve_svip(pull_game, SolverConfig(restarts=2))
+    @pytest.mark.parametrize("case", ["converged", "shared-polished", "box-stopped"])
+    def test_trace_is_recorded_per_iteration(self, pull_game, case):
+        game, cfg = {
+            "converged": (pull_game, SolverConfig(restarts=2)),
+            # Stops at iteration 2 with residual 0.0531; the polish converges.
+            "shared-polished": (arrow_debreu_instance(1), SolverConfig(restarts=1, max_iters=2)),
+            # Stops before the first Newton try.
+            "box-stopped": (
+                random_concave_quadratic(3, players=3, dims=2),
+                SolverConfig(restarts=1, max_iters=5),
+            ),
+        }[case]
+        sol = solve_svip(game, cfg)
         iters = [i for i, _ in sol.trace]
         assert iters == list(range(1, len(iters) + 1))
         assert sol.trace[-1][1] == sol.residual
+        # A stopped or polished run measures its returned point once more.
+        assert len(iters) == sol.iters + (case != "converged")
+
+    @pytest.mark.parametrize("finish", [True, False])
+    def test_stopped_run_reports_the_residual_of_its_point(self, monkeypatch, finish):
+        # Without the finish this run stops at max_iters 50; its residual was
+        # once that of the iterate before the last step (0.1732, not 0.1582).
+        if not finish:
+            monkeypatch.setattr(solver, "_newton_point", lambda game, x: None)
+        game = random_concave_quadratic(3, players=3, dims=2)
+        cfg = SolverConfig(max_iters=50, restarts=1)
+        sol = solve_svip(game, cfg)
+        assert sol.residual == natural_residual(game, sol.point, sol.operator_value, cfg.step)
+        assert (sol.converged, sol.iters) == ((True, 9) if finish else (False, 50))
 
     def test_infeasible_shared_rows_raise(self):
         game = GameSpec(
@@ -400,10 +428,12 @@ class TestVariationalConsistency:
 
 # --- batched restarts --------------------------------------------------------
 #
-# Reference: the sequential single-restart loop the batched loop replaced,
-# kept verbatim (one restart, one Profile and one selection_T per iteration,
-# one Dykstra per block).  Every row of the batched loop must equal it from
-# the same start, bit for bit.
+# Reference: the sequential single-restart loop the batched loop replaced
+# (one restart, one Profile and one selection_T per iteration, one Dykstra per
+# block), with the Newton try of box games whose utilities are at most
+# quadratic in the own block, and one more trace entry wherever the returned
+# point was not measured in the loop.  Every row of the batched loop must
+# equal it from the same start, bit for bit.
 
 _REF_DYKSTRA_CYCLES = 200
 _REF_DYKSTRA_MOVE_TOL = 1e-12
@@ -453,7 +483,64 @@ def _ref_residual(game, x, g, step):
     return float(np.linalg.norm(x - _ref_project_blocks(game, x, x - step * g)))
 
 
+def _ref_newton_applies(game):
+    if isinstance(game.constraints, SharedLinear):
+        return False
+    for player, spec in enumerate(game.players):
+        if isinstance(spec.preference, TrivialZero):
+            continue
+        if not isinstance(spec.preference, UtilityPreference):
+            return False
+        sl = game.own_slice(player)
+        degree = spec.preference.parsed.degree(frozenset(range(sl.start, sl.stop)))
+        if degree is None or degree > 2:
+            return False
+    return True
+
+
+def _ref_stacked_gradient(game, y):
+    out = np.zeros(y.size)
+    for player, spec in enumerate(game.players):
+        if isinstance(spec.preference, UtilityPreference):
+            out[game.own_slice(player)] = cones.own_gradients(game, player, y[None, :])[0]
+    return out
+
+
+def _ref_newton_try(game, cfg, x):
+    """The finish's one-row try, one gradient per shifted profile: the
+    Newton point on the free coordinates if it lies in the box and passes
+    the residual test at the configured step, else ``x``."""
+    utility = np.zeros(x.size, dtype=bool)
+    for player, spec in enumerate(game.players):
+        utility[game.own_slice(player)] = isinstance(spec.preference, UtilityPreference)
+    free = [j for j in range(x.size) if utility[j] and game.box_lo[j] < x[j] < game.box_hi[j]]
+    if not free:
+        return x
+    eye = np.eye(x.size)  # shifts add +0.0 off the moved coordinate, as the solver's
+    try:
+        base = _ref_stacked_gradient(game, x + 0.0)
+        up = [_ref_stacked_gradient(game, x + eye[j]) for j in free]
+        down = [_ref_stacked_gradient(game, x + (0.0 - eye[j])) for j in free]
+    except EvaluationError:
+        return x
+    columns = [(u - d) / 2.0 for u, d in zip(up, down)]
+    jacobian = np.array(columns)[:, free].T
+    if not (np.isfinite(jacobian).all() and np.isfinite(base).all()):
+        return x
+    try:
+        move = np.linalg.solve(jacobian, base[free])
+    except np.linalg.LinAlgError:
+        return x
+    point = x.copy()
+    point[free] -= move
+    if not np.array_equal(np.clip(point, game.box_lo, game.box_hi), point):
+        return x
+    sel = selection_T(game, split_profile(game, point), sample_seed=cfg.seed)
+    return point if _ref_residual(game, point, sel.stacked, cfg.step) <= cfg.tol else x
+
+
 def _ref_run_single(game, cfg, start):
+    newton = _ref_newton_applies(game)
     x = start.copy()
     alpha = np.full(game.n_players, cfg.step)
     anchor = x.copy()
@@ -480,14 +567,20 @@ def _ref_run_single(game, cfg, start):
                 elif net >= 0.9 * budget:
                     alpha[player] = min(alpha[player] * 2.0, cfg.step)
             anchor = x.copy()
+            if newton:
+                x = _ref_newton_try(game, cfg, x)
         sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
-    if isinstance(game.constraints, SharedLinear):
+    shared = isinstance(game.constraints, SharedLinear)
+    if shared:
         region = _joint_region(game)
         assert not region.is_empty
         x = _ref_project_box_halfspaces(region, x)
         sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
+    if shared or not converged:
+        # The returned point was not measured in the loop.
         residual = _ref_residual(game, x, sel.stacked, cfg.step)
         converged = residual <= cfg.tol
+        trace.append((trace[-1][0] + 1, residual))
     return x, sel, residual, it, converged, trace
 
 
@@ -590,12 +683,18 @@ class TestBatchedRestarts:
         for row, start in enumerate(starts):
             _assert_row_matches(game, runs, row, _ref_run_single(game, cfg, start))
 
-    @pytest.mark.parametrize("name", ["box-3x2", "arrow-debreu", "trivial-rival"])
-    def test_rows_stopped_at_max_iters(self, name):
-        # box-3x2: every row stops; arrow-debreu: rows converge at iterations
-        # 1 and 6 while the others stop; trivial-rival: one row converges.
+    @pytest.mark.parametrize(
+        "name, max_iters",
+        [("box-3x2", 8), ("box-3x2", 9), ("arrow-debreu", 60), ("trivial-rival", 6)],
+    )
+    def test_rows_stopped_at_max_iters(self, name, max_iters):
+        # box-3x2 at 8: four rows take their Newton point at the last
+        # iteration and converge at the returned point, two stop; at 9: the
+        # four converge at 9 and the two stop after a rejected try.
+        # arrow-debreu: rows converge at iterations 1 and 6 while the others
+        # stop; trivial-rival: one row converges at 4, before any Newton try.
         game = BATCH_GAMES[name]()
-        cfg = SolverConfig(max_iters=60, seed=42)
+        cfg = SolverConfig(max_iters=max_iters, seed=42)
         starts = _explicit_starts(game)
         runs = _run_restarts(game, cfg, starts)
         assert (runs.iters == cfg.max_iters).any() and not runs.converged.all()
@@ -675,25 +774,28 @@ def test_region_builds_on_shared_games(name, monkeypatch):
 # restart, trace length and convergence, with 4 restarts and seed 42.
 # shared-3 stops at max_iters; its residual is the one at the returned point,
 # measured since the final polish covers unconverged rows too (before, it was
-# the residual of the iterate before the last step).
+# the residual of the iterate before the last step).  The traces of the
+# shared games end with the polish, one entry past the last iteration.  The
+# box entries converge by the Newton finish at iteration 9, after the try of
+# iteration 8; before it they converged at 258 and 242 by step halving.
 PINNED_SOLVES = {
-    "box-2x1": (["-0x1.3e3b1a4702f76p-1", "0x1.2ce87289c6242p-2"], "0x0.0p+0", 258, 0, 258, True),
+    "box-2x1": (["-0x1.3e3b1a468f6b2p-1", "0x1.2ce87289d2851p-2"], "0x0.0p+0", 9, 0, 9, True),
     "box-3x2": (
         [
-            "-0x1.fd309a5e4e947p-2",
-            "0x1.e2c2478f02c34p-1",
-            "-0x1.e341a5c1d4288p-2",
-            "-0x1.3268f4d0da1dap-1",
-            "-0x1.3dcdd3b5de932p-4",
-            "-0x1.7db5a0ecb370ap-1",
+            "-0x1.fd309a5ee38b3p-2",
+            "0x1.e2c2478f86508p-1",
+            "-0x1.e341a5c1473d5p-2",
+            "-0x1.3268f4d0d78d7p-1",
+            "-0x1.3dcdd3b4847fcp-4",
+            "-0x1.7db5a0ecbfa22p-1",
         ],
         "0x0.0p+0",
-        258,
+        9,
         0,
-        258,
+        9,
         True,
     ),
-    "arrow-debreu": (["0x1.07deab7d5eab2p-1", "0x1.f042a90542a9cp-2"], "0x0.0p+0", 179, 3, 179, True),
+    "arrow-debreu": (["0x1.07deab7d5eab2p-1", "0x1.f042a90542a9cp-2"], "0x0.0p+0", 179, 3, 180, True),
     "shared-3": (
         [
             "0x1.df02a63ae09a3p-2",
@@ -704,11 +806,11 @@ PINNED_SOLVES = {
         "0x1.66b5adc6b31a6p-16",
         60,
         3,
-        60,
+        61,
         False,
     ),
     "coordinate": (["0x1.0000000000000p+0", "0x1.0000000000000p+0"], "0x0.0p+0", 17, 0, 17, True),
-    "trivial-rival": (["0x1.503cf727e8450p-4", "0x1.eda8d76525e1ap-3"], "0x0.0p+0", 242, 0, 242, True),
+    "trivial-rival": (["0x1.503cf727e8450p-4", "0x1.eda8d76393039p-3"], "0x0.0p+0", 9, 0, 9, True),
 }
 
 
@@ -862,13 +964,13 @@ class TestFlatMaxima:
     @pytest.mark.parametrize(
         "expr, dim, target, draws, point",
         [
-            ("-1e-12*(x1-0.5)^2", 1, [0.5], 376, ["0x1.0001387e96a25p-1"]),
+            ("-1e-12*(x1-0.5)^2", 1, [0.5], 40, ["0x1.000000000014ap-1"]),
             (
                 "-1e-12*((x1-0.5)^2 + (x2+0.25)^2)",
                 2,
                 [0.5, -0.25],
-                96,
-                ["0x1.fe5993624a24ep-2", "-0x1.07c96bd2e60ecp-2"],
+                40,
+                ["0x1.ffffffffff73ep-2", "-0x1.000000000a84ap-2"],
             ),
         ],
     )
@@ -876,8 +978,10 @@ class TestFlatMaxima:
         self, monkeypatch, expr, dim, target, draws, point
     ):
         # Every gradient of this utility is flat, but its contour sets are wide:
-        # no row is marked, and the sampled selection moves the point to the
-        # maximizer with the calls and the point of the sampled route.
+        # no row is marked, and the sampled selection moves the point toward
+        # the maximizer.  The Newton try of iteration 8 lands on the maximizer
+        # (up to rounding of the tiny differences), where the sample finds the
+        # contour set empty, so the residual test passes there.
         game = self._one_player(expr, dim)
         flat_calls = self._record_flat_rows(monkeypatch)
         samples = self._count_samples(monkeypatch)
@@ -886,7 +990,8 @@ class TestFlatMaxima:
         assert len(samples) == draws
         assert run.converged
         assert [v.hex() for v in run.point.stacked] == point
-        assert np.allclose(run.point.stacked, target, atol=1e-2)
+        assert (run.iters, run.trace[-1]) == (9, (9, 0.0))
+        assert np.allclose(run.point.stacked, target, rtol=0.0, atol=1e-9)
 
     def test_rival_dependent_hessian_is_checked_at_each_row(self, monkeypatch):
         # Player 0's own Hessian is -2 (1 + x2): negative definite only for x2 > -1.
@@ -904,3 +1009,128 @@ class TestFlatMaxima:
         above = selection_T(game, split_profile(game, [0.0, 0.5]), sample_seed=0)
         assert len(samples) == 1 and above.provenance[0] == Provenance.FULL_SPACE
         assert above.directions[0].vector == (0.0,)
+
+
+# --- Newton finish ------------------------------------------------------------
+
+
+def quartic_game():
+    """A box game whose first utility has own-degree 4: the finish does not apply."""
+    return GameSpec(
+        players=(
+            PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x1-0.3)^4 + 0.1*x1*x2")),
+            PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x2-0.5*x1)^2")),
+        )
+    )
+
+
+def _solution_digest(sol):
+    parts = [
+        [v.hex() for v in sol.point.stacked.tolist()],
+        float(sol.residual).hex(),
+        sol.iters,
+        sol.converged,
+        sol.restart,
+        [[v.hex() for v in d.vector] for d in sol.operator_value],
+        [p.value for p in sol.provenance],
+    ]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def _trace_digest(trace):
+    return hashlib.sha256(repr([(i, r.hex()) for i, r in trace]).encode()).hexdigest()[:16]
+
+
+# Recorded before the finish existed, with 4 restarts and seed 42: the
+# solution digest, and the length and digest of the trace.
+UNQUALIFIED_SOLVES = {
+    "quartic": (quartic_game, 300, "237dc5a09eb9bb8d", 242, "c20bdb068164162e"),
+    "arrow-debreu": (
+        lambda: arrow_debreu_instance(13), 300, "632e64ede52c200c", 179, "9a7f63d70ed26594"
+    ),
+    "arrow-debreu-short": (
+        lambda: arrow_debreu_instance(1), 2, "17cc97542a23e5c5", 2, "b80afa3be125c721"
+    ),
+    "shared-3": (shared_three_player_game, 60, "9c59b3533d5d43d8", 60, "5a6d82a3f40fe58e"),
+    "mixed-budget": (
+        lambda: mixed_budget_game(0), 300, "af443796e40e2a25", 172, "3427e9f505beaed6"
+    ),
+    "coordinate": (example_coordinate_pref, 300, "a9a4823c802b7dc8", 17, "d5b02de39730415d"),
+}
+
+
+class TestNewtonFinish:
+    @staticmethod
+    def _record_points(monkeypatch):
+        """Wrap the solver's _newton_point; returns the list of points it gave."""
+        points = []
+
+        def recording(game, x, original=solver._newton_point):
+            point = original(game, x)
+            points.append(point)
+            return point
+
+        monkeypatch.setattr(solver, "_newton_point", recording)
+        return points
+
+    @pytest.mark.parametrize("name", sorted(UNQUALIFIED_SOLVES))
+    def test_unqualified_games_solve_as_before(self, monkeypatch, name):
+        """Shared games and utilities of own-degree above 2 try no Newton step;
+        their solutions are unchanged, and so are their traces up to the
+        entry that measures the returned point."""
+        build, max_iters, digest, trace_len, trace_digest = UNQUALIFIED_SOLVES[name]
+        points = self._record_points(monkeypatch)
+        sol = solve_svip(build(), SolverConfig(restarts=4, max_iters=max_iters, seed=42))
+        assert points == []
+        assert _solution_digest(sol) == digest
+        assert _trace_digest(sol.trace[:trace_len]) == trace_digest
+        assert sol.trace[trace_len:] in ((), ((trace_len + 1, sol.residual),))
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ("-(x1-2)^2 + x1*x2", "-(x2+2)^2"),
+            # Within the tolerance of the box: the residual test alone would
+            # pass there, and return a point outside the box.
+            ("-(x1-1.000000005)^2", "-(x2+1.000000005)^2"),
+        ],
+    )
+    def test_candidates_outside_the_box_are_rejected(self, monkeypatch, first, second):
+        # Both players are pulled past their upper and lower bound, so every
+        # Newton point leaves the box: the run is the one without the finish.
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference(first)),
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference(second)),
+            )
+        )
+        cfg = SolverConfig(restarts=4, max_iters=300, seed=42)
+        points = self._record_points(monkeypatch)
+        sol = solve_svip(game, cfg)
+        tried = [p for p in points if p is not None]
+        assert tried and all(
+            not ((game.box_lo <= p) & (p <= game.box_hi)).all() for p in tried
+        )
+        monkeypatch.setattr(solver, "_newton_point", lambda game, x: None)
+        alone = solve_svip(game, cfg)
+        assert _solution_digest(sol) == _solution_digest(alone)
+        assert sol.trace == alone.trace
+        assert sol.converged and sol.point.stacked.tolist() == [1.0, -1.0]
+
+    def test_coordinates_on_a_bound_stay_out_of_the_step(self, monkeypatch):
+        # x1 is pulled past its bound and the Newton points leave the box
+        # until x1 sits on it; then the step moves x2 alone, to its best
+        # response 0.5 * x1.
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x1-2)^2")),
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x2-0.5*x1)^2")),
+            )
+        )
+        points = self._record_points(monkeypatch)
+        sol = solve_svip(game, SolverConfig(restarts=4, max_iters=300, seed=42))
+        outside = [p for p in points if p is not None and p[0] > 1.0]
+        assert outside and any(p is not None and p[0] == 1.0 for p in points)
+        assert sol.converged and sol.iters < 40
+        assert sol.point.stacked[0] == 1.0
+        assert abs(sol.point.stacked[1] - 0.5) <= 1e-9
