@@ -26,22 +26,37 @@ best-response manifold) and re-doubled, up to the configured step, while it
 travels.  Convergence is always declared against the configured step and
 tolerance, never against the internal working steps.
 
-Newton finish.  On box-only games where every player is trivial or has a
-utility of degree at most 2 in the own block (``cones.own_quadratic``, the
-test ``flat_maxima`` makes), the equilibrium conditions on the coordinates
-strictly inside the box are a small system G = 0 in the stacked raw
-own-gradients G (``cones.own_gradients``, the gradient the selection
-normalizes).  Every ``_ADAPT_WINDOW`` iterations each live row tries one
-Newton step on those free coordinates, with a Jacobian from unit-step
-central differences of G (exact for quadratic utilities).  The row takes the
-Newton point only if it lies in the box without clipping and the unchanged
-convergence test passes there: the selection at that point and its residual
-at the configured step, at most the tolerance.  The next iteration measures
-the same residual and the row leaves converged, so the finish cannot fake
-convergence; a row whose tries all fail iterates exactly as it would
-without them.  Shared games, and utilities of higher own-degree, never try.
-Concave quadratic games then converge in about 10-50 iterations where step
-halving takes about 250.
+Finishes.  Every ``_ADAPT_WINDOW`` iterations, after the selection, each
+live row is offered one candidate point.  The row takes it only if the
+unchanged convergence test passes there: the selection at the candidate and
+its residual at the configured step, at most the tolerance.  The row then
+takes that selection too, the next iteration measures the same residual and
+the row leaves converged, so a finish cannot fake convergence; a row whose
+tries all fail iterates exactly as it would without them.  There are two
+candidate rules:
+
+- Newton finish.  On box-only games where every player is trivial or has a
+  utility of degree at most 2 in the own block (``cones.own_quadratic``, the
+  test ``flat_maxima`` makes), the equilibrium conditions on the coordinates
+  strictly inside the box are a small system G = 0 in the stacked raw
+  own-gradients G (``cones.own_gradients``, the gradient the selection
+  normalizes).  The candidate is one Newton step on those free coordinates,
+  with a Jacobian from unit-step central differences of G (exact for
+  quadratic utilities), offered only if it lies in the box without
+  clipping.  Utilities of higher own-degree never try.  Concave quadratic
+  games converge in about 10-50 iterations where step halving takes about
+  250.
+- Joint-step finish.  On shared games the candidate is the projected step
+  Proj_K(x - step * g(x)) onto the joint region K, by one row-batched
+  Dykstra call.  That is the step of the variational inequality on K, whose
+  solutions are equilibria of the shared game (the variational equilibria
+  of Facchinei & Kanzow, 4OR 2007).  The per-player step above moves every
+  player at once against a binding budget, so it overshoots (two players
+  take a budget sum s to 2 - s) and settles only by halving its steps; the
+  joint step lands on the face of equilibria where the budget binds.
+  Arrow-Debreu and mixed-budget games converge in 9 iterations where step
+  halving takes about 170-200.  The candidate is judged by the per-player
+  residual test above, not by the residual on K.
 
 All restarts advance together as the rows of one (R, n) iterate; a row leaves
 the loop when it converges or reaches ``max_iters``.  The loop state is arrays
@@ -499,19 +514,54 @@ def _newton_point(game: GameSpec, x: np.ndarray) -> np.ndarray | None:
     return point
 
 
-def _newton_finish(game: GameSpec, cfg: SolverConfig, x: np.ndarray) -> None:
-    """Replace each row of the (R, n) box-game iterate ``x`` by its Newton
-    point (:func:`_newton_point`) where that point lies in the box without
-    clipping and passes the unchanged convergence test, the residual at the
-    configured step being at most the tolerance.  Rows are decided one at a
-    time, so each decision is that of the row alone."""
+def _take_passing(
+    game: GameSpec,
+    cfg: SolverConfig,
+    x: np.ndarray,
+    g: np.ndarray,
+    provenance: np.ndarray,
+    rows: np.ndarray,
+    candidates: np.ndarray,
+) -> None:
+    """Move each listed row of the iterate to its candidate point where the
+    unchanged convergence test passes there: the selection at the candidate
+    and its residual at the configured step, at most the tolerance.  Such a
+    row takes the candidate's operator value and provenance too, so the next
+    iteration measures that same residual and the row leaves converged."""
+    if rows.size == 0:
+        return
+    cg, cprov = _select_rows(game, candidates, cfg.seed)
+    res = _residuals(game, candidates, cg, cfg.step, _row_offsets(game, candidates))
+    passed = res <= cfg.tol
+    rows = rows[passed]
+    x[rows], g[rows], provenance[rows] = candidates[passed], cg[passed], cprov[passed]
+
+
+def _newton_finish(
+    game: GameSpec, cfg: SolverConfig, x: np.ndarray, g: np.ndarray, provenance: np.ndarray
+) -> None:
+    """Offer each row of the (R, n) box-game iterate its Newton point
+    (:func:`_newton_point`) where that point lies in the box without
+    clipping; :func:`_take_passing` decides."""
+    rows, points = [], []
     for row in range(x.shape[0]):
         point = _newton_point(game, x[row])
-        if point is None or not ((game.box_lo <= point) & (point <= game.box_hi)).all():
-            continue
-        g, _ = _select_rows(game, point[None, :], cfg.seed)
-        if _residuals(game, point[None, :], g, cfg.step, [])[0] <= cfg.tol:
-            x[row] = point
+        if point is not None and ((game.box_lo <= point) & (point <= game.box_hi)).all():
+            rows.append(row)
+            points.append(point)
+    _take_passing(game, cfg, x, g, provenance, np.array(rows, dtype=int), np.array(points))
+
+
+def _joint_finish(
+    game: GameSpec, cfg: SolverConfig, x: np.ndarray, g: np.ndarray, provenance: np.ndarray
+) -> None:
+    """Offer each row of the (R, n) shared-game iterate the joint step
+    Proj_K(x - step * g), K being the joint region, by one row-batched
+    Dykstra call; :func:`_take_passing` decides."""
+    joint = _joint_region(game)
+    targets = x - cfg.step * g
+    points = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, targets)
+    _take_passing(game, cfg, x, g, provenance, np.arange(x.shape[0]), points)
 
 
 def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Restarts:
@@ -540,10 +590,15 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
         runs.points[rows], runs.operator[rows] = x[at], g[at]
         runs.provenance[rows], runs.iters[rows] = provenance[at], it
 
-    newton = isinstance(game.constraints, BoxOnly) and all(
+    if isinstance(game.constraints, SharedLinear):
+        finish = _joint_finish
+    elif all(
         isinstance(spec.preference, TrivialZero) or own_quadratic(game, player)
         for player, spec in enumerate(game.players)
-    )
+    ):
+        finish = _newton_finish
+    else:
+        finish = None
     measure = np.zeros(count, dtype=bool)  # rows whose returned point is not yet measured
     live = np.arange(count)
     alpha = np.full((count, game.n_players), cfg.step)
@@ -584,10 +639,10 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
             alpha = np.where(grow, np.minimum(alpha * 2.0, cfg.step), alpha)
             alpha = np.where(shrink, np.maximum(alpha * 0.5, _STEP_FLOOR), alpha)
             anchor = x
-            if newton:
-                _newton_finish(game, cfg, x)
 
         g, provenance = _select_rows(game, x, cfg.seed)
+        if finish is not None and it % _ADAPT_WINDOW == 0:
+            finish(game, cfg, x, g, provenance)
     else:
         leave(live, np.ones(live.size, dtype=bool), cfg.max_iters)
         measure[live] = True

@@ -47,7 +47,7 @@ from ordnash.solver import (
     selection_T,
     solve_svip,
 )
-from ordnash.verify import check_svip
+from ordnash.verify import check_gne_grid, check_svip
 
 
 class TestSolverConfig:
@@ -431,9 +431,10 @@ class TestVariationalConsistency:
 # Reference: the sequential single-restart loop the batched loop replaced
 # (one restart, one Profile and one selection_T per iteration, one Dykstra per
 # block), with the Newton try of box games whose utilities are at most
-# quadratic in the own block, and one more trace entry wherever the returned
-# point was not measured in the loop.  Every row of the batched loop must
-# equal it from the same start, bit for bit.
+# quadratic in the own block, the joint try of shared games, and one more
+# trace entry wherever the returned point was not measured in the loop.
+# Every row of the batched loop must equal it from the same start, bit for
+# bit.
 
 _REF_DYKSTRA_CYCLES = 200
 _REF_DYKSTRA_MOVE_TOL = 1e-12
@@ -539,8 +540,21 @@ def _ref_newton_try(game, cfg, x):
     return point if _ref_residual(game, point, sel.stacked, cfg.step) <= cfg.tol else x
 
 
+def _ref_joint_try(game, cfg, x, sel):
+    """The joint finish's one-row try: the projection of the configured step
+    onto the joint region, with its selection, if it passes the residual test
+    at the configured step, else ``x`` and ``sel``."""
+    region = _joint_region(game)
+    point = _ref_project_box_halfspaces(region, x - cfg.step * sel.stacked)
+    at_point = selection_T(game, split_profile(game, point), sample_seed=cfg.seed)
+    if _ref_residual(game, point, at_point.stacked, cfg.step) <= cfg.tol:
+        return point, at_point
+    return x, sel
+
+
 def _ref_run_single(game, cfg, start):
     newton = _ref_newton_applies(game)
+    shared = isinstance(game.constraints, SharedLinear)
     x = start.copy()
     alpha = np.full(game.n_players, cfg.step)
     anchor = x.copy()
@@ -570,7 +584,8 @@ def _ref_run_single(game, cfg, start):
             if newton:
                 x = _ref_newton_try(game, cfg, x)
         sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
-    shared = isinstance(game.constraints, SharedLinear)
+        if shared and it % _REF_ADAPT_WINDOW == 0:
+            x, sel = _ref_joint_try(game, cfg, x, sel)
     if shared:
         region = _joint_region(game)
         assert not region.is_empty
@@ -621,6 +636,7 @@ BATCH_GAMES = {
     "box-3x2": lambda: random_concave_quadratic(12, players=3, dims=2),
     "arrow-debreu": lambda: arrow_debreu_instance(13),
     "shared-3": shared_three_player_game,
+    "mixed-budget": lambda: mixed_budget_game(0),
     "coordinate": example_coordinate_pref,
     "trivial-rival": trivial_rival_game,
 }
@@ -669,7 +685,9 @@ def test_row_reductions_round_like_one_vector(n):
 
 
 def _iters_for(name):
-    # shared-3 never converges and pays one LP per iteration and start.
+    # shared-3 never converges and pays one LP per selection: one per
+    # iteration and start, and one more per start for each rejected joint try
+    # (every 8 iterations).
     return 60 if name == "shared-3" else 300
 
 
@@ -685,14 +703,15 @@ class TestBatchedRestarts:
 
     @pytest.mark.parametrize(
         "name, max_iters",
-        [("box-3x2", 8), ("box-3x2", 9), ("arrow-debreu", 60), ("trivial-rival", 6)],
+        [("box-3x2", 8), ("box-3x2", 9), ("arrow-debreu", 7), ("trivial-rival", 6)],
     )
     def test_rows_stopped_at_max_iters(self, name, max_iters):
         # box-3x2 at 8: four rows take their Newton point at the last
         # iteration and converge at the returned point, two stop; at 9: the
         # four converge at 9 and the two stop after a rejected try.
-        # arrow-debreu: rows converge at iterations 1 and 6 while the others
-        # stop; trivial-rival: one row converges at 4, before any Newton try.
+        # arrow-debreu at 7: rows converge at iterations 1 and 6 while the
+        # others stop before the first joint try, which takes them all at 8;
+        # trivial-rival: one row converges at 4, before any Newton try.
         game = BATCH_GAMES[name]()
         cfg = SolverConfig(max_iters=max_iters, seed=42)
         starts = _explicit_starts(game)
@@ -778,6 +797,8 @@ def test_region_builds_on_shared_games(name, monkeypatch):
 # shared games end with the polish, one entry past the last iteration.  The
 # box entries converge by the Newton finish at iteration 9, after the try of
 # iteration 8; before it they converged at 258 and 242 by step halving.
+# arrow-debreu converges by the joint finish at iteration 9, on restart 0;
+# before it restart 3 converged first, at 179, by step halving.
 PINNED_SOLVES = {
     "box-2x1": (["-0x1.3e3b1a468f6b2p-1", "0x1.2ce87289d2851p-2"], "0x0.0p+0", 9, 0, 9, True),
     "box-3x2": (
@@ -795,7 +816,7 @@ PINNED_SOLVES = {
         9,
         True,
     ),
-    "arrow-debreu": (["0x1.07deab7d5eab2p-1", "0x1.f042a90542a9cp-2"], "0x0.0p+0", 179, 3, 180, True),
+    "arrow-debreu": (["0x1.51d34ac7534a7p-1", "0x1.5c596a71596b2p-2"], "0x0.0p+0", 9, 0, 10, True),
     "shared-3": (
         [
             "0x1.df02a63ae09a3p-2",
@@ -1041,20 +1062,14 @@ def _trace_digest(trace):
     return hashlib.sha256(repr([(i, r.hex()) for i, r in trace]).encode()).hexdigest()[:16]
 
 
-# Recorded before the finish existed, with 4 restarts and seed 42: the
+# Recorded before either finish existed, with 4 restarts and seed 42: the
 # solution digest, and the length and digest of the trace.
 UNQUALIFIED_SOLVES = {
     "quartic": (quartic_game, 300, "237dc5a09eb9bb8d", 242, "c20bdb068164162e"),
-    "arrow-debreu": (
-        lambda: arrow_debreu_instance(13), 300, "632e64ede52c200c", 179, "9a7f63d70ed26594"
-    ),
     "arrow-debreu-short": (
         lambda: arrow_debreu_instance(1), 2, "17cc97542a23e5c5", 2, "b80afa3be125c721"
     ),
     "shared-3": (shared_three_player_game, 60, "9c59b3533d5d43d8", 60, "5a6d82a3f40fe58e"),
-    "mixed-budget": (
-        lambda: mixed_budget_game(0), 300, "af443796e40e2a25", 172, "3427e9f505beaed6"
-    ),
     "coordinate": (example_coordinate_pref, 300, "a9a4823c802b7dc8", 17, "d5b02de39730415d"),
 }
 
@@ -1075,9 +1090,11 @@ class TestNewtonFinish:
 
     @pytest.mark.parametrize("name", sorted(UNQUALIFIED_SOLVES))
     def test_unqualified_games_solve_as_before(self, monkeypatch, name):
-        """Shared games and utilities of own-degree above 2 try no Newton step;
-        their solutions are unchanged, and so are their traces up to the
-        entry that measures the returned point."""
+        """Shared games and utilities of own-degree above 2 try no Newton
+        step.  Where no joint try is taken either (arrow-debreu-short stops
+        before the first, every try of shared-3 is rejected), the solutions
+        are unchanged, and so are the traces up to the entry that measures
+        the returned point."""
         build, max_iters, digest, trace_len, trace_digest = UNQUALIFIED_SOLVES[name]
         points = self._record_points(monkeypatch)
         sol = solve_svip(build(), SolverConfig(restarts=4, max_iters=max_iters, seed=42))
@@ -1134,3 +1151,60 @@ class TestNewtonFinish:
         assert sol.converged and sol.iters < 40
         assert sol.point.stacked[0] == 1.0
         assert abs(sol.point.stacked[1] - 0.5) <= 1e-9
+
+
+# --- joint-step finish -----------------------------------------------------------
+
+JOINT_GAMES = [("arrow-debreu", seed) for seed in range(8)] + [
+    ("mixed-budget", seed) for seed in range(4)
+]
+
+
+class TestJointFinish:
+    @staticmethod
+    def _record_calls(monkeypatch):
+        """Wrap the solver's _joint_finish; returns the list of games it was given."""
+        calls = []
+
+        def recording(game, *args, original=solver._joint_finish):
+            calls.append(game)
+            return original(game, *args)
+
+        monkeypatch.setattr(solver, "_joint_finish", recording)
+        return calls
+
+    @pytest.mark.parametrize("name, seed", JOINT_GAMES)
+    def test_shared_solves_converge_on_the_budget(self, name, seed):
+        # Step halving took 172-195 iterations on these games.
+        game = SHORT_SOLVE_GAMES[name](seed)
+        cfg = SolverConfig(restarts=4, max_iters=300, seed=42)
+        runs = _run_restarts(game, cfg, _starting_points(game, cfg))
+        assert runs.converged.all() and (runs.iters <= 17).all()
+        slack = game.constraints.rhs[:, None] - game.constraints.matrix @ runs.points.T
+        assert (np.abs(slack) <= 1e-9).all()
+        sol = solve_svip(game, cfg)
+        assert sol.converged
+        assert check_svip(game, sol.point, sol.operator_value).passed
+        assert check_gne_grid(game, sol.point, h=0.02).passed
+        # The trace ends with the polish, which measures the returned point.
+        assert sol.trace[-1] == (sol.iters + 1, sol.residual)
+
+    def test_box_only_games_never_try_it(self, monkeypatch):
+        calls = self._record_calls(monkeypatch)
+        cfg = SolverConfig(restarts=4, max_iters=300, seed=42)
+        for build in (
+            lambda: random_concave_quadratic(3, players=3, dims=2),
+            quartic_game,
+            example_coordinate_pref,
+            trivial_rival_game,
+        ):
+            solve_svip(build(), cfg)
+        assert calls == []
+        game = arrow_debreu_instance(0)
+        solve_svip(game, cfg)
+        assert calls == [game]  # one window: every restart converges at 9
+        # shared-3 tries at every window; UNQUALIFIED_SOLVES pins that its
+        # rejected tries change nothing.
+        calls.clear()
+        solve_svip(shared_three_player_game(), SolverConfig(restarts=4, max_iters=16, seed=42))
+        assert len(calls) == 2
