@@ -7,8 +7,9 @@ report that cannot be written to ``--out`` goes to stdout with the error.
 
 One runner, :func:`_reported`, wraps every command body and owns the report:
 it echoes the command's declared parameters as ``arguments``, times the run,
-turns an :class:`OrdnashError` into the exit-1 report and writes the result.
-A body only does its work and returns its exit code and report fields.
+turns an :class:`OrdnashError` or a ``MemoryError`` into the exit-1 report
+and writes the result.  A body only does its work and returns its exit code
+and report fields.
 """
 
 from __future__ import annotations
@@ -95,6 +96,9 @@ def _reported(body):
             fields.update(found)
         except OrdnashError as err:
             exit_code, error = 1, str(err)
+        except MemoryError as err:
+            # A request beyond the machine's memory, such as a huge --restarts.
+            exit_code, error = 1, f"out of memory: {err}" if str(err) else "out of memory"
         report = build_report(
             command.name,
             arguments,

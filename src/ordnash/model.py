@@ -564,17 +564,42 @@ def _utility_values(pref: UtilityPreference, batch: np.ndarray | ColumnView) -> 
     return values
 
 
-def _contour_rows(
+_CONTOUR_NON_FINITE = "contour row evaluated to a non-finite value"
+
+
+def _contour_arrays(
     pref: HalfspaceContour, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """HalfspaceContour rows at each of the (k, n) profiles: A (k, rows, dim), b (k, rows)."""
+    """HalfspaceContour rows at each of the (k, n) profiles, unchecked:
+    A (k, rows, dim), b (k, rows)."""
     values = np.array([[f(points) for f in row.fns] for row in pref.rows])
-    if not np.isfinite(values).all():
-        raise EvaluationError("contour row evaluated to a non-finite value")
     # values is (rows, dim + 1, k), the offset last.  One C-ordered (rows, dim)
     # matrix per profile, the layout of a single profile's rows, so that
     # ``y @ A.T`` rounds alike for one or many profiles.
     return np.ascontiguousarray(values[:, :-1].transpose(2, 0, 1)), values[:, -1].T
+
+
+def _contour_rows(
+    pref: HalfspaceContour, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_contour_arrays`, raising EvaluationError on a non-finite value."""
+    a, b = _contour_arrays(pref, points)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise EvaluationError(_CONTOUR_NON_FINITE)
+    return a, b
+
+
+def _inside_contour(own: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether own blocks lie strictly inside the open polyhedra ``a y < b``
+    of k profiles: ``own`` is (k or 1, m, dim), ``a`` (k, rows, dim) and
+    ``b`` (k, rows); returns the (k, m) mask."""
+    if own.shape[-1] == 1:
+        # One coordinate: a broadcast product, equal to the matmul up to
+        # the sign of zero, which ``<`` ignores.
+        lhs = own * a[:, None, :, 0]
+    else:
+        lhs = own @ a.transpose(0, 2, 1)
+    return np.all(lhs < b[:, None, :], axis=2)
 
 
 def evaluate_contour_rows(
@@ -638,13 +663,7 @@ def _strict_upper_table(
 
     if isinstance(pref, HalfspaceContour):
         a, b = _contour_rows(pref, points)
-        if own.shape[1] == 1:
-            # One coordinate: a broadcast product, equal to the matmul up to
-            # the sign of zero, which ``<`` ignores.
-            lhs = own[None] * a[:, :, 0][:, None, :]
-        else:
-            lhs = own[None, :, :] @ a.transpose(0, 2, 1)
-        return np.all(lhs < b[:, None, :], axis=2)
+        return _inside_contour(own[None], a, b)
 
     if isinstance(pref, ThresholdBand):
         if game.total_dim != 2:
@@ -809,12 +828,21 @@ def sample_contour(
 def _probe_profiles(game: GameSpec, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     lo, hi = game.box_lo, game.box_hi
-    width = np.where(hi > lo, hi - lo, 1.0)
-    return rng.uniform(0.0, 1.0, size=(count, game.total_dim)) * width + lo
+    return rng.uniform(0.0, 1.0, size=(count, game.total_dim)) * (hi - lo) + lo
 
 
 def validate_spec(game: GameSpec) -> list[ValidationIssue]:
-    """Check a game for structural problems; issues are returned, not raised."""
+    """Check a game for structural problems; issues are returned, not raised.
+
+    The structural checks come first: box intervals, expressions (parse
+    errors, variables beyond the game), contour row and ThresholdBand
+    arity, and shared rows that bind no player.  Only a game without such
+    issues is probed, for the irreflexive strict preferences that the
+    existence results assume: at 16 seeded profiles drawn uniformly from the
+    box, each utility and HalfspaceContour player is evaluated once, at all
+    of them (:func:`_probe_issue`), and its first non-finite value or
+    profile that strictly beats itself, in probe order, is one issue.
+    """
     issues: list[ValidationIssue] = []
     n = game.total_dim
 
@@ -885,31 +913,54 @@ def validate_spec(game: GameSpec) -> list[ValidationIssue]:
     if issues:
         return issues  # probing needs a structurally sound game
 
-    # Sampling probe: catch non-finite utilities and contour rows that break
-    # irreflexivity (the current point strictly inside its own contour set).
     probes = _probe_profiles(game, _PROBE_COUNT, _PROBE_SEED)
-    for idx, spec in enumerate(game.players):
-        pref = spec.preference
-        if not isinstance(pref, (UtilityPreference, HalfspaceContour)):
-            continue
-        for row in probes:
-            profile = split_profile(game, row)
-            own = profile.block(idx).array
-            try:
-                if strictly_prefers(game, idx, own, profile):
-                    issues.append(
-                        ValidationIssue(
-                            "irreflexivity",
-                            f"player {idx} strictly prefers a point to itself "
-                            f"at profile {np.round(row, 6).tolist()}",
-                            idx,
-                        )
-                    )
-                    break
-            except EvaluationError as err:
-                issues.append(ValidationIssue("non-finite", str(err), idx))
-                break
+    for idx in range(game.n_players):
+        issue = _probe_issue(game, idx, probes)
+        if issue is not None:
+            issues.append(issue)
     return issues
+
+
+def _probe_issue(
+    game: GameSpec, player: PlayerId, probes: np.ndarray
+) -> ValidationIssue | None:
+    """The first problem of ``player`` at the (k, n) ``probes``, in probe
+    order: a non-finite utility or contour row, or a probe whose own block
+    lies strictly inside its own contour set there (irreflexivity broken).
+    At one probe, a non-finite value is reported first.
+
+    The player's expressions are evaluated once, at all probes.  A utility
+    can fail only by a non-finite value, since no value exceeds itself.  A
+    contour player's rows are tested only at each probe's own block, the
+    deviation irreflexivity is about; no probe's block meets another
+    probe's rows.
+    """
+    pref = game.players[player].preference
+    try:
+        if isinstance(pref, UtilityPreference):
+            _utility_values(pref, probes)
+            return None
+        if not isinstance(pref, HalfspaceContour):
+            return None
+        a, b = _contour_arrays(pref, probes)
+    except EvaluationError as err:
+        return ValidationIssue("non-finite", str(err), player)
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    inside = np.zeros(finite.shape, dtype=bool)
+    own = probes[finite, None, game.own_slice(player)]
+    inside[finite] = _inside_contour(own, a[finite], b[finite])[:, 0]
+    failing = np.flatnonzero(~finite | inside)
+    if failing.size == 0:
+        return None
+    first = failing[0]
+    if not finite[first]:
+        return ValidationIssue("non-finite", _CONTOUR_NON_FINITE, player)
+    return ValidationIssue(
+        "irreflexivity",
+        f"player {player} strictly prefers a point to itself "
+        f"at profile {np.round(probes[first], 6).tolist()}",
+        player,
+    )
 
 
 def _validate_expression(

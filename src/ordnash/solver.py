@@ -69,8 +69,10 @@ utility player for all live rows (``cones.gradient_directions``), one
 Dykstra per player (shared rows), and falls back to ``selection_T`` only for
 rows that need it.  The starting points and the final points of every row
 on shared games are each projected onto the joint region by one row-batched
-Dykstra call.  Every row is bit-identical to iterating its start alone, so
-results, traces and the lowest-index tie-break do not depend on R.  That is
+Dykstra call.  A selection depends only on the game, the point and the
+seed, so that final polish selects again only at the rows it moves (those
+not bit-identical to the point the loop left); the others keep theirs.
+Every row is bit-identical to iterating its start alone, so results, traces and the lowest-index tie-break do not depend on R.  That is
 kept by one rule: a reduction of length two or more (a block norm, a
 halfspace product, the residual over the stacked vector) is one 1-D ``dot``
 per contiguous row, because a matvec, ``einsum``, ``norm(axis=1)`` or a
@@ -133,7 +135,7 @@ __all__ = [
 
 _DYKSTRA_CYCLES = 200
 _DYKSTRA_MOVE_TOL = 1e-12
-_ADAPT_WINDOW = 8
+_ADAPT_WINDOW = 8  # a power of two: the step adaptation divides by it exactly
 _STEP_FLOOR = 1e-13
 _SAMPLE_COUNT = 1000  # contour draws behind one sampled selection
 
@@ -626,7 +628,6 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
         x = _project_rows(game, offsets, x - alpha[:, block_of] * g)
 
         if it % _ADAPT_WINDOW == 0:
-            budget = _ADAPT_WINDOW * alpha
             moves = x - anchor
             net = np.column_stack(
                 [
@@ -634,9 +635,16 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
                     for sl in map(game.own_slice, range(game.n_players))
                 ]
             )
-            shrink = net <= 0.5 * budget
-            grow = ~shrink & (net >= 0.9 * budget)
-            alpha = np.where(grow, np.minimum(alpha * 2.0, cfg.step), alpha)
+            # Shrink where the net move is at most half the window's budget
+            # _ADAPT_WINDOW * alpha, grow where it is at least 0.9 of it, up to
+            # the configured step.  Scaling by a power of two is exact in the
+            # normal range, so dividing the move instead of multiplying the
+            # step changes no decision, and no product overflows at a step
+            # near the largest float.
+            rate = net / _ADAPT_WINDOW
+            shrink = rate <= 0.5 * alpha
+            grow = ~shrink & (rate >= 0.9 * alpha)
+            alpha = np.where(grow, np.minimum(alpha, 0.5 * cfg.step) * 2.0, alpha)
             alpha = np.where(shrink, np.maximum(alpha * 0.5, _STEP_FLOOR), alpha)
             anchor = x
 
@@ -650,10 +658,18 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
     if isinstance(game.constraints, SharedLinear):
         # The Jacobi update can leave a point outside the self-consistent
         # region (a residual-sized distance once converged); polish every row
-        # back in and judge convergence at the polished point.
+        # back in and judge convergence at the polished point.  A selection
+        # depends only on the point, so a row the polish leaves bit-identical
+        # keeps the one it has.
         joint = _joint_region(game)
-        runs.points = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, runs.points)
-        runs.operator, runs.provenance = _select_rows(game, runs.points, cfg.seed)
+        polished = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, runs.points)
+        bits_differ = polished.view(np.uint64) != runs.points.view(np.uint64)
+        moved = np.flatnonzero(bits_differ.any(axis=1))
+        runs.points = polished
+        if moved.size:
+            runs.operator[moved], runs.provenance[moved] = _select_rows(
+                game, polished[moved], cfg.seed
+            )
         measure[:] = True
     rows = np.flatnonzero(measure)
     x = runs.points[rows]

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import ordnash
-from ordnash import __version__
+from ordnash import __version__, solver
 from ordnash.cli import main
 from ordnash.corpus import EXAMPLES
 from ordnash.gamefile import dumps_game, game_digest, load_game
@@ -144,6 +144,28 @@ class TestSolveCommand:
         assert report["solution"]["converged"] is (exit_code == 0)
         x1, x2 = report["solution"]["point"]
         assert x1 + x2 <= 1 + 1e-9
+
+    @pytest.mark.parametrize(
+        "message, error",
+        [
+            ("Unable to allocate 745. GiB", "out of memory: Unable to allocate 745. GiB"),
+            ("", "out of memory"),
+        ],
+    )
+    def test_out_of_memory_exit_one_with_report(
+        self, runner, coordinate_file, monkeypatch, message, error
+    ):
+        # A huge --restarts runs out of memory in scipy's Halton sampler.
+        def refuse(game, cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(solver, "_starting_points", refuse)
+        result = runner.invoke(main, ["solve", coordinate_file, "--restarts", "100000000000"])
+        assert result.exit_code == 1
+        report = _report(result)
+        assert report["exit_code"] == 1
+        assert report["error"] == error
+        assert report["arguments"]["restarts"] == 100000000000
 
     def test_malformed_file_exit_one(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -18,7 +18,7 @@ from ordnash.corpus import (
     example_trivial_pref,
     random_concave_quadratic,
 )
-from ordnash.errors import ProfileError
+from ordnash.errors import EvaluationError, ProfileError
 from ordnash.model import (
     Block,
     BoxOnly,
@@ -33,6 +33,7 @@ from ordnash.model import (
     ThresholdBand,
     TrivialZero,
     UtilityPreference,
+    ValidationIssue,
     assemble_profile,
     feasible_region,
     sample_contour,
@@ -995,3 +996,178 @@ class TestValidateSpec:
         monkeypatch.setattr(model, "parse_expression", lambda t: calls.append(t) or parse(t))
         assert validate_spec(game) == []
         assert sorted(calls) == sorted(texts)
+
+
+# --- validate_spec's probe against the per-probe loop -------------------------
+
+
+def _ref_probe_outcome(game, player, row):
+    """The probe's verdict on ``player`` at the profile ``row``, as
+    validate_spec reached it before it evaluated each player once: one
+    ``strictly_prefers`` test of the own block at that profile.  Returns
+    None, or the ValidationIssue it would report there."""
+    profile = split_profile(game, row)
+    try:
+        if strictly_prefers(game, player, profile.block(player).array, profile):
+            return ValidationIssue(
+                "irreflexivity",
+                f"player {player} strictly prefers a point to itself "
+                f"at profile {np.round(row, 6).tolist()}",
+                player,
+            )
+    except EvaluationError as err:
+        return ValidationIssue("non-finite", str(err), player)
+    return None
+
+
+def _ref_probes(game):
+    """The probe profiles, with the guard on empty box intervals that the
+    probe dropped (it runs only when every interval is nonempty)."""
+    rng = np.random.default_rng(model._PROBE_SEED)
+    lo, hi = game.box_lo, game.box_hi
+    width = np.where(hi > lo, hi - lo, 1.0)
+    return rng.uniform(0.0, 1.0, size=(model._PROBE_COUNT, game.total_dim)) * width + lo
+
+
+def _ref_probe_issues(game):
+    """The probe issues of a structurally sound game, by the per-probe loop:
+    each utility or contour player's first failing probe, in probe order."""
+    issues = []
+    for player, spec in enumerate(game.players):
+        if isinstance(spec.preference, (UtilityPreference, HalfspaceContour)):
+            for row in _ref_probes(game):
+                issue = _ref_probe_outcome(game, player, row)
+                if issue is not None:
+                    issues.append(issue)
+                    break
+    return issues
+
+
+_PROBE_BOX = (-2.0, 2.0)
+_SQRT_MAX = 1.3407807929942596e154  # a square above this overflows
+
+
+def _non_finite_beyond(var, threshold, factor):
+    """A term that is non-finite where |var| exceeds ``threshold``: nan
+    (0 * inf) for factor 0, else +inf; below it, zero or a tiny positive."""
+    return f"{factor!r}*({_SQRT_MAX / threshold!r}*{var})^2"
+
+
+def _probe_game(seed):
+    """A seeded structurally sound game for the probe: 2-3 players with 1-D or
+    2-D blocks on [-2, 2], each a utility, rival-dependent contour rows, a
+    coordinate order or trivial.  Expressions may turn nan or +inf beyond a
+    random threshold of some coordinate, contour rows may hold the own block
+    strictly inside beyond a threshold of a rival, and one expression in
+    eight has a constant subexpression that raises (1/0 or 1e200^2)."""
+    rng = np.random.default_rng(seed)
+    dims = [int(d) for d in rng.integers(1, 3, size=int(rng.integers(2, 4)))]
+    n = sum(dims)
+    names = [f"x{j + 1}" for j in range(n)]
+
+    def num():
+        return repr(float(np.round(rng.uniform(-1.5, 1.5), 3)))
+
+    def extras(rival):
+        terms = ""
+        if rng.uniform() < 0.4:
+            var, threshold = names[rng.integers(n)], float(rng.uniform(0.5, 2.6))
+            terms += " + " + _non_finite_beyond(var, threshold, float(rng.choice([0.0, 1e-320])))
+        if rng.uniform() < 0.125:
+            terms += " + " + str(rng.choice(["x1*(1/0)", "(1e200)^2", "0*(0.0^-1)"]))
+        return terms
+
+    players, start = [], 0
+    for dim in dims:
+        own = names[start : start + dim]
+        rivals = names[:start] + names[start + dim :]
+        start += dim
+        kind = rng.choice(["utility", "contour", "contour", "order", "trivial"])
+        rival, other = (rivals[rng.integers(len(rivals))] for _ in range(2))
+        if kind == "utility":
+            terms = " + ".join(f"-({y} - {num()})^2 + {num()}*{y}*{rival}" for y in own)
+            pref = UtilityPreference(terms + extras(rival))
+        elif kind == "contour":
+            rows = []
+            for _ in range(int(rng.integers(1, 3))):
+                coeffs = [f"({num()} + {num()}*{rival})" for _ in own]
+                at_own = " + ".join(f"{c}*{y}" for c, y in zip(coeffs, own))
+                # s (other - t) > 0 puts the own block strictly inside the row.
+                lift = "0" if rng.uniform() < 0.25 else f"{num()}*({other} - {num()})"
+                rows.append(ContourRow(coeffs, f"{at_own} + {lift}{extras(rival)}"))
+            pref = HalfspaceContour(tuple(rows))
+        elif kind == "order":
+            pref = CoordinateOrder()
+        else:
+            pref = TrivialZero()
+        players.append(PlayerSpec(dim, (_PROBE_BOX,) * dim, pref))
+    return GameSpec(tuple(players))
+
+
+class TestValidateProbe:
+    """validate_spec evaluates each player once at all probes; its issues
+    equal those of the per-probe loop it replaced."""
+
+    GAMES = range(300)
+
+    def test_issues_equal_the_per_probe_loop(self):
+        for seed in self.GAMES:
+            game = _probe_game(seed)
+            assert validate_spec(game) == _ref_probe_issues(game), seed
+
+    def test_the_games_cover_every_outcome(self):
+        """The seeded games reach every outcome the probe can report, with
+        1-D and 2-D blocks, and both orders of a non-finite and an
+        irreflexive probe of one player."""
+        seen = set()
+        for seed in self.GAMES:
+            game = _probe_game(seed)
+            probes = _ref_probes(game)
+            for player, spec in enumerate(game.players):
+                pref = spec.preference
+                if not isinstance(pref, (UtilityPreference, HalfspaceContour)):
+                    continue
+                codes = [
+                    getattr(_ref_probe_outcome(game, player, row), "code", None)
+                    for row in probes
+                ]
+                kind = type(pref).__name__
+                seen.update((kind, spec.dim, code) for code in codes)
+                issue = next((i for i in validate_spec(game) if i.player == player), None)
+                if issue is not None and "expression is not finite" in issue.message:
+                    seen.add((kind, "constant"))
+                if isinstance(pref, HalfspaceContour) and _inside_where_non_finite(
+                    game, player, probes
+                ):
+                    seen.add(("order", "one probe"))
+                if "non-finite" in codes and "irreflexivity" in codes:
+                    first = codes.index("non-finite") < codes.index("irreflexivity")
+                    seen.add(("order", "non-finite first" if first else "irreflexive first"))
+        for dim in (1, 2):
+            for code in (None, "non-finite"):
+                assert ("UtilityPreference", dim, code) in seen
+            for code in (None, "non-finite", "irreflexivity"):
+                assert ("HalfspaceContour", dim, code) in seen
+        assert ("UtilityPreference", "constant") in seen
+        assert ("HalfspaceContour", "constant") in seen
+        assert ("order", "non-finite first") in seen
+        assert ("order", "irreflexive first") in seen
+        assert ("order", "one probe") in seen
+
+
+def _inside_where_non_finite(game, player, probes):
+    """Whether some probe has a non-finite contour row while its own block
+    satisfies every row (a +inf offset): the probe that must report the
+    non-finite value, not the irreflexivity."""
+    sl = game.own_slice(player)
+    rows = game.players[player].preference.rows
+    for row in probes:
+        try:
+            values = np.array([[f(row[None, :])[0] for f in r.fns] for r in rows])
+        except EvaluationError:  # a constant subexpression raises everywhere
+            return False
+        a, b = values[:, :-1], values[:, -1]
+        with np.errstate(all="ignore"):
+            if not np.isfinite(values).all() and (a @ row[sl] < b).all():
+                return True
+    return False

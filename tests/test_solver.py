@@ -1,6 +1,7 @@
 """Projected-iteration solver: selections, projections, steps, convergence."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -1208,3 +1209,68 @@ class TestJointFinish:
         calls.clear()
         solve_svip(shared_three_player_game(), SolverConfig(restarts=4, max_iters=16, seed=42))
         assert len(calls) == 2
+
+
+class TestPolish:
+    """The final polish of a shared game selects again only at the rows it
+    moves; a row it leaves bit-identical keeps its selection."""
+
+    @staticmethod
+    def _polish(monkeypatch, game, cfg):
+        """Solve ``game`` and return the polish: its input and projected
+        points, and the rows it passed to ``_select_rows`` (an empty array
+        when it made no call)."""
+        events = []
+
+        def dykstra(lo, hi, normals, offsets, points, original=solver._dykstra):
+            out = original(lo, hi, normals, offsets, points)
+            if lo.size == game.total_dim:  # the joint region, not a player's
+                events.append(("joint", points.copy(), out.copy()))
+            return out
+
+        def select_rows(game, x, seed, original=solver._select_rows):
+            events.append(("select", x.copy()))
+            return original(game, x, seed)
+
+        monkeypatch.setattr(solver, "_dykstra", dykstra)
+        monkeypatch.setattr(solver, "_select_rows", select_rows)
+        solve_svip(game, cfg)
+        # The polish is the last projection onto the joint region; only its
+        # own selection can follow it.
+        last = max(i for i, event in enumerate(events) if event[0] == "joint")
+        _, before, after = events[last]
+        selected = [event[1] for event in events[last + 1 :]]
+        assert all(event[0] == "select" for event in events[last + 1 :])
+        assert len(selected) <= 1
+        return before, after, selected[0] if selected else np.empty((0, game.total_dim))
+
+    @pytest.mark.parametrize("name, seed", JOINT_GAMES)
+    def test_only_moved_rows_are_selected_again(self, monkeypatch, name, seed):
+        game = SHORT_SOLVE_GAMES[name](seed)
+        cfg = SolverConfig(restarts=4, max_iters=300, seed=42)
+        before, after, selected = self._polish(monkeypatch, game, cfg)
+        moved = (before.view(np.uint64) != after.view(np.uint64)).any(axis=1)
+        assert _bits(selected) == _bits(after[moved])
+        if name == "arrow-debreu":
+            # The joint finish leaves every row on the joint region already.
+            assert selected.shape[0] == 0
+        else:
+            assert selected.shape[0] > 0  # the polish moves a row
+
+
+@pytest.mark.parametrize("name", ["box-2x1", "box-3x2", "arrow-debreu", "mixed-budget"])
+def test_huge_step_adapts_without_overflow(name):
+    """At a step near the largest float the step adaptation warns of no
+    overflow, and every row is that of the sequential reference, whose
+    products overflow to inf."""
+    game = BATCH_GAMES[name]()
+    cfg = SolverConfig(step=1e308, restarts=4, max_iters=40, seed=42)
+    starts = _explicit_starts(game)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_svip(game, cfg)
+        runs = _run_restarts(game, cfg, starts)
+    assert (runs.iters > _REF_ADAPT_WINDOW).any()  # some step was adapted
+    with np.errstate(over="ignore"):
+        for row, start in enumerate(starts):
+            _assert_row_matches(game, runs, row, _ref_run_single(game, cfg, start))
