@@ -300,8 +300,18 @@ def flat_maxima(game: GameSpec, player: PlayerId, points: np.ndarray) -> np.ndar
 
 
 def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scale rows to unit normals; returns (a, b, keep) with zero rows dropped."""
-    norms = np.linalg.norm(a, axis=1)
+    """Scale rows to unit normals; returns (a, b, keep) with zero rows dropped.
+
+    A row whose squares overflow the norm is divided, offset too, by its
+    largest magnitude first; every other row is scaled as it is.
+    """
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        norms = np.linalg.norm(a, axis=1)
+    overflowed = ~np.isfinite(norms)
+    if overflowed.any():
+        peak = np.where(overflowed, np.abs(a).max(axis=1), 1.0)
+        a, b = a / peak[:, None], b / peak
+        norms = np.linalg.norm(a, axis=1)
     keep = norms > 1e-15
     scale = np.where(keep, norms, 1.0)
     return a / scale[:, None], b / scale, keep

@@ -12,9 +12,12 @@ Feasibility comes from ``model`` alone: the player regions at a profile
 the ``_feasible_offsets`` rule the solver projects with at all its rows)
 and the joint region over the lattice (``_joint_region``).
 
-``brute_force_gne`` decides each player's whole lattice at once: utility
-games through one utility tensor per player, every other game through
-stacked strict-preference tables over all live profiles of the player.
+``brute_force_gne`` decides the players in order, each only where profiles
+are still live: utility games through one utility tensor per player over the
+window of rival points that still hold a live profile (own axes whole), every
+other game through stacked strict-preference tables over the live profiles
+alone.  Neither route evaluates a utility beyond what it reads, so a
+non-finite value raises only where the enumeration reads it.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ _GRID_BUDGET = 10_000_000
 # Entry cap of one (profiles, pool) strict-preference table of the generic
 # enumeration.  The utility tensor is not chunked: it is evaluated on a column
 # view, never on the (points, n) profile array, so its largest temporary holds
-# one value per grid point, and only for subexpressions that read every axis.
+# one value per point of the player's window, and only for subexpressions that
+# read every axis.
 _CHUNK_ENTRIES = 1 << 20
 # theorem2_property: VI tolerance of a sampled separator, and its contour draws.
 _SEPARATOR_VI_TOL = 1e-6
@@ -227,7 +231,7 @@ def _feasible_tensor(game: GameSpec, axes: list[np.ndarray]) -> np.ndarray | Non
 def _utility_tensor(
     game: GameSpec, player: PlayerId, axes: list[np.ndarray]
 ) -> np.ndarray:
-    """Utility values over the whole profile grid, as a tensor of its shape.
+    """Utility values over the lattice spanned by ``axes``, as a tensor of its shape.
 
     One compiled call on a :class:`ColumnView` of the lattice, in which column
     k is ``axes[k]`` varying along dimension k only, so the profile grid is
@@ -255,12 +259,20 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
     shared game, one joint tensor (:func:`_feasible_tensor`) marks the
     jointly feasible profiles; it masks the profiles and, sliced at the
     rivals, gives every player's feasible own grid points, so no per-player
-    region is built.  When every player has a utility, each utility is
-    evaluated once over the whole lattice (:func:`_utility_tensor`, on
-    broadcast columns rather than a materialized profile array) and a profile
-    survives when no feasible own grid point has a strictly larger value.
-    Other preference variants go through the generic strict-preference
-    oracle.
+    region is built.  When every player has a utility, the players are taken
+    in order and a profile survives when no feasible own grid point has a
+    strictly larger value.  Player p's utility is evaluated once
+    (:func:`_utility_tensor`, on broadcast columns rather than a materialized
+    profile array) over a window: its own axes whole, and on each rival axis
+    the index range of the rival points that still hold a live profile.  On a
+    box-only game the first player reads the whole lattice; later players
+    read only their windows, and the pass stops once no profile is live.
+    Every value read is bit-equal to the full tensor's entry, so the result
+    is the same.  A non-finite utility value raises
+    :class:`EvaluationError` where it is read; one outside every window is
+    never read and does not, as in the generic route, which evaluates live
+    profiles only.  Other preference variants go through the generic
+    strict-preference oracle.
     """
     axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
     feasible = _feasible_tensor(game, axes)
@@ -276,15 +288,28 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
             else np.ones(shape, dtype=bool)
         )
         for player in range(game.n_players):
-            values = _utility_tensor(game, player, axes)
-            if feasible is not None:
-                values = np.where(feasible, values, -np.inf)
             sl = game.own_slice(player)
             own_axes = tuple(range(sl.start, sl.stop))
+            live = equilibrium.any(axis=own_axes)  # over the rival axes, in order
+            if not live.any():
+                break  # no live profile is left to decide
+            # The window: per rival axis, the index bounds of the live rival
+            # points; nothing outside it is live.  Own axes stay whole.
+            window = [slice(None)] * len(shape)
+            rival_axes = [k for k in range(len(shape)) if k not in own_axes]
+            for j, k in enumerate(rival_axes):
+                others = tuple(i for i in range(live.ndim) if i != j)
+                hit = np.flatnonzero(live.any(axis=others))
+                window[k] = slice(hit[0], hit[-1] + 1)
+            window = tuple(window)
+            values = _utility_tensor(game, player, [a[w] for a, w in zip(axes, window)])
+            if feasible is not None:
+                values = np.where(feasible[window], values, -np.inf)
             best = values.max(axis=own_axes, keepdims=True)
             # A strictly larger feasible value along the own axes means the
             # player can improve; equality (including ties) does not.
-            equilibrium &= ~(values < best)
+            decided = equilibrium[window]  # a view: basic slices only
+            decided &= ~(values < best)
     else:
         equilibrium = _generic_equilibria(game, axes, feasible)
 

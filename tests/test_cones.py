@@ -1,5 +1,7 @@
 """Normal-direction mechanisms: gradient, active polyhedral rows, sampled separator."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,6 +279,26 @@ class TestPolyhedralGenerators:
         rows = (np.array([[1.0, 0.0]]), np.array([1.0]))
         with pytest.raises(GameFormatError):
             polyhedral_normal_generators(rows, Block(0, (0.0,)))
+
+    def test_overflowing_row_is_rescaled_not_dropped(self):
+        # 1e200 (y1 + y2) < 0 at (0.5, 0.5): the row's norm overflows, and
+        # its normal is active; -2 y1 < -1 beside it is scaled as alone.
+        rows = (np.array([[1e200, 1e200], [-2.0, 0.0]]), np.array([0.0, -1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gens = polyhedral_normal_generators(rows, Block(0, (0.5, 0.5)))
+        assert gens.provenance is Provenance.POLYHEDRAL
+        vectors = [d.vector for d in gens.directions]
+        np.testing.assert_allclose(vectors[0], [0.5**0.5] * 2, rtol=1e-15)
+        assert vectors[1] == (-1.0, 0.0)
+
+    def test_overflowing_row_keeps_its_offset(self):
+        # 1e300 y < 1e300 is y < 1, and 0.5 lies strictly inside it.
+        rows = (np.array([[1e300]]), np.array([1e300]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InteriorPointError):
+                polyhedral_normal_generators(rows, Block(0, (0.5,)))
 
 
 class TestSampledSeparator:

@@ -434,6 +434,9 @@ _TENSOR_GAMES = {
         0.05,
     ),
     "shared": (lambda: arrow_debreu_instance(3), 0.02),
+    # 0 is off the grid, so every best response is unique and the first two
+    # players chase each other round; the third player is never reached.
+    "no grid equilibrium": (lambda: _scalar_game(["x1*x2", "-x1*x2", "-x3^2"]), 0.3),
 }
 
 
@@ -463,16 +466,125 @@ class TestUtilityTensor:
         with pytest.raises(EvaluationError, match=message):
             brute_force_gne(game, 0.5)
 
-    @pytest.mark.parametrize("name", ["3x1 h0.02", "own-only, rival-only term, constant"])
+    @pytest.mark.parametrize(
+        "name", ["3x1 h0.02", "own-only, rival-only term, constant", "no grid equilibrium"]
+    )
     def test_rows_count_as_the_materialized_grid(self, name):
+        # Player 0 reads the whole lattice; each later player reads the
+        # product of its window sizes: own axes whole, each rival axis the
+        # index range of the rival points still live before its pass (from
+        # the full-tensor reference).  Once nothing is live, nothing is read.
         make, h = _TENSOR_GAMES[name]
         game = make()
+        _, before = _ref_tensor_equilibria(make(), h)
         rows = _count_rows(game)
         brute_force_gne(game, h)
-        points = math.prod(
-            a.size for a in _grid_axes(game.box_lo, game.box_hi, h, "profile")
+        shape = tuple(a.size for a in _grid_axes(game.box_lo, game.box_hi, h, "profile"))
+        expected = []
+        for player, equilibrium in enumerate(before):
+            sl = game.own_slice(player)
+            live = equilibrium.any(axis=tuple(range(sl.start, sl.stop)))
+            if not live.any():
+                break
+            spans = [int(np.ptp(index)) + 1 for index in np.nonzero(live)]
+            expected.append(math.prod(shape[sl]) * math.prod(spans))
+        assert rows == expected
+        assert rows[0] == math.prod(shape)
+        if name == "no grid equilibrium":
+            assert len(rows) == 2 < game.n_players
+        else:
+            assert len(rows) == game.n_players and rows[-1] < rows[0]
+
+    def test_later_player_non_finite_inside_its_window_raises(self):
+        # Player 0 keeps only x1 = 0.5, where player 1 divides by zero.
+        game = _scalar_game(["-(x1-0.5)^2", "x2/(x1-0.5)"])
+        with pytest.raises(EvaluationError, match="utility of player 1 is non-finite"):
+            brute_force_gne(game, 0.5)
+
+    def test_later_player_non_finite_outside_its_window_is_not_read(self):
+        # Player 1 divides by zero at x1 = -1 only, outside its window
+        # {x1 = 0.5}: the full tensor raises, the windowed pass does not.
+        exprs = ["-(x1-0.5)^2", "-x2^2/(x1+1)"]
+        game = _scalar_game(exprs)
+        with pytest.raises(EvaluationError, match="utility of player 1 is non-finite"):
+            _ref_tensor_equilibria(game, 0.5)
+        found = np.array([p.stacked for p, _ in brute_force_gne(game, 0.5)])
+        # The same game over the finite part of the lattice, x1 >= -0.5.
+        players = tuple(
+            PlayerSpec(1, (box,), UtilityPreference(e))
+            for e, box in zip(exprs, [(-0.5, 1.0), (-1.0, 1.0)])
         )
-        assert rows == [points] * game.n_players
+        finite, _ = _ref_tensor_equilibria(GameSpec(players, BoxOnly()), 0.5)
+        np.testing.assert_array_equal(_bits(found), _bits(finite))
+        assert found.tolist() == [[0.5, 0.0]]
+
+
+def _ref_tensor_equilibria(game, h):
+    """The utility-tensor enumeration before windowing, kept as an oracle:
+    every player's utility over the whole lattice.  Returns the equilibrium
+    vectors in grid order and the live tensor before each player's pass."""
+    axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
+    feasible = _feasible_tensor(game, axes)
+    shape = tuple(a.size for a in axes)
+    equilibrium = feasible.copy() if feasible is not None else np.ones(shape, dtype=bool)
+    before = []
+    for player in range(game.n_players):
+        before.append(equilibrium.copy())
+        values = _utility_tensor(game, player, axes)
+        if feasible is not None:
+            values = np.where(feasible, values, -np.inf)
+        sl = game.own_slice(player)
+        own_axes = tuple(range(sl.start, sl.stop))
+        best = values.max(axis=own_axes, keepdims=True)
+        # A strictly larger feasible value along the own axes means the
+        # player can improve; equality (including ties) does not.
+        equilibrium &= ~(values < best)
+    index = np.unravel_index(np.flatnonzero(equilibrium), shape)
+    vectors = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
+    return vectors, before
+
+
+# (players, dims, h) of the four box shapes.
+_BOX_SHAPES = [(2, 1, 0.05), (3, 1, 0.1), (2, 2, 0.2), (3, 2, 0.5)]
+
+
+class TestWindowedTensorMatchesFullTensor:
+    """``brute_force_gne`` on utility games returns, bit for bit and in grid
+    order, the profiles of the full-tensor enumeration it replaced."""
+
+    @staticmethod
+    def _assert_same(game, h):
+        found = [p.stacked for p, _ in brute_force_gne(game, h)]
+        expected, _ = _ref_tensor_equilibria(game, h)
+        found = np.array(found).reshape(-1, game.total_dim)
+        np.testing.assert_array_equal(_bits(found), _bits(expected))
+        return len(found)
+
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    @pytest.mark.parametrize("players, dims, h", _BOX_SHAPES)
+    def test_box_games(self, players, dims, h, nonnegative):
+        for seed in range(20):
+            game = random_concave_quadratic(
+                seed, players, dims, nonnegative_coupling=nonnegative
+            )
+            self._assert_same(game, h)
+
+    def test_arrow_debreu_games(self):
+        for seed in range(20):
+            assert self._assert_same(arrow_debreu_instance(seed), 0.05)
+
+    @pytest.mark.parametrize("players, dims, h", _BOX_SHAPES)
+    def test_shared_random_rows(self, players, dims, h):
+        for seed in range(5):
+            box_game = random_concave_quadratic(seed, players, dims)
+            rows = _random_rows(np.random.default_rng(seed), box_game.total_dim)
+            self._assert_same(GameSpec(box_game.players, rows), h)
+
+    @pytest.mark.parametrize("name", list(_TENSOR_GAMES))
+    def test_tensor_games(self, name):
+        make, h = _TENSOR_GAMES[name]
+        count = self._assert_same(make(), h)
+        assert (count == 0) == (name == "no grid equilibrium")
 
 
 def _reference_equilibria(game, h):
