@@ -45,6 +45,7 @@ from .verify import (
     check_gne_grid,
     check_svip,
     lhc_probe,
+    require_player_grids,
     theorem1_property,
     theorem2_property,
 )
@@ -162,7 +163,9 @@ def solve(file, step, tol, max_iters, restarts, seed, grid):
     _check_grid(grid)
     _check_seed(seed)
     game = _validated_game(file)
-    solution = solve_svip(game, _solver_config(step, tol, max_iters, restarts, seed))
+    cfg = _solver_config(step, tol, max_iters, restarts, seed)
+    require_player_grids(game, grid)  # the certificate's grids, before the solve
+    solution = solve_svip(game, cfg)
     cert = check_gne_grid(game, solution.point, grid)
     warnings = []
     if any(d.is_zero for d in solution.operator_value):

@@ -592,14 +592,30 @@ def _contour_rows(
 def _inside_contour(own: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Whether own blocks lie strictly inside the open polyhedra ``a y < b``
     of k profiles: ``own`` is (k or 1, m, dim), ``a`` (k, rows, dim) and
-    ``b`` (k, rows); returns the (k, m) mask."""
-    if own.shape[-1] == 1:
-        # One coordinate: a broadcast product, equal to the matmul up to
-        # the sign of zero, which ``<`` ignores.
-        lhs = own * a[:, None, :, 0]
-    else:
-        lhs = own @ a.transpose(0, 2, 1)
-    return np.all(lhs < b[:, None, :], axis=2)
+    ``b`` (k, rows); returns the (k, m) mask.
+
+    A product that overflows (inf, or NaN where infs of both signs meet) is
+    computed again with its row, offset too, divided by the row's largest
+    magnitude, as ``cones._normalize_rows`` does; every other entry is the
+    plain product.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
+        if own.shape[-1] == 1:
+            # One coordinate: a broadcast product, equal to the matmul up to
+            # the sign of zero, which ``<`` ignores.
+            lhs = own * a[:, None, :, 0]
+        else:
+            lhs = own @ a.transpose(0, 2, 1)
+    inside = lhs < b[:, None, :]
+    if not np.isfinite(lhs).all():
+        profile, point, row = np.nonzero(~np.isfinite(lhs))
+        normals, offsets = a[profile, row], b[profile, row]
+        peak = np.abs(normals).max(axis=1)
+        blocks = np.broadcast_to(own, (a.shape[0],) + own.shape[1:])[profile, point]
+        with np.errstate(over="ignore"):  # a sum past the float range compares as inf
+            scaled = np.sum(blocks * (normals / peak[:, None]), axis=1)
+        inside[profile, point, row] = scaled < offsets / peak
+    return np.all(inside, axis=2)
 
 
 def evaluate_contour_rows(

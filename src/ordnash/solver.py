@@ -26,14 +26,14 @@ best-response manifold) and re-doubled, up to the configured step, while it
 travels.  Convergence is always declared against the configured step and
 tolerance, never against the internal working steps.
 
-Finishes.  Every ``_ADAPT_WINDOW`` iterations, after the selection, each
-live row is offered one candidate point.  The row takes it only if the
-unchanged convergence test passes there: the selection at the candidate and
-its residual at the configured step, at most the tolerance.  The row then
-takes that selection too, the next iteration measures the same residual and
-the row leaves converged, so a finish cannot fake convergence; a row whose
-tries all fail iterates exactly as it would without them.  There are two
-candidate rules:
+Finishes.  Every ``_ADAPT_WINDOW`` iterations (the joint step also at
+iteration 1), after the selection, each live row is offered one candidate
+point.  The row takes it only if the unchanged convergence test passes
+there: the selection at the candidate and its residual at the configured
+step, at most the tolerance.  The row then takes that selection too, the
+next iteration measures the same residual and the row leaves converged, so
+a finish cannot fake convergence; a row whose tries all fail iterates
+exactly as it would without them.  There are two candidate rules:
 
 - Newton finish.  On box-only games where every player is trivial or has a
   utility of degree at most 2 in the own block (``cones.own_quadratic``, the
@@ -45,7 +45,9 @@ candidate rules:
   quadratic utilities), offered only if it lies in the box without
   clipping.  Utilities of higher own-degree never try.  Concave quadratic
   games converge in about 10-50 iterations where step halving takes about
-  250.
+  250.  The first try waits one window: at a start every coordinate is
+  free, so the candidate is the unconstrained equilibrium, usually outside
+  the box, and an early try costs more than it saves.
 - Joint-step finish.  On shared games the candidate is the projected step
   Proj_K(x - step * g(x)) onto the joint region K, by one row-batched
   Dykstra call.  That is the step of the variational inequality on K, whose
@@ -53,10 +55,13 @@ candidate rules:
   of Facchinei & Kanzow, 4OR 2007).  The per-player step above moves every
   player at once against a binding budget, so it overshoots (two players
   take a budget sum s to 2 - s) and settles only by halving its steps; the
-  joint step lands on the face of equilibria where the budget binds.
-  Arrow-Debreu and mixed-budget games converge in 9 iterations where step
-  halving takes about 170-200.  The candidate is judged by the per-player
-  residual test above, not by the residual on K.
+  joint step lands on the face of equilibria where the budget binds, the
+  first time it is offered.  It is therefore offered from iteration 1, and
+  Arrow-Debreu and mixed-budget games converge in 1-2 iterations where step
+  halving takes about 170-200.  A game whose equilibria are off that face
+  rejects every try, at the cost of one selection per row and try.  The
+  candidate is judged by the per-player residual test above, not by the
+  residual on K.
 
 All restarts advance together as the rows of one (R, n) iterate; a row leaves
 the loop when it converges or reaches ``max_iters``.  The loop state is arrays
@@ -559,7 +564,9 @@ def _joint_finish(
 ) -> None:
     """Offer each row of the (R, n) shared-game iterate the joint step
     Proj_K(x - step * g), K being the joint region, by one row-batched
-    Dykstra call; :func:`_take_passing` decides."""
+    Dykstra call; :func:`_take_passing` decides.  Where the equilibria form
+    a face of K, the first try at a row lands on it, so the loop offers this
+    step from iteration 1."""
     joint = _joint_region(game)
     targets = x - cfg.step * g
     points = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, targets)
@@ -571,6 +578,9 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
 
     The loop state holds the live rows only.  A row leaves when it converges
     or reaches ``max_iters`` and keeps its selection at its final point.
+    The finish, if the game has one, is offered after the selection of its
+    first iteration (1 for the joint step, ``_ADAPT_WINDOW`` for the Newton
+    step) and of every ``_ADAPT_WINDOW``-th.
     Each row's iterates, steps and trace equal those of its start iterated
     alone.  The trace ends at the residual of the returned point: a row
     stopped at ``max_iters``, and every row of a shared game after the
@@ -593,14 +603,14 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
         runs.provenance[rows], runs.iters[rows] = provenance[at], it
 
     if isinstance(game.constraints, SharedLinear):
-        finish = _joint_finish
+        finish, first = _joint_finish, 1
     elif all(
         isinstance(spec.preference, TrivialZero) or own_quadratic(game, player)
         for player, spec in enumerate(game.players)
     ):
-        finish = _newton_finish
+        finish, first = _newton_finish, _ADAPT_WINDOW
     else:
-        finish = None
+        finish, first = None, 0
     measure = np.zeros(count, dtype=bool)  # rows whose returned point is not yet measured
     live = np.arange(count)
     alpha = np.full((count, game.n_players), cfg.step)
@@ -649,7 +659,7 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
             anchor = x
 
         g, provenance = _select_rows(game, x, cfg.seed)
-        if finish is not None and it % _ADAPT_WINDOW == 0:
+        if finish is not None and (it == first or it % _ADAPT_WINDOW == 0):
             finish(game, cfg, x, g, provenance)
     else:
         leave(live, np.ones(live.size, dtype=bool), cfg.max_iters)

@@ -50,6 +50,7 @@ __all__ = [
     "Certificate",
     "grid_coordinates",
     "player_grid",
+    "require_player_grids",
     "check_gne_grid",
     "check_svip",
     "brute_force_gne",
@@ -111,16 +112,28 @@ def _cartesian(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _grid_axes(lo, hi, h: float, what: str) -> list[np.ndarray]:
-    """Per-coordinate grids of the box [lo, hi], refusing more than the point budget."""
-    bounds = [(float(l), float(u)) for l, u in zip(lo, hi)]
-    # Count before building: a wide box or a tiny step must not allocate.
-    total = float(np.prod([_grid_size(l, u, h) for l, u in bounds]))
+def _require_grid_budget(lo, hi, h: float, what: str) -> None:
+    """Refuse a grid of the box [lo, hi] with more points than the budget,
+    counting them without building any."""
+    total = float(np.prod([_grid_size(float(l), float(u), h) for l, u in zip(lo, hi)]))
     if total > _GRID_BUDGET:
         raise GridBudgetError(
             f"{what} grid would have {total:.3g} points, budget is {_GRID_BUDGET}"
         )
-    return [grid_coordinates(l, u, h) for l, u in bounds]
+
+
+def _grid_axes(lo, hi, h: float, what: str) -> list[np.ndarray]:
+    """Per-coordinate grids of the box [lo, hi], refusing more than the point budget."""
+    # Count before building: a wide box or a tiny step must not allocate.
+    _require_grid_budget(lo, hi, h, what)
+    return [grid_coordinates(float(l), float(u), h) for l, u in zip(lo, hi)]
+
+
+def require_player_grids(game: GameSpec, h: float) -> None:
+    """Raise the GridBudgetError :func:`check_gne_grid` would raise at step
+    ``h`` for the first player whose grid is over the budget, building nothing."""
+    for player in range(game.n_players):
+        _require_grid_budget(*game.player_box(player), h, "player")
 
 
 def player_grid(game: GameSpec, player: PlayerId, h: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from ordnash.model import (
 )
 
 UNIT_BOX = ((-1.0, 1.0),)
+UNIT_INTERVAL = ((0.0, 1.0),)
 
 
 def formula_contains(region, points, tol=1e-9):
@@ -88,6 +89,27 @@ def make_budget_pair():
             PlayerSpec(1, ((0.0, 1.0),), UtilityPreference("-(x2-0.8)^2")),
         ),
         constraints=SharedLinear(a=((1.0, 1.0),), b=(1.0,)),
+    )
+
+
+def shared_three_player_game():
+    """Three players under two shared rows; player 0 holds two coordinates and
+    player 2 has a rival-dependent HalfspaceContour ("more is better")."""
+    return GameSpec(
+        players=(
+            PlayerSpec(
+                2, UNIT_INTERVAL * 2, UtilityPreference("-(x1-0.8)^2-(x2-0.3*x4-0.6)^2")
+            ),
+            PlayerSpec(1, UNIT_INTERVAL, UtilityPreference("-(x3-0.9+0.2*x1)^2")),
+            PlayerSpec(
+                1,
+                UNIT_INTERVAL,
+                HalfspaceContour((ContourRow(("-(1+0.5*x1)",), "-(1+0.5*x1)*x4"),)),
+            ),
+        ),
+        constraints=SharedLinear(
+            a=((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)), b=(1.8, 0.9)
+        ),
     )
 
 

@@ -12,11 +12,13 @@ import click
 import pytest
 from click.testing import CliRunner
 
+from conftest import shared_three_player_game
 import ordnash
-from ordnash import __version__, solver
+from ordnash import __version__, cli, solver
 from ordnash.cli import main
 from ordnash.corpus import EXAMPLES
 from ordnash.gamefile import dumps_game, game_digest, load_game
+from ordnash.model import ContourRow, GameSpec, HalfspaceContour, PlayerSpec, UtilityPreference
 
 REPORT_KEYS = [
     "command",
@@ -128,22 +130,62 @@ class TestSolveCommand:
         assert to_file.stdout == ""
         assert _strip_wall_time(out.read_text()) == _strip_wall_time(direct.stdout)
 
-    @pytest.mark.parametrize("max_iters, exit_code", [("2", 0), ("3", 2)])
+    @pytest.mark.parametrize(
+        "name, max_iters, exit_code",
+        [
+            ("arrow-debreu", "2", 0),
+            ("arrow-debreu", "3", 0),
+            ("shared-3", "2", 2),
+            ("shared-3", "3", 2),
+        ],
+    )
     def test_short_shared_solve_reports_a_feasible_point(
-        self, runner, tmp_path, max_iters, exit_code
+        self, runner, tmp_path, name, max_iters, exit_code
     ):
-        """A solve stopped after a few iterations keeps the shared budget
-        x1 + x2 <= 1: after 2 iterations the polished point is an equilibrium
-        (exit 0); after 3 it is not yet converged (exit 2)."""
-        path = str(tmp_path / "ad.json")
-        runner.invoke(main, ["examples", "--name", "arrow-debreu", "--dump", path])
-        result = runner.invoke(main, ["solve", path, "--restarts", "1", "--max-iters", max_iters])
+        """A solve stopped after a few iterations keeps every shared row.  The
+        Arrow-Debreu example converges by the joint step of iteration 1 (exit
+        0); the three-player game of two shared rows is not yet converged
+        (exit 2)."""
+        path = tmp_path / "game.json"
+        if name == "arrow-debreu":
+            runner.invoke(main, ["examples", "--name", name, "--dump", str(path)])
+        else:
+            path.write_text(dumps_game(shared_three_player_game()))
+        result = runner.invoke(
+            main, ["solve", str(path), "--restarts", "1", "--max-iters", max_iters]
+        )
         report = _report(result)
         assert result.exit_code == report["exit_code"] == exit_code
         assert report["error"] is None
         assert report["solution"]["converged"] is (exit_code == 0)
-        x1, x2 = report["solution"]["point"]
-        assert x1 + x2 <= 1 + 1e-9
+        point = report["solution"]["point"]
+        shared = load_game(path).constraints
+        for row, bound in zip(shared.a, shared.b):
+            assert sum(a * x for a, x in zip(row, point)) <= bound + 1e-9
+
+    def test_grid_over_budget_is_refused_before_solving(self, runner, tmp_path, monkeypatch):
+        """A certificate grid over the point budget ends the run in the exit-1
+        report before the solver starts, instead of after every restart ran."""
+        game = GameSpec(
+            (
+                PlayerSpec(
+                    1, ((0.0, 1e10),), HalfspaceContour((ContourRow(("1",), "0"),))
+                ),
+                PlayerSpec(1, ((0.0, 1.0),), UtilityPreference("-(x2-0.5)^2")),
+            )
+        )
+        path = tmp_path / "wide.json"
+        path.write_text(dumps_game(game))
+
+        def refuse(game, cfg):
+            raise AssertionError("solve_svip must not run")
+
+        monkeypatch.setattr(cli, "solve_svip", refuse)
+        result = runner.invoke(main, ["solve", str(path), "--max-iters", "200"])
+        report = _report(result)
+        assert result.exit_code == report["exit_code"] == 1
+        assert report["error"] == "player grid would have 2e+11 points, budget is 10000000"
+        assert report["solution"] is None and report["certificates"] == []
 
     @pytest.mark.parametrize(
         "message, error",

@@ -1,5 +1,7 @@
 """Game model: profiles, preference variants, feasible regions, validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,6 +258,42 @@ class TestHalfspaceTable:
                 model._strict_upper_table(game, 0, candidates, profiles), want
             )
         assert zeros > 100
+
+    @staticmethod
+    def _huge_row_game(coeffs):
+        """Player 0 holds len(coeffs) coordinates on [0, 1e10] under the one
+        row coeffs @ y < 1; the rival is trivial."""
+        box = ((0.0, 1e10),) * len(coeffs)
+        row = ContourRow(tuple(coeffs), "1")
+        return GameSpec(
+            (
+                PlayerSpec(len(coeffs), box, HalfspaceContour((row,))),
+                PlayerSpec(1, box[:1], TrivialZero()),
+            )
+        )
+
+    @pytest.mark.parametrize("coeff, inside", [("1e300", False), ("-1e300", True)])
+    def test_overflowing_one_coordinate_product_warns_of_nothing(self, coeff, inside):
+        # 1e10 * (+-1e300) overflows to +-inf, which compares correctly;
+        # 1e-299 * (+-1e300) is +-10.
+        game = self._huge_row_game((coeff,))
+        x = split_profile(game, [0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = strict_upper_mask(game, 0, np.array([[1e10], [0.0], [1e-299]]), x)
+        assert mask.tolist() == [inside, True, inside]
+
+    def test_overflowing_two_coordinate_product_is_rescaled(self):
+        # (1e10, 1e10) @ (1e300, -1e300) is inf - inf in floats but 0 < 1; the
+        # rescaled row (1, -1) with offset 1e-300 gives it.  The other
+        # candidates do not overflow and keep the plain product.
+        game = self._huge_row_game(("1e300", "-1e300"))
+        x = split_profile(game, [0.0, 0.0, 0.0])
+        candidates = np.array([[1e10, 1e10], [1e10, 0.0], [0.0, 1e10], [2e-300, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = strict_upper_mask(game, 0, candidates, x)
+        assert mask.tolist() == [True, False, True, False]
 
 
 class TestOrdinalInvariance:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_budget_pair, make_pull_to_half_rival
+from conftest import make_budget_pair, make_pull_to_half_rival, shared_three_player_game
 from ordnash import cones, model, solver
 from ordnash.cones import Direction, Provenance, _row_dots, gradient_normal_direction
 from ordnash.corpus import (
@@ -585,7 +585,7 @@ def _ref_run_single(game, cfg, start):
             if newton:
                 x = _ref_newton_try(game, cfg, x)
         sel = selection_T(game, split_profile(game, x), sample_seed=cfg.seed)
-        if shared and it % _REF_ADAPT_WINDOW == 0:
+        if shared and (it == 1 or it % _REF_ADAPT_WINDOW == 0):
             x, sel = _ref_joint_try(game, cfg, x, sel)
     if shared:
         region = _joint_region(game)
@@ -601,25 +601,6 @@ def _ref_run_single(game, cfg, start):
 
 
 UNIT_01 = ((0.0, 1.0),)
-
-
-def shared_three_player_game():
-    """Three players under two shared rows; player 0 holds two coordinates and
-    player 2 has a rival-dependent HalfspaceContour ("more is better")."""
-    return GameSpec(
-        players=(
-            PlayerSpec(2, UNIT_01 * 2, UtilityPreference("-(x1-0.8)^2-(x2-0.3*x4-0.6)^2")),
-            PlayerSpec(1, UNIT_01, UtilityPreference("-(x3-0.9+0.2*x1)^2")),
-            PlayerSpec(
-                1,
-                UNIT_01,
-                HalfspaceContour((ContourRow(("-(1+0.5*x1)",), "-(1+0.5*x1)*x4"),)),
-            ),
-        ),
-        constraints=SharedLinear(
-            a=((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)), b=(1.8, 0.9)
-        ),
-    )
 
 
 def trivial_rival_game():
@@ -688,7 +669,7 @@ def test_row_reductions_round_like_one_vector(n):
 def _iters_for(name):
     # shared-3 never converges and pays one LP per selection: one per
     # iteration and start, and one more per start for each rejected joint try
-    # (every 8 iterations).
+    # (at iteration 1 and every 8 iterations).
     return 60 if name == "shared-3" else 300
 
 
@@ -704,14 +685,15 @@ class TestBatchedRestarts:
 
     @pytest.mark.parametrize(
         "name, max_iters",
-        [("box-3x2", 8), ("box-3x2", 9), ("arrow-debreu", 7), ("trivial-rival", 6)],
+        [("box-3x2", 8), ("box-3x2", 9), ("arrow-debreu", 4), ("trivial-rival", 6)],
     )
     def test_rows_stopped_at_max_iters(self, name, max_iters):
         # box-3x2 at 8: four rows take their Newton point at the last
         # iteration and converge at the returned point, two stop; at 9: the
         # four converge at 9 and the two stop after a rejected try.
-        # arrow-debreu at 7: rows converge at iterations 1 and 6 while the
-        # others stop before the first joint try, which takes them all at 8;
+        # arrow-debreu at 4: the seeded rows take the joint try of iteration
+        # 1 and converge at 1 or 2, while the corner start stops (it converges
+        # at 5);
         # trivial-rival: one row converges at 4, before any Newton try.
         game = BATCH_GAMES[name]()
         cfg = SolverConfig(max_iters=max_iters, seed=42)
@@ -798,8 +780,9 @@ def test_region_builds_on_shared_games(name, monkeypatch):
 # shared games end with the polish, one entry past the last iteration.  The
 # box entries converge by the Newton finish at iteration 9, after the try of
 # iteration 8; before it they converged at 258 and 242 by step halving.
-# arrow-debreu converges by the joint finish at iteration 9, on restart 0;
-# before it restart 3 converged first, at 179, by step halving.
+# arrow-debreu converges by the joint finish of iteration 1 at iteration 2, on
+# restart 3; with the first joint try at iteration 8 it converged at 9 on
+# restart 0, and by step halving alone restart 3 converged first, at 179.
 PINNED_SOLVES = {
     "box-2x1": (["-0x1.3e3b1a468f6b2p-1", "0x1.2ce87289d2851p-2"], "0x0.0p+0", 9, 0, 9, True),
     "box-3x2": (
@@ -817,7 +800,7 @@ PINNED_SOLVES = {
         9,
         True,
     ),
-    "arrow-debreu": (["0x1.51d34ac7534a7p-1", "0x1.5c596a71596b2p-2"], "0x0.0p+0", 9, 0, 10, True),
+    "arrow-debreu": (["0x1.07deab7d5eab2p-1", "0x1.f042a90542a9cp-2"], "0x0.0p+0", 2, 3, 3, True),
     "shared-3": (
         [
             "0x1.df02a63ae09a3p-2",
@@ -1067,9 +1050,6 @@ def _trace_digest(trace):
 # solution digest, and the length and digest of the trace.
 UNQUALIFIED_SOLVES = {
     "quartic": (quartic_game, 300, "237dc5a09eb9bb8d", 242, "c20bdb068164162e"),
-    "arrow-debreu-short": (
-        lambda: arrow_debreu_instance(1), 2, "17cc97542a23e5c5", 2, "b80afa3be125c721"
-    ),
     "shared-3": (shared_three_player_game, 60, "9c59b3533d5d43d8", 60, "5a6d82a3f40fe58e"),
     "coordinate": (example_coordinate_pref, 300, "a9a4823c802b7dc8", 17, "d5b02de39730415d"),
 }
@@ -1092,10 +1072,9 @@ class TestNewtonFinish:
     @pytest.mark.parametrize("name", sorted(UNQUALIFIED_SOLVES))
     def test_unqualified_games_solve_as_before(self, monkeypatch, name):
         """Shared games and utilities of own-degree above 2 try no Newton
-        step.  Where no joint try is taken either (arrow-debreu-short stops
-        before the first, every try of shared-3 is rejected), the solutions
-        are unchanged, and so are the traces up to the entry that measures
-        the returned point."""
+        step.  Where no joint try is taken either (every try of shared-3 is
+        rejected), the solutions are unchanged, and so are the traces up to
+        the entry that measures the returned point."""
         build, max_iters, digest, trace_len, trace_digest = UNQUALIFIED_SOLVES[name]
         points = self._record_points(monkeypatch)
         sol = solve_svip(build(), SolverConfig(restarts=4, max_iters=max_iters, seed=42))
@@ -1164,23 +1143,34 @@ JOINT_GAMES = [("arrow-debreu", seed) for seed in range(8)] + [
 class TestJointFinish:
     @staticmethod
     def _record_calls(monkeypatch):
-        """Wrap the solver's _joint_finish; returns the list of games it was given."""
-        calls = []
+        """Wrap the solver's _joint_finish; returns the (game, iteration) of
+        each call.  The iteration counts the loop's selections of that game
+        before the call, less the one at the starts; the selections a finish
+        makes itself are not counted."""
+        calls, selections = [], []
+
+        def select_rows(game, x, seed, original=solver._select_rows):
+            selections.append(game)
+            return original(game, x, seed)
 
         def recording(game, *args, original=solver._joint_finish):
-            calls.append(game)
-            return original(game, *args)
+            calls.append((game, sum(seen is game for seen in selections) - 1))
+            before = len(selections)
+            original(game, *args)
+            del selections[before:]
 
+        monkeypatch.setattr(solver, "_select_rows", select_rows)
         monkeypatch.setattr(solver, "_joint_finish", recording)
         return calls
 
     @pytest.mark.parametrize("name, seed", JOINT_GAMES)
     def test_shared_solves_converge_on_the_budget(self, name, seed):
-        # Step halving took 172-195 iterations on these games.
+        # Step halving took 172-195 iterations on these games; the joint try
+        # of iteration 1 lands on the budget.
         game = SHORT_SOLVE_GAMES[name](seed)
         cfg = SolverConfig(restarts=4, max_iters=300, seed=42)
         runs = _run_restarts(game, cfg, _starting_points(game, cfg))
-        assert runs.converged.all() and (runs.iters <= 17).all()
+        assert runs.converged.all() and (runs.iters <= 2).all()
         slack = game.constraints.rhs[:, None] - game.constraints.matrix @ runs.points.T
         assert (np.abs(slack) <= 1e-9).all()
         sol = solve_svip(game, cfg)
@@ -1203,12 +1193,13 @@ class TestJointFinish:
         assert calls == []
         game = arrow_debreu_instance(0)
         solve_svip(game, cfg)
-        assert calls == [game]  # one window: every restart converges at 9
-        # shared-3 tries at every window; UNQUALIFIED_SOLVES pins that its
-        # rejected tries change nothing.
+        # One try: every restart converges at iteration 1 or 2.
+        assert calls == [(game, 1)]
+        # shared-3 tries at iteration 1 and at every window; UNQUALIFIED_SOLVES
+        # pins that its rejected tries change nothing.
         calls.clear()
         solve_svip(shared_three_player_game(), SolverConfig(restarts=4, max_iters=16, seed=42))
-        assert len(calls) == 2
+        assert [it for _, it in calls] == [1, 8, 16]
 
 
 class TestPolish:
@@ -1258,11 +1249,15 @@ class TestPolish:
             assert selected.shape[0] > 0  # the polish moves a row
 
 
-@pytest.mark.parametrize("name", ["box-2x1", "box-3x2", "arrow-debreu", "mixed-budget"])
+@pytest.mark.parametrize(
+    "name", ["box-2x1", "box-3x2", "arrow-debreu", "mixed-budget", "shared-3"]
+)
 def test_huge_step_adapts_without_overflow(name):
     """At a step near the largest float the step adaptation warns of no
     overflow, and every row is that of the sequential reference, whose
-    products overflow to inf."""
+    products overflow to inf.  Arrow-Debreu and mixed-budget converge by the
+    joint try of iteration 1, before any step is adapted; they check only the
+    absence of warnings and the bit-equality."""
     game = BATCH_GAMES[name]()
     cfg = SolverConfig(step=1e308, restarts=4, max_iters=40, seed=42)
     starts = _explicit_starts(game)
@@ -1270,7 +1265,8 @@ def test_huge_step_adapts_without_overflow(name):
         warnings.simplefilter("error")
         solve_svip(game, cfg)
         runs = _run_restarts(game, cfg, starts)
-    assert (runs.iters > _REF_ADAPT_WINDOW).any()  # some step was adapted
+    if name not in ("arrow-debreu", "mixed-budget"):
+        assert (runs.iters > _REF_ADAPT_WINDOW).any()  # some step was adapted
     with np.errstate(over="ignore"):
         for row, start in enumerate(starts):
             _assert_row_matches(game, runs, row, _ref_run_single(game, cfg, start))
