@@ -319,8 +319,6 @@ def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _strictly_feasible(a: np.ndarray, b: np.ndarray) -> bool:
     """Is the open polyhedron {y : a y < b} nonempty (with unit-normal rows)?"""
-    if a.shape[0] == 0:
-        return True
     dim = a.shape[1]
     # max t subject to a y + t <= b, t <= 1; strictly feasible iff optimum > 0.
     c = np.zeros(dim + 1)

@@ -67,22 +67,27 @@ All restarts advance together as the rows of one (R, n) iterate; a row leaves
 the loop when it converges or reaches ``max_iters``.  The loop state is arrays
 only: points, operator values, an (R, P) provenance array, per-player steps,
 residuals and iteration counts; ``Direction`` objects are built once, for the
-returned run.  Each iteration makes one finite-difference gradient call per
-utility player for all live rows (``cones.gradient_directions``), one
-``cones.flat_maxima`` call per utility player for its flat rows, one clip
+returned run.  One rule selects a utility or trivial player at all live
+rows (``_select_player``): one finite-difference gradient call
+(``cones.gradient_directions``), one ``cones.flat_maxima`` call on the flat
+rows, and a contour sample of that player alone at a flat row it does not
+mark.  Games whose players all have a utility or the trivial preference
+select that way in each iteration; a game with a contour or band player
+selects row by row through ``selection_T``.  The projection is one clip
 (box-only games) or one ``_feasible_offsets`` call and one row-batched
-Dykstra per player (shared rows), and falls back to ``selection_T`` only for
-rows that need it.  The starting points and the final points of every row
-on shared games are each projected onto the joint region by one row-batched
-Dykstra call.  A selection depends only on the game, the point and the
-seed, so that final polish selects again only at the rows it moves (those
-not bit-identical to the point the loop left); the others keep theirs.
-Every row is bit-identical to iterating its start alone, so results, traces and the lowest-index tie-break do not depend on R.  That is
-kept by one rule: a reduction of length two or more (a block norm, a
-halfspace product, the residual over the stacked vector) is one 1-D ``dot``
-per contiguous row, because a matvec, ``einsum``, ``norm(axis=1)`` or a
-strided row can differ from it in the last bit; length-1 reductions and
-elementwise steps are vectorized.
+Dykstra per player (shared rows).  The starting points (scrambled Halton
+draws, ``_halton``) and the final points of every row on shared games are
+each projected onto the joint region by one row-batched Dykstra call.  A
+selection depends only on the game, the point and the seed, so that final
+polish selects again only at the rows it moves (those not bit-identical to
+the point the loop left); the others keep theirs.  Every row is
+bit-identical to iterating its start alone, so results, traces and the
+lowest-index tie-break do not depend on R.  That is kept by one rule: a
+reduction of length two or more (a block norm, a halfspace product, the
+residual over the stacked vector) is one 1-D ``dot`` per contiguous row,
+because a matvec, ``einsum``, ``norm(axis=1)`` or a strided row can differ
+from it in the last bit; length-1 reductions and elementwise steps are
+vectorized.
 
 A row's reported residual is always that of its returned point, and its
 trace ends there.
@@ -90,6 +95,7 @@ trace ends there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -102,7 +108,6 @@ from .cones import (
     contour_polyhedron,
     flat_maxima,
     gradient_directions,
-    gradient_normal_direction,
     own_gradients,
     own_quadratic,
     polyhedral_normal_generators,
@@ -179,16 +184,6 @@ class Selection:
     def stacked(self) -> np.ndarray:
         return np.concatenate([d.array for d in self.directions])
 
-    @property
-    def full_space_players(self) -> tuple[PlayerId, ...]:
-        return tuple(
-            i for i, p in enumerate(self.provenance) if p is Provenance.FULL_SPACE
-        )
-
-    @property
-    def all_nonzero(self) -> bool:
-        return all(not d.is_zero for d in self.directions)
-
 
 @dataclass(frozen=True)
 class SvipSolution:
@@ -210,61 +205,76 @@ def selection_T(game: GameSpec, x: Profile, *, sample_seed: int = 0) -> Selectio
     Mechanism precedence per player: utility gradient, then polyhedral active
     rows (lowest row index first), then a sampled separator.  The zero
     direction is returned (and flagged) when the contour set is empty or no
-    nonzero element could be produced.  Where a utility's gradient is flat,
-    :func:`cones.flat_maxima` decides first: at a row it marks, ``x``
-    maximizes the utility over the own block up to the flatness tolerance,
-    and the player gets the zero direction with ``FULL_SPACE`` provenance
-    without sampling; elsewhere the flat player's contour set is sampled.
+    nonzero element could be produced.  Utility and trivial players are
+    :func:`_select_player` at the one row of ``x``; contour and band players
+    go through :func:`_contour_selection`.
     """
     directions: list[Direction] = []
     provenance: list[Provenance] = []
-    for player in range(game.n_players):
-        pref = game.players[player].preference
-        dim = game.dims[player]
-
-        if isinstance(pref, TrivialZero):
-            directions.append(Direction.zero(player, dim))
-            provenance.append(Provenance.FULL_SPACE)
-            continue
-
-        if isinstance(pref, UtilityPreference):
-            d = gradient_normal_direction(game, player, x)
-            if d is not None:
-                directions.append(d)
-                provenance.append(Provenance.GRADIENT)
-            elif flat_maxima(game, player, x.stacked[None, :])[0]:
-                directions.append(Direction.zero(player, dim))
-                provenance.append(Provenance.FULL_SPACE)
-            else:
-                d, prov = _sampled_selection(game, player, x, sample_seed)
-                directions.append(d)
-                provenance.append(prov)
-            continue
-
-        rows = contour_polyhedron(game, player, x)
-        if rows is not None:
-            gens = polyhedral_normal_generators(
-                rows,
-                x.block(player),
-                assume_nonempty=isinstance(pref, CoordinateOrder),
-            )
-            if gens.provenance is Provenance.FULL_SPACE:
-                directions.append(Direction.zero(player, dim))
-                provenance.append(Provenance.FULL_SPACE)
-            else:
-                directions.append(gens.directions[0])
-                provenance.append(Provenance.POLYHEDRAL)
-            continue
-
-        if isinstance(pref, ThresholdBand):
-            d, prov = _sampled_selection(game, player, x, sample_seed)
-            directions.append(d)
-            provenance.append(prov)
-            continue
-
-        raise TypeError(f"unsupported preference {type(pref).__name__}")
-
+    for player, spec in enumerate(game.players):
+        if isinstance(spec.preference, (UtilityPreference, TrivialZero)):
+            rows, prov = _select_player(game, player, x.stacked[None, :], sample_seed)
+            d, prov = Direction(player, tuple(rows[0])), prov[0]
+        else:
+            d, prov = _contour_selection(game, player, x, sample_seed)
+        directions.append(d)
+        provenance.append(prov)
     return Selection(tuple(directions), tuple(provenance))
+
+
+def _select_player(
+    game: GameSpec, player: PlayerId, x: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A utility or trivial player's selection at every row of the (m, n)
+    ``x``: the (m, dim) directions and the (m,) provenance array.
+
+    A trivial player gets the zero direction with ``FULL_SPACE`` provenance,
+    a utility player its gradient direction (one batched
+    :func:`cones.gradient_directions` call).  Its flat rows go to one
+    :func:`cones.flat_maxima` call.  At a row it marks, ``x`` maximizes the
+    utility over the own block up to the flatness tolerance, and the player
+    gets the zero direction with ``FULL_SPACE`` provenance; at any other flat
+    row the player's contour set is sampled.  Each row equals the
+    computation at that row alone.
+    """
+    provenance = np.empty(x.shape[0], dtype=object)
+    if isinstance(game.players[player].preference, TrivialZero):
+        provenance[:] = Provenance.FULL_SPACE
+        return np.zeros((x.shape[0], game.dims[player])), provenance
+    directions, flat = gradient_directions(game, player, x)
+    provenance[:] = Provenance.GRADIENT
+    if np.count_nonzero(flat):
+        rows = np.flatnonzero(flat)
+        maxima = flat_maxima(game, player, x[rows])
+        provenance[rows[maxima]] = Provenance.FULL_SPACE
+        for row in rows[~maxima]:
+            d, provenance[row] = _sampled_selection(
+                game, player, split_profile(game, x[row]), seed
+            )
+            directions[row] = d.array
+    return directions, provenance
+
+
+def _contour_selection(
+    game: GameSpec, player: PlayerId, x: Profile, seed: int
+) -> tuple[Direction, Provenance]:
+    """A contour or band player's selection at profile ``x``: the first active
+    row of its contour polyhedron, the zero direction where that polyhedron
+    is empty, and a sampled separator for ``ThresholdBand``."""
+    pref = game.players[player].preference
+    rows = contour_polyhedron(game, player, x)
+    if rows is not None:
+        gens = polyhedral_normal_generators(
+            rows,
+            x.block(player),
+            assume_nonempty=isinstance(pref, CoordinateOrder),
+        )
+        if gens.provenance is Provenance.FULL_SPACE:
+            return Direction.zero(player, game.dims[player]), Provenance.FULL_SPACE
+        return gens.directions[0], Provenance.POLYHEDRAL
+    if isinstance(pref, ThresholdBand):
+        return _sampled_selection(game, player, x, seed)
+    raise TypeError(f"unsupported preference {type(pref).__name__}")
 
 
 def _sampled_selection(
@@ -384,10 +394,19 @@ def _project_rows(game: GameSpec, offsets: list, target: np.ndarray) -> np.ndarr
     return out
 
 
+def _targets(x: np.ndarray, step, g: np.ndarray) -> np.ndarray:
+    """The step targets ``x - step * g``.  On a box near the largest float an
+    entry can overflow; it is infinite then, and the projection clips it to
+    its box bound, so the overflow is not an error."""
+    with np.errstate(over="ignore"):
+        return x - step * g
+
+
 def _residuals(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float, offsets) -> np.ndarray:
     """Natural residual ``||x - Proj_K(x)(x - step * g)||`` of every row of ``x``."""
-    moves = x - _project_rows(game, offsets, x - step * g)
-    return np.sqrt(_row_dots(moves, moves))
+    moves = x - _project_rows(game, offsets, _targets(x, step, g))
+    with np.errstate(over="ignore"):  # an infinite residual fails any tolerance
+        return np.sqrt(_row_dots(moves, moves))
 
 
 def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -> float:
@@ -403,15 +422,43 @@ def fixed_point_step(game: GameSpec, x: Profile, cfg: SolverConfig) -> Profile:
     """One projected step: every player moves simultaneously, rivals fixed at x."""
     sel = selection_T(game, x, sample_seed=cfg.seed)
     offsets = [region.offsets for region in _require_feasible(game, x)]
-    target = x.stacked[None, :] - cfg.step * sel.stacked
+    target = _targets(x.stacked[None, :], cfg.step, sel.stacked)
     return split_profile(game, _project_rows(game, offsets, target))
 
 
-def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
-    from scipy.stats import qmc  # deferred: importing scipy.stats is slow
+def _halton(d: int, n: int, seed: int) -> np.ndarray:
+    """The first ``n`` points of the scrambled Halton sequence in [0, 1)^d,
+    bit-equal to ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)``.
 
-    sampler = qmc.Halton(d=game.total_dim, scramble=True, seed=cfg.seed)
-    unit = sampler.random(cfg.restarts)
+    Owen's randomized Halton (arXiv:1706.02808): coordinate k uses the k-th
+    prime b as its base, and each of its ``ceil(54 / log2 b) - 1`` base-b
+    digits goes through its own random permutation of ``arange(b)``.  One
+    ``default_rng(seed)`` shuffles those rows in order, base after base
+    (``permuted(axis=1)`` draws as scipy's loop of ``shuffle`` calls does).
+    Point i's coordinate is the sum, in digit order, of
+    ``perm[j, (i // b**j) % b]`` times b**-(j + 1), a scale formed by
+    successive division as scipy forms it; the digits of all points are one
+    (digits, n) array per base.
+    """
+    rng = np.random.default_rng(seed)
+    index, columns, base = np.arange(n), [], 1
+    while len(columns) < d:
+        base += 1
+        if any(base % b == 0 for b in range(2, math.isqrt(base) + 1)):
+            continue
+        count = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
+        digits = index // base ** np.arange(count)[:, None] % base
+        scales = np.divide.accumulate(np.r_[1.0 / base, np.full(count - 1, float(base))])
+        terms = perms[np.arange(count)[:, None], digits] * scales[:, None]
+        columns.append(np.add.accumulate(terms, axis=0)[-1])
+    return np.array(columns).T
+
+
+def _starting_points(game: GameSpec, cfg: SolverConfig) -> np.ndarray:
+    """``cfg.restarts`` scrambled Halton points (:func:`_halton`) in the
+    interior of the box, projected onto the joint region on shared games."""
+    unit = _halton(game.total_dim, cfg.restarts, cfg.seed)
     lo, hi = game.box_lo, game.box_hi
     points = lo + (0.1 + 0.8 * unit) * (hi - lo)  # keep starts interior to the box
     region = _joint_region(game)
@@ -428,37 +475,22 @@ def _select_rows(game: GameSpec, x: np.ndarray, seed: int) -> tuple[np.ndarray, 
     """Operator values at every row of ``x``: the stacked directions and the
     (R, P) provenance array.
 
-    When every player has a utility or the trivial preference, one batched
-    gradient call per utility player covers all rows, and trivial players
-    keep the zero direction.  The flat rows of each utility player go to one
-    :func:`cones.flat_maxima` call; a row it marks keeps the zero direction
-    with ``FULL_SPACE`` provenance.  A row with a flat gradient that is not
-    marked, and every row of any other game, gets its whole selection from
-    :func:`selection_T`, the only route to polyhedral, sampled and band
-    selections.  Every row equals :func:`selection_T` at that row.
+    When every player has a utility or the trivial preference, each player's
+    directions are :func:`_select_player` on all rows at once.  Any other
+    game goes row by row through :func:`selection_T`, the only route to
+    polyhedral and band selections.  Every row equals :func:`selection_T` at
+    that row.
     """
-    g = np.zeros(x.shape)
+    g = np.empty(x.shape)
     provenance = np.empty((x.shape[0], game.n_players), dtype=object)
-    prefs = [spec.preference for spec in game.players]
-    if all(isinstance(pref, (UtilityPreference, TrivialZero)) for pref in prefs):
-        fallback = np.zeros(x.shape[0], dtype=bool)
-        for player, pref in enumerate(prefs):
-            if isinstance(pref, TrivialZero):
-                provenance[:, player] = Provenance.FULL_SPACE
-                continue
-            directions, flat = gradient_directions(game, player, x)
-            g[:, game.own_slice(player)] = directions
-            provenance[:, player] = Provenance.GRADIENT
-            if flat.any():
-                rows = np.flatnonzero(flat)
-                maxima = flat_maxima(game, player, x[rows])
-                provenance[rows[maxima], player] = Provenance.FULL_SPACE
-                fallback[rows[~maxima]] = True
+    if all(isinstance(spec.preference, (UtilityPreference, TrivialZero)) for spec in game.players):
+        for player in range(game.n_players):
+            g[:, game.own_slice(player)], provenance[:, player] = _select_player(
+                game, player, x, seed
+            )
     else:
-        fallback = np.ones(x.shape[0], dtype=bool)
-    if fallback.any():
-        for row in np.flatnonzero(fallback):
-            sel = selection_T(game, split_profile(game, x[row]), sample_seed=seed)
+        for row, point in enumerate(x):
+            sel = selection_T(game, split_profile(game, point), sample_seed=seed)
             g[row], provenance[row] = sel.stacked, sel.provenance
     return g, provenance
 
@@ -568,7 +600,7 @@ def _joint_finish(
     a face of K, the first try at a row lands on it, so the loop offers this
     step from iteration 1."""
     joint = _joint_region(game)
-    targets = x - cfg.step * g
+    targets = _targets(x, cfg.step, g)
     points = _dykstra(joint.lo, joint.hi, joint.normals, joint.offsets, targets)
     _take_passing(game, cfg, x, g, provenance, np.arange(x.shape[0]), points)
 
@@ -635,7 +667,7 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
 
         # Per-player working steps; the reference residual above always uses
         # the configured step, so damping cannot fake convergence.
-        x = _project_rows(game, offsets, x - alpha[:, block_of] * g)
+        x = _project_rows(game, offsets, _targets(x, alpha[:, block_of], g))
 
         if it % _ADAPT_WINDOW == 0:
             moves = x - anchor

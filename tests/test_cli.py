@@ -197,7 +197,7 @@ class TestSolveCommand:
     def test_out_of_memory_exit_one_with_report(
         self, runner, coordinate_file, monkeypatch, message, error
     ):
-        # A huge --restarts runs out of memory in scipy's Halton sampler.
+        # A huge --restarts runs out of memory in the Halton starting points.
         def refuse(game, cfg):
             raise MemoryError(message)
 
@@ -402,6 +402,27 @@ class TestHostileInputs:
         assert "non-finite" in report["error"]
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "RuntimeWarning" not in result.stderr
+
+    def test_huge_step_on_a_huge_box_reports_without_runtime_warning(self, runner, tmp_path):
+        # The step targets and residual squares overflow to inf; the targets
+        # clip to the box and the residuals fail the tolerance.
+        game = {
+            "players": [
+                {"dim": 1, "box": [[0.0, 1.7e308]], "preference": {"type": "CoordinateOrder"}},
+                {"dim": 1, "box": [[0.0, 1.0]], "preference": {"type": "CoordinateOrder"}},
+            ],
+            "constraints": {"type": "BoxOnly"},
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(game))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = runner.invoke(
+                main, ["solve", str(path), "--step", "1e308", "--grid", "1e307"]
+            )
+        report = json.loads(result.stdout)  # exactly one JSON document
+        assert result.exit_code == report["exit_code"] == 0
+        assert report["solution"]["point"] == [1.7e308, 1.0]
 
     def test_constant_utility_is_solved(self, runner, tmp_path):
         result = runner.invoke(main, ["solve", self._file(tmp_path, expr="1"), "--restarts", "1"])
@@ -664,10 +685,27 @@ class TestVersion:
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
-    """The Halton starts import scipy.stats, and the first LP scipy.optimize,
-    only when a command needs them."""
+    """The first LP imports scipy.optimize only when a command needs it, and
+    nothing imports scipy.stats."""
     env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
     code = f"import sys, ordnash.cli; print({module!r} in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_a_solve_leaves_scipy_stats_unloaded():
+    """The starting points are numpy's own Halton draws: a fresh import of
+    the CLI plus one solve loads no scipy.stats."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
+    code = (
+        "import sys, ordnash.cli\n"
+        "from ordnash.corpus import arrow_debreu_instance\n"
+        "from ordnash.solver import solve_svip\n"
+        "assert solve_svip(arrow_debreu_instance(42)).converged\n"
+        "print('scipy.stats' in sys.modules)"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -151,7 +151,7 @@ class TestSelection:
         sel = selection_T(pull_game, x)
         np.testing.assert_allclose(sel.stacked, [1.0, -1.0], atol=1e-9)
         assert sel.provenance == (Provenance.GRADIENT, Provenance.GRADIENT)
-        assert sel.all_nonzero
+        assert not any(d.is_zero for d in sel.directions)
 
     def test_trivial_preference_yields_zero(self):
         game = example_trivial_pref()
@@ -162,8 +162,7 @@ class TestSelection:
             Provenance.FULL_SPACE,
             Provenance.FULL_SPACE,
         )
-        assert sel.full_space_players == (0, 1)
-        assert not sel.all_nonzero
+        assert all(d.is_zero for d in sel.directions)
 
     def test_threshold_band_sampled_or_empty(self):
         _, _, game = example_lhc_remark()
@@ -315,7 +314,7 @@ class TestSharedProjection:
         cfg = SolverConfig()
         x = split_profile(game, [0.6, 0.6, 0.6, 0.65])
         sel = selection_T(game, x, sample_seed=cfg.seed)
-        assert sel.all_nonzero
+        assert not any(d.is_zero for d in sel.directions)
         target = x.stacked - cfg.step * sel.stacked
         expected = self._projected(game, x, target)
         assert not np.allclose(expected, np.clip(target, 0.0, 1.0))
@@ -673,6 +672,22 @@ def _iters_for(name):
     return 60 if name == "shared-3" else 300
 
 
+@pytest.mark.parametrize("d", range(1, 13))
+def test_halton_equals_scipy_bit_for_bit(d):
+    """``solver._halton`` is scipy's scrambled Halton sequence, layout
+    included, at seeds past 2**64 too (the CLI takes any nonnegative seed)."""
+    from scipy.stats import qmc
+
+    seeds = [0, 1, 42, 2**31 - 1, 2**62 + 7, 2**64 + 3, 2**80 - 1, 12345678901234567890123]
+    for n in (1, 2, 4, 16, 64, 257):
+        for seed in seeds:
+            expected = qmc.Halton(d=d, scramble=True, seed=seed).random(n)
+            got = solver._halton(d, n, seed)
+            assert got.shape == expected.shape
+            assert got.flags.f_contiguous == expected.flags.f_contiguous
+            assert _bits(got) == _bits(expected), (n, seed)
+
+
 class TestBatchedRestarts:
     @pytest.mark.parametrize("name", sorted(BATCH_GAMES))
     def test_rows_equal_sequential_reference(self, name):
@@ -1015,6 +1030,40 @@ class TestFlatMaxima:
         assert len(samples) == 1 and above.provenance[0] == Provenance.FULL_SPACE
         assert above.directions[0].vector == (0.0,)
 
+    def test_batch_samples_only_the_unmarked_player(self, monkeypatch):
+        # Player 0's utility has degree 4, so flat_maxima refuses it and its
+        # flat rows are sampled; player 1's quadratic is marked where flat.
+        game = GameSpec(
+            (
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x1)^4")),
+                PlayerSpec(1, ((-1.0, 1.0),), UtilityPreference("-(x2 - 0.5*x1)^2")),
+            )
+        )
+        # A gradient row, a row flat for both players, a row flat for player 0 only.
+        rows = np.array([[0.5, 0.1], [0.0, 0.0], [0.0, 0.7]])
+        alone = [selection_T(game, split_profile(game, row), sample_seed=5) for row in rows]
+        assert [sel.provenance for sel in alone] == [
+            (Provenance.GRADIENT, Provenance.GRADIENT),
+            (Provenance.FULL_SPACE, Provenance.FULL_SPACE),
+            (Provenance.FULL_SPACE, Provenance.GRADIENT),
+        ]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return selection_T(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "selection_T", counting)
+        samples = self._count_samples(monkeypatch)
+        g, provenance = solver._select_rows(game, rows, 5)
+        assert calls == []
+        assert [(args[1], args[2].stacked.tolist()) for args in samples] == [
+            (0, [0.0, 0.0]),
+            (0, [0.0, 0.7]),
+        ]
+        assert _bits(g) == _bits([sel.stacked for sel in alone])
+        assert [tuple(row) for row in provenance] == [sel.provenance for sel in alone]
+
 
 # --- Newton finish ------------------------------------------------------------
 
@@ -1249,23 +1298,35 @@ class TestPolish:
             assert selected.shape[0] > 0  # the polish moves a row
 
 
+def huge_box_game():
+    """Two CoordinateOrder players, the first on [0, 1.7e308]: at a huge step
+    its targets and residual squares overflow to inf."""
+    return GameSpec(
+        (
+            PlayerSpec(1, ((0.0, 1.7e308),), CoordinateOrder()),
+            PlayerSpec(1, ((0.0, 1.0),), CoordinateOrder()),
+        )
+    )
+
+
 @pytest.mark.parametrize(
-    "name", ["box-2x1", "box-3x2", "arrow-debreu", "mixed-budget", "shared-3"]
+    "name", ["box-2x1", "box-3x2", "arrow-debreu", "mixed-budget", "shared-3", "huge-box"]
 )
 def test_huge_step_adapts_without_overflow(name):
     """At a step near the largest float the step adaptation warns of no
     overflow, and every row is that of the sequential reference, whose
     products overflow to inf.  Arrow-Debreu and mixed-budget converge by the
-    joint try of iteration 1, before any step is adapted; they check only the
-    absence of warnings and the bit-equality."""
-    game = BATCH_GAMES[name]()
+    joint try of iteration 1, and the huge box at its top corner, before any
+    step is adapted; they check only the absence of warnings and the
+    bit-equality."""
+    game = huge_box_game() if name == "huge-box" else BATCH_GAMES[name]()
     cfg = SolverConfig(step=1e308, restarts=4, max_iters=40, seed=42)
     starts = _explicit_starts(game)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve_svip(game, cfg)
         runs = _run_restarts(game, cfg, starts)
-    if name not in ("arrow-debreu", "mixed-budget"):
+    if name not in ("arrow-debreu", "mixed-budget", "huge-box"):
         assert (runs.iters > _REF_ADAPT_WINDOW).any()  # some step was adapted
     with np.errstate(over="ignore"):
         for row, start in enumerate(starts):
