@@ -27,6 +27,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -116,9 +117,12 @@ class Negate(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
+class _Binary(Expr):
+    """``left <_symbol> right``; equal only to a node of the same class."""
+
     left: Expr
     right: Expr
+    _symbol: ClassVar[str]
 
     def variables(self) -> frozenset[int]:
         return self.left.variables() | self.right.variables()
@@ -127,52 +131,29 @@ class Add(Expr):
         return _combine(self.left.degree(own), self.right.degree(own), max)
 
     def _emit(self) -> str:
-        return f"({self.left._emit()} + {self.right._emit()})"
+        return f"({self.left._emit()} {self._symbol} {self.right._emit()})"
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def variables(self) -> frozenset[int]:
-        return self.left.variables() | self.right.variables()
-
-    def degree(self, own: frozenset[int]) -> int | None:
-        return _combine(self.left.degree(own), self.right.degree(own), max)
-
-    def _emit(self) -> str:
-        return f"({self.left._emit()} - {self.right._emit()})"
+class Add(_Binary):
+    _symbol = "+"
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    _symbol = "-"
 
-    def variables(self) -> frozenset[int]:
-        return self.left.variables() | self.right.variables()
+
+class Mul(_Binary):
+    _symbol = "*"
 
     def degree(self, own: frozenset[int]) -> int | None:
         return _combine(self.left.degree(own), self.right.degree(own), operator.add)
 
-    def _emit(self) -> str:
-        return f"({self.left._emit()} * {self.right._emit()})"
 
-
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
-
-    def variables(self) -> frozenset[int]:
-        return self.left.variables() | self.right.variables()
+class Div(_Binary):
+    _symbol = "/"
 
     def degree(self, own: frozenset[int]) -> int | None:
         return self.left.degree(own) if self.right.degree(own) == 0 else None
-
-    def _emit(self) -> str:
-        return f"({self.left._emit()} / {self.right._emit()})"
 
 
 @dataclass(frozen=True)

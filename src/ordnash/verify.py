@@ -12,12 +12,12 @@ Feasibility comes from ``model`` alone: the player regions at a profile
 the ``_feasible_offsets`` rule the solver projects with at all its rows)
 and the joint region over the lattice (``_joint_region``).
 
-``brute_force_gne`` decides the players in order, each only where profiles
-are still live: utility games through one utility tensor per player over the
-window of rival points that still hold a live profile (own axes whole), every
-other game through stacked strict-preference tables over the live profiles
-alone.  Neither route evaluates a utility beyond what it reads, so a
-non-finite value raises only where the enumeration reads it.
+``brute_force_gne`` decides the players in order, each by its own rule and
+only where profiles are still live: a utility player through one utility
+tensor over the window of rival points that still hold a live profile (own
+axes whole), any other player through stacked strict-preference tables over
+the live profiles alone.  A non-finite utility value raises where it is
+read: anywhere in a utility player's window, live or not, in any game.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 10_000_000
-# Entry cap of one (profiles, pool) strict-preference table of the generic
-# enumeration.  The utility tensor is not chunked: it is evaluated on a column
-# view, never on the (points, n) profile array, so its largest temporary holds
-# one value per point of the player's window, and only for subexpressions that
-# read every axis.
+# Entry cap of one (profiles, pool) strict-preference table of
+# _decide_by_table.  The utility tensor is not chunked: it is evaluated on a
+# column view, never on the (points, n) profile array, so its largest
+# temporary holds one value per point of the player's window, and only for
+# subexpressions that read every axis.
 _CHUNK_ENTRIES = 1 << 20
 # theorem2_property: VI tolerance of a sampled separator, and its contour draws.
 _SEPARATOR_VI_TOL = 1e-6
@@ -272,59 +272,30 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
     shared game, one joint tensor (:func:`_feasible_tensor`) marks the
     jointly feasible profiles; it masks the profiles and, sliced at the
     rivals, gives every player's feasible own grid points, so no per-player
-    region is built.  When every player has a utility, the players are taken
-    in order and a profile survives when no feasible own grid point has a
-    strictly larger value.  Player p's utility is evaluated once
-    (:func:`_utility_tensor`, on broadcast columns rather than a materialized
-    profile array) over a window: its own axes whole, and on each rival axis
-    the index range of the rival points that still hold a live profile.  On a
-    box-only game the first player reads the whole lattice; later players
-    read only their windows, and the pass stops once no profile is live.
-    Every value read is bit-equal to the full tensor's entry, so the result
-    is the same.  A non-finite utility value raises
-    :class:`EvaluationError` where it is read; one outside every window is
-    never read and does not, as in the generic route, which evaluates live
-    profiles only.  Other preference variants go through the generic
-    strict-preference oracle.
+    region is built.  A profile stays live while no player decided so far
+    strictly prefers a feasible own grid point there.  The players are taken
+    in order, the pass stops once no profile is live, a ``TrivialZero``
+    player beats nothing and is skipped, and every other player is decided
+    by its own rule: a utility player by :func:`_decide_by_utility`, any
+    other by :func:`_decide_by_table`.  A utility player reads its whole
+    window, in a game that mixes it with other players as in an all-utility
+    one, so a non-finite utility value there raises :class:`EvaluationError`
+    even at a profile that is no longer live; a value outside every window
+    is never read and does not raise.
     """
     axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
     feasible = _feasible_tensor(game, axes)
     shape = tuple(a.size for a in axes)
-
-    all_utility = all(
-        isinstance(p.preference, UtilityPreference) for p in game.players
-    )
-    if all_utility:
-        equilibrium = (
-            feasible.copy()
-            if feasible is not None
-            else np.ones(shape, dtype=bool)
-        )
-        for player in range(game.n_players):
-            sl = game.own_slice(player)
-            own_axes = tuple(range(sl.start, sl.stop))
-            live = equilibrium.any(axis=own_axes)  # over the rival axes, in order
-            if not live.any():
-                break  # no live profile is left to decide
-            # The window: per rival axis, the index bounds of the live rival
-            # points; nothing outside it is live.  Own axes stay whole.
-            window = [slice(None)] * len(shape)
-            rival_axes = [k for k in range(len(shape)) if k not in own_axes]
-            for j, k in enumerate(rival_axes):
-                others = tuple(i for i in range(live.ndim) if i != j)
-                hit = np.flatnonzero(live.any(axis=others))
-                window[k] = slice(hit[0], hit[-1] + 1)
-            window = tuple(window)
-            values = _utility_tensor(game, player, [a[w] for a, w in zip(axes, window)])
-            if feasible is not None:
-                values = np.where(feasible[window], values, -np.inf)
-            best = values.max(axis=own_axes, keepdims=True)
-            # A strictly larger feasible value along the own axes means the
-            # player can improve; equality (including ties) does not.
-            decided = equilibrium[window]  # a view: basic slices only
-            decided &= ~(values < best)
-    else:
-        equilibrium = _generic_equilibria(game, axes, feasible)
+    equilibrium = np.ones(shape, dtype=bool) if feasible is None else feasible.copy()
+    for player, spec in enumerate(game.players):
+        if isinstance(spec.preference, TrivialZero):
+            continue  # nothing is ever strictly preferred
+        if not equilibrium.any():
+            break  # no live profile is left to decide
+        if isinstance(spec.preference, UtilityPreference):
+            _decide_by_utility(game, player, axes, feasible, equilibrium)
+        else:
+            _decide_by_table(game, player, axes, feasible, equilibrium)
 
     index = np.unravel_index(np.flatnonzero(equilibrium), shape)
     vectors = np.stack([a[i] for a, i in zip(axes, index)], axis=1)
@@ -338,62 +309,81 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
     return [(split_profile(game, vector), cert) for vector in vectors]
 
 
-def _generic_equilibria(
-    game: GameSpec, axes: list[np.ndarray], feasible: np.ndarray | None
-) -> np.ndarray:
-    """Grid equilibria through the strict-preference oracle, for any preference.
+def _decide_by_utility(game: GameSpec, player: PlayerId, axes, feasible, equilibrium) -> None:
+    """Clear the live profiles of ``equilibrium`` (in place) at which the
+    utility player ``player`` has a feasible own grid point of strictly
+    larger value.
 
-    A profile stays an equilibrium candidate ("live") while no player has a
-    feasible own grid point it strictly prefers there.  Players are taken in
-    order, and each decides its whole lattice at once.  The pool of a rival
-    point is the set of own grid points that the joint tensor ``feasible``
-    marks at it, the slice of the shared set at those rivals; on a box-only
-    game (``feasible`` None) it is every own grid point.  The live profiles
-    of all live rival points with the same pool are stacked, rival point by
-    rival point, and decided by one (profiles, pool) strict-preference table,
-    chunked to at most ``_CHUNK_ENTRIES`` entries.  Only live profiles, and
-    the pool at their rival points, are evaluated.  Returns the boolean
-    tensor of the surviving profiles.
+    The utility is evaluated once (:func:`_utility_tensor`, on broadcast
+    columns, not a materialized profile array) over a window: the own axes
+    whole, and on each rival axis the index range of the rival points that
+    still hold a live profile.  Each value read is bit-equal to the full
+    tensor's entry; an infeasible point counts as minus infinity.
     """
-    shape = tuple(a.size for a in axes)
-    equilibrium = np.ones(shape, dtype=bool) if feasible is None else feasible.copy()
-    for player in range(game.n_players):
-        if isinstance(game.players[player].preference, TrivialZero):
-            continue  # nothing is ever strictly preferred
-        sl = game.own_slice(player)
-        own_points = _cartesian(axes[sl])
-        # View (before, own, after): own axes are contiguous in the profile.
-        before = int(np.prod(shape[: sl.start]))
-        live_view = equilibrium.reshape(before, own_points.shape[0], -1)
-        # The live rival points, in grid order, as rows (i, k) of the view.
-        i, k = np.nonzero(live_view.any(axis=1))
-        if i.size == 0:
-            break  # no live profile is left to decide
-        rivals = _cartesian(axes[: sl.start] + axes[sl.stop :])[i * live_view.shape[2] + k]
-        pools = {}  # pool mask bytes -> the live rival points with that pool
-        if feasible is None:
-            pools[np.ones(own_points.shape[0], dtype=bool).tobytes()] = list(range(i.size))
-        else:
-            for rival, mask in enumerate(feasible.reshape(live_view.shape)[i, :, k]):
-                pools.setdefault(mask.tobytes(), []).append(rival)
-        for key, members in pools.items():
-            pool = own_points[np.frombuffer(key, dtype=bool)]
-            if pool.shape[0] == 0:
-                continue
-            members = np.array(members)
-            live = np.flatnonzero(live_view[i[members], :, k[members]])
-            chunk = max(1, _CHUNK_ENTRIES // pool.shape[0])
-            for start in range(0, live.size, chunk):
-                member, own = np.divmod(live[start : start + chunk], own_points.shape[0])
-                rival = members[member]  # the live rival point of each profile
-                profiles = np.empty((own.size, game.total_dim))
-                profiles[:, : sl.start] = rivals[rival, : sl.start]
-                profiles[:, sl] = own_points[own]
-                profiles[:, sl.stop :] = rivals[rival, sl.start :]
-                beaten = _strict_upper_table(game, player, pool, profiles).any(axis=1)
-                rival = rival[beaten]
-                live_view[i[rival], own[beaten], k[rival]] = False
-    return equilibrium
+    sl = game.own_slice(player)
+    own_axes = tuple(range(sl.start, sl.stop))
+    live = equilibrium.any(axis=own_axes)  # over the rival axes, in order
+    window = [slice(None)] * equilibrium.ndim
+    rival_axes = [k for k in range(equilibrium.ndim) if k not in own_axes]
+    for j, k in enumerate(rival_axes):
+        others = tuple(i for i in range(live.ndim) if i != j)
+        hit = np.flatnonzero(live.any(axis=others))
+        window[k] = slice(hit[0], hit[-1] + 1)
+    window = tuple(window)
+    values = _utility_tensor(game, player, [a[w] for a, w in zip(axes, window)])
+    if feasible is not None:
+        values = np.where(feasible[window], values, -np.inf)
+    best = values.max(axis=own_axes, keepdims=True)
+    # A strictly larger feasible value along the own axes means the player
+    # can improve; equality (including ties) does not.
+    decided = equilibrium[window]  # a view: basic slices only
+    decided &= ~(values < best)
+
+
+def _decide_by_table(game: GameSpec, player: PlayerId, axes, feasible, equilibrium) -> None:
+    """Clear the live profiles of ``equilibrium`` (in place) at which
+    ``player`` strictly prefers a feasible own grid point, for any preference.
+
+    The pool of a rival point is the set of own grid points that the joint
+    tensor ``feasible`` marks at it, the slice of the shared set at those
+    rivals; on a box-only game (``feasible`` None) it is every own grid
+    point.  The live profiles of all live rival points with the same pool
+    are stacked, rival point by rival point, and decided by one (profiles,
+    pool) strict-preference table, chunked to at most ``_CHUNK_ENTRIES``
+    entries.  Only live profiles, and the pool at their rival points, are
+    evaluated.
+    """
+    sl = game.own_slice(player)
+    own_points = _cartesian(axes[sl])
+    # View (before, own, after): own axes are contiguous in the profile.
+    before = int(np.prod(equilibrium.shape[: sl.start]))
+    live_view = equilibrium.reshape(before, own_points.shape[0], -1)
+    # The live rival points, in grid order, as rows (i, k) of the view.
+    i, k = np.nonzero(live_view.any(axis=1))
+    rivals = _cartesian(axes[: sl.start] + axes[sl.stop :])[i * live_view.shape[2] + k]
+    pools = {}  # pool mask bytes -> the live rival points with that pool
+    if feasible is None:
+        pools[np.ones(own_points.shape[0], dtype=bool).tobytes()] = list(range(i.size))
+    else:
+        for rival, mask in enumerate(feasible.reshape(live_view.shape)[i, :, k]):
+            pools.setdefault(mask.tobytes(), []).append(rival)
+    for key, members in pools.items():
+        pool = own_points[np.frombuffer(key, dtype=bool)]
+        if pool.shape[0] == 0:
+            continue
+        members = np.array(members)
+        live = np.flatnonzero(live_view[i[members], :, k[members]])
+        chunk = max(1, _CHUNK_ENTRIES // pool.shape[0])
+        for start in range(0, live.size, chunk):
+            member, own = np.divmod(live[start : start + chunk], own_points.shape[0])
+            rival = members[member]  # the live rival point of each profile
+            profiles = np.empty((own.size, game.total_dim))
+            profiles[:, : sl.start] = rivals[rival, : sl.start]
+            profiles[:, sl] = own_points[own]
+            profiles[:, sl.stop :] = rivals[rival, sl.start :]
+            beaten = _strict_upper_table(game, player, pool, profiles).any(axis=1)
+            rival = rival[beaten]
+            live_view[i[rival], own[beaten], k[rival]] = False
 
 
 def theorem1_property(

@@ -710,3 +710,64 @@ def test_a_solve_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# Each call the verify benchmark workload makes, in a fresh interpreter: grid
+# brute force on both rules and a shared mixed game, theorem 2, check_svip at
+# Arrow-Debreu points, and the cone trials of the four criterion-7 families.
+_VERIFIER_PATH = """
+import sys
+import numpy as np
+import ordnash.cli
+from ordnash import corpus
+from ordnash.cones import cone_membership
+from ordnash.model import (
+    ContourRow, CoordinateOrder, GameSpec, HalfspaceContour, PlayerSpec, SharedLinear,
+    UtilityPreference, sample_contour, split_profile,
+)
+from ordnash.solver import selection_T
+from ordnash.verify import brute_force_gne, check_svip, theorem2_property
+
+ad = corpus.arrow_debreu_instance(3)
+for share in (0.2, 0.5, 0.8):
+    for point in ([share, 1.0 - share], [share, 0.9 - share]):
+        check_svip(ad, split_profile(ad, point), [-1.0, -1.0])
+box, unit = ((-1.0, 1.0),), ((0.0, 1.0),)
+halfspace = GameSpec(tuple(
+    PlayerSpec(1, box, HalfspaceContour((ContourRow((f"{a}-0.5*{b}",), f"({a}-0.5*{b})*{a}"),)))
+    for a, b in (("x1", "x2"), ("x2", "x1"))
+))
+mixed = GameSpec(
+    (
+        PlayerSpec(1, unit, UtilityPreference("-(x1-1.1)^2")),
+        PlayerSpec(1, unit, UtilityPreference("-(x2-1.5+0.4*x3)^2")),
+        PlayerSpec(1, unit, HalfspaceContour((ContourRow(("-(1+0.4*x1)",), "-(1+0.4*x1)*x3"),))),
+    ),
+    SharedLinear(((1.0, 1.0, 1.0),), (1.0,)),
+)
+tensor = corpus.random_concave_quadratic(1, players=3, nonnegative_coupling=True)
+band = corpus.example_lhc_remark()[2]
+for game in (corpus.example_coordinate_pref(), band, halfspace, tensor, mixed):
+    assert brute_force_gne(game, 0.05)
+theorem2_property([corpus.monotone_concave_instance(1)], 0.05)
+two_block = GameSpec((PlayerSpec(2, box * 2, CoordinateOrder()),) * 2)
+rng = np.random.default_rng(0)
+for game in (corpus.random_concave_quadratic(2), corpus.example_coordinate_pref(), two_block, band):
+    for _ in range(3):
+        x = split_profile(game, rng.uniform(-1.0, 1.0, game.total_dim))
+        for player, d in enumerate(selection_T(game, x, sample_seed=1).directions):
+            if not d.is_zero:
+                samples = sample_contour(game, player, x, count=200, seed=2)
+                cone_membership(d, samples, x.block(player))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_the_verifier_path_leaves_scipy_optimize_unloaded():
+    """No call of the verify workload solves an LP: importing scipy.optimize
+    more than doubles a fresh interpreter's resident memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _VERIFIER_PATH], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

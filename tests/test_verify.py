@@ -35,8 +35,9 @@ from ordnash.model import (
     split_profile,
     strictly_prefers,
 )
-from ordnash.solver import SolverConfig
+from ordnash.solver import SolverConfig, selection_T
 from ordnash.verify import (
+    Certificate,
     _cartesian,
     _feasible_tensor,
     _grid_axes,
@@ -307,6 +308,12 @@ class TestCheckSvip:
         x = split_profile(game, [1.0, 1.0])
         dirs = (Direction.unit(0, [-1.0]), Direction.unit(1, [-1.0]))
         assert check_svip(game, x, dirs, tol=1e-9).passed
+        # A Selection counts as its stacked array, passing or failing.
+        selection = selection_T(game, split_profile(game, [0.0, 0.5]))
+        for point in ([1.0, 1.0], [0.0, 0.5]):
+            y = split_profile(game, point)
+            assert check_svip(game, y, selection) == check_svip(game, y, selection.stacked)
+        assert not check_svip(game, split_profile(game, [0.0, 0.5]), selection).passed
 
     def test_wrong_operator_size(self):
         game = example_coordinate_pref()
@@ -653,6 +660,11 @@ def _generic_game(family, seed, shared):
             PlayerSpec(1, box, UtilityPreference(f"-(x1-{c[0]}*x2-{c[1]})^2")),
             PlayerSpec(1, box, HalfspaceContour((_away(f"x1-{c[2]}", "x2"),))),
         ]
+    elif family == "trivial-utility":
+        players = [
+            PlayerSpec(1, box, TrivialZero()),
+            PlayerSpec(1, box, UtilityPreference(f"-(x2-{c[0]}*x1-{c[1]})^2")),
+        ]
     else:  # a two-coordinate block
         players = [
             PlayerSpec(2, box * 2, CoordinateOrder()),
@@ -663,13 +675,21 @@ def _generic_game(family, seed, shared):
     return GameSpec(tuple(players), constraints)
 
 
+_GENERIC_FAMILIES = [
+    "coordinate",
+    "threshold-band",
+    "halfspace",
+    "trivial",
+    "utility-halfspace",
+    "trivial-utility",
+    "blocks",
+]
+
+
 class TestGenericEnumeration:
     @pytest.mark.parametrize("shared", [False, True])
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize(
-        "family",
-        ["coordinate", "threshold-band", "halfspace", "trivial", "utility-halfspace", "blocks"],
-    )
+    @pytest.mark.parametrize("family", _GENERIC_FAMILIES)
     def test_matches_naive_reference(self, family, seed, shared):
         game = _generic_game(family, seed, shared)
         h = 0.5 if family == "blocks" else 0.25
@@ -688,6 +708,26 @@ class TestGenericEnumeration:
         )
         found = [tuple(p.stacked) for p, _ in brute_force_gne(game, 1.0)]
         assert found == [(1.0, 1.0)] == _reference_equilibria(game, 1.0)
+
+    @pytest.mark.parametrize(
+        "family, utility_player", [("utility-halfspace", 0), ("trivial-utility", 1)]
+    )
+    def test_utility_players_take_the_tensor(self, family, utility_player, monkeypatch):
+        """Beside a contour or trivial player, a utility player is decided by
+        its utility tensor, not by the strict-preference tables."""
+        from ordnash import verify
+
+        calls = []
+
+        def counted(game, player, axes, original=verify._utility_tensor):
+            calls.append(player)
+            return original(game, player, axes)
+
+        monkeypatch.setattr(verify, "_utility_tensor", counted)
+        for shared in (False, True):
+            game = _generic_game(family, 0, shared)
+            assert _found(game, 0.25) == _reference_equilibria(game, 0.25)
+        assert calls == [utility_player, utility_player]
 
     def test_chunked_tables_match_one_table(self, monkeypatch):
         from ordnash import verify
@@ -871,10 +911,7 @@ class TestGenericMatchesPerRivalPointOracle:
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("shared", [False, True])
-    @pytest.mark.parametrize(
-        "family",
-        ["coordinate", "threshold-band", "halfspace", "trivial", "utility-halfspace", "blocks"],
-    )
+    @pytest.mark.parametrize("family", _GENERIC_FAMILIES)
     def test_every_generic_family(self, family, shared, chunk, monkeypatch):
         from ordnash import verify
 
@@ -915,6 +952,16 @@ class TestSolverToGridBridge:
         assert cert.passed
         assert "failures=0" in cert.detail
 
+    def test_a_failing_grid_check_is_counted_with_its_witness(self, monkeypatch):
+        from ordnash import verify
+
+        failed = Certificate("gne-grid", False, 0.1, (1, (0.5,)), "player 1 improves")
+        monkeypatch.setattr(verify, "check_gne_grid", lambda game, x, h: failed)
+        cert = theorem1_property([example_coordinate_pref()], SolverConfig(restarts=4), h=0.1)
+        assert not cert.passed
+        assert cert.detail.endswith("failures=1")
+        assert cert.witness == {"game": 0, "grid_witness": (1, (0.5,))}
+
 
 class TestGridToSeparatorBridge:
     def test_coordinate_corner_certified(self):
@@ -930,6 +977,31 @@ class TestGridToSeparatorBridge:
         assert "no_separator=25" in cert.detail
         assert "equilibria=25" in cert.detail
         assert "no separator" in cert.witness["reason"]
+
+    def test_a_contour_around_the_point_is_inconclusive(self):
+        # The equilibria of x1^2 on [-1, 1] are the two corners; the contour
+        # {y : y^2 > 1} lies on both sides of each, so no separator is drawn.
+        cert = theorem2_property([_scalar_game(["x1^2"])], h=0.5)
+        assert cert.passed
+        assert cert.witness is None
+        assert cert.detail == (
+            "games=1 equilibria=2 certified=0 no_separator=0 inconclusive=2 failures=0"
+        )
+
+    def test_a_failing_svip_check_is_counted_with_its_witness(self, monkeypatch):
+        from ordnash import verify
+
+        svip_witness = {"margin": -0.5, "minimizer": [0.5, 1.0]}
+        failed = Certificate("svip", False, None, svip_witness, "margin -5e-01")
+        monkeypatch.setattr(verify, "check_svip", lambda game, x, g, tol: failed)
+        cert = theorem2_property([example_coordinate_pref()], h=0.1)
+        assert not cert.passed
+        assert cert.detail.endswith("certified=0 no_separator=0 inconclusive=0 failures=1")
+        assert cert.witness == {
+            "game": 0,
+            "equilibrium": [1.0, 1.0],
+            "svip_witness": svip_witness,
+        }
 
     def test_monotone_scalar_batch_certifies(self):
         from ordnash.corpus import monotone_concave_instance
