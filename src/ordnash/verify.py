@@ -13,11 +13,14 @@ the ``_feasible_offsets`` rule the solver projects with at all its rows)
 and the joint region over the lattice (``_joint_region``).
 
 ``brute_force_gne`` decides the players in order, each by its own rule and
-only where profiles are still live: a utility player through one utility
-tensor over the window of rival points that still hold a live profile (own
-axes whole), any other player through stacked strict-preference tables over
-the live profiles alone.  A non-finite utility value raises where it is
-read: anywhere in a utility player's window, live or not, in any game.
+only where profiles are still live: a utility player through its utility
+over the window of rival points that still hold a live profile (own axes
+whole), any other player through stacked strict-preference tables over the
+live profiles alone.  A non-finite utility value raises where it is read:
+anywhere in a utility player's window, live or not, in any game.  The grid
+routines build and decide their lattices in blocks of at most
+``_CHUNK_ENTRIES`` values, so the only lattice-sized arrays are the boolean
+tensors of ``brute_force_gne``, one byte per profile each.
 """
 
 from __future__ import annotations
@@ -60,12 +63,16 @@ __all__ = [
 ]
 
 _GRID_BUDGET = 10_000_000
-# Entry cap of one (profiles, pool) strict-preference table of
-# _decide_by_table.  The utility tensor is not chunked: it is evaluated on a
-# column view, never on the (points, n) profile array, so its largest
-# temporary holds one value per point of the player's window, and only for
-# subexpressions that read every axis.
-_CHUNK_ENTRIES = 1 << 20
+# Entry cap of every lattice-sized block (see _blocks): a (profiles, pool)
+# strict-preference table of _decide_by_table, a utility block of
+# _decide_by_utility, a block of the joint mask of _feasible_tensor and a
+# block of a player's deviation grid in check_gne_grid.  A block is one run
+# of indices along one axis with every other axis whole, so it holds more
+# only when one index along that axis does.  At 2**16 values (512 KiB of
+# float64) a block's temporaries stay near an L2 cache: on 2 cores, caps
+# from 2**15 to 2**18 took alike on lattices of 10**5 to 10**6 points,
+# 2**14 and less up to 1.6x longer, and larger caps only raised the peak.
+_CHUNK_ENTRIES = 1 << 16
 # theorem2_property: VI tolerance of a sampled separator, and its contour draws.
 _SEPARATOR_VI_TOL = 1e-6
 _SEPARATOR_SAMPLES = 1000
@@ -112,6 +119,14 @@ def _cartesian(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _blocks(start: int, stop: int, entries_per_index: int) -> list[slice]:
+    """Consecutive slices covering ``range(start, stop)``, in order, each
+    holding at most ``_CHUNK_ENTRIES`` entries at ``entries_per_index``
+    entries per index, and at least one index."""
+    step = max(1, _CHUNK_ENTRIES // entries_per_index)
+    return [slice(lo, min(lo + step, stop)) for lo in range(start, stop, step)]
+
+
 def _require_grid_budget(lo, hi, h: float, what: str) -> None:
     """Refuse a grid of the box [lo, hi] with more points than the budget,
     counting them without building any."""
@@ -146,17 +161,27 @@ def check_gne_grid(game: GameSpec, x: Profile, h: float) -> Certificate:
 
     Passes when no feasible grid deviation is strictly preferred.  The witness
     on failure is ``(player, deviation)`` for the first improving grid point
-    in grid order.
+    in grid order.  Each player's grid (:func:`player_grid`) is built and
+    tested in blocks along its first axis, in grid order, each of at most
+    ``_CHUNK_ENTRIES`` coordinates unless one index of that axis holds more
+    (:func:`_blocks`).  The search stops at the first block that holds an
+    improving feasible point: the blocks after it are never evaluated, so a
+    non-finite value there does not raise.
     """
     regions = _require_feasible(game, x)
     for player in range(game.n_players):
-        candidates = player_grid(game, player, h)
-        feasible = regions[player].contains_many(candidates)
-        if not np.any(feasible):
-            continue
-        pool = candidates[feasible]
-        better = strict_upper_mask(game, player, pool, x)
-        if np.any(better):
+        axes = _grid_axes(*game.player_box(player), h, "player")
+        # A block's largest array is its (points, dim) candidates.
+        per_index = int(np.prod([a.size for a in axes[1:]])) * len(axes)
+        for block in _blocks(0, axes[0].size, per_index):
+            candidates = _cartesian([axes[0][block]] + axes[1:])
+            feasible = regions[player].contains_many(candidates)
+            if not np.any(feasible):
+                continue
+            pool = candidates[feasible]
+            better = strict_upper_mask(game, player, pool, x)
+            if not np.any(better):
+                continue
             first = pool[int(np.argmax(better))]
             return Certificate(
                 kind="gne-grid",
@@ -234,11 +259,22 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
 
 
 def _feasible_tensor(game: GameSpec, axes: list[np.ndarray]) -> np.ndarray | None:
-    """Boolean tensor over the profile grid for shared constraints, else None."""
+    """Boolean tensor over the profile grid for shared constraints, else None.
+
+    Each entry is the joint region's ``contains_many`` at that profile.  The
+    tensor is filled in blocks along axis 0 (:func:`_blocks`), so the float
+    profiles of one block are built at a time, never the whole lattice's.
+    """
     if isinstance(game.constraints, BoxOnly):
         return None
+    region = _joint_region(game)
     shape = tuple(a.size for a in axes)
-    return _joint_region(game).contains_many(_cartesian(axes)).reshape(shape)
+    feasible = np.empty(shape, dtype=bool)
+    # A block's largest array is its (profiles, n) float profiles.
+    for block in _blocks(0, shape[0], int(np.prod(shape[1:])) * len(axes)):
+        profiles = _cartesian([axes[0][block]] + axes[1:])
+        feasible[block] = region.contains_many(profiles).reshape((-1,) + shape[1:])
+    return feasible
 
 
 def _utility_tensor(
@@ -281,7 +317,10 @@ def brute_force_gne(game: GameSpec, h: float) -> list[tuple[Profile, Certificate
     window, in a game that mixes it with other players as in an all-utility
     one, so a non-finite utility value there raises :class:`EvaluationError`
     even at a profile that is no longer live; a value outside every window
-    is never read and does not raise.
+    is never read and does not raise.  The joint tensor and every window are
+    built in blocks of at most ``_CHUNK_ENTRIES`` values, so the only
+    lattice-sized arrays are the boolean ``equilibrium`` tensor and, on a
+    shared game, the joint one, at one byte per profile each.
     """
     axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
     feasible = _feasible_tensor(game, axes)
@@ -314,11 +353,15 @@ def _decide_by_utility(game: GameSpec, player: PlayerId, axes, feasible, equilib
     utility player ``player`` has a feasible own grid point of strictly
     larger value.
 
-    The utility is evaluated once (:func:`_utility_tensor`, on broadcast
-    columns, not a materialized profile array) over a window: the own axes
-    whole, and on each rival axis the index range of the rival points that
-    still hold a live profile.  Each value read is bit-equal to the full
-    tensor's entry; an infeasible point counts as minus infinity.
+    The utility is read over a window: the own axes whole, and on each rival
+    axis the index range of the rival points that still hold a live
+    profile.  The window is evaluated in blocks along its first rival axis
+    (:func:`_blocks`), each by :func:`_utility_tensor` on broadcast columns,
+    not a materialized profile array; a one-player game has no rival axis
+    and is one block.  A block holds the own axes whole, so the max over
+    them never crosses it and the blocks are decided independently.  Each
+    value read is bit-equal to the full tensor's entry, every value of the
+    window is read, and an infeasible point counts as minus infinity.
     """
     sl = game.own_slice(player)
     own_axes = tuple(range(sl.start, sl.stop))
@@ -330,14 +373,20 @@ def _decide_by_utility(game: GameSpec, player: PlayerId, axes, feasible, equilib
         hit = np.flatnonzero(live.any(axis=others))
         window[k] = slice(hit[0], hit[-1] + 1)
     window = tuple(window)
-    values = _utility_tensor(game, player, [a[w] for a, w in zip(axes, window)])
-    if feasible is not None:
-        values = np.where(feasible[window], values, -np.inf)
-    best = values.max(axis=own_axes, keepdims=True)
-    # A strictly larger feasible value along the own axes means the player
-    # can improve; equality (including ties) does not.
-    decided = equilibrium[window]  # a view: basic slices only
-    decided &= ~(values < best)
+    blocks = [window]  # a one-player game has no rival axis
+    if rival_axes:
+        k, sizes = rival_axes[0], equilibrium[window].shape
+        parts = _blocks(window[k].start, window[k].stop, int(np.prod(sizes)) // sizes[k])
+        blocks = [window[:k] + (part,) + window[k + 1 :] for part in parts]
+    for block in blocks:
+        values = _utility_tensor(game, player, [a[w] for a, w in zip(axes, block)])
+        if feasible is not None:
+            values = np.where(feasible[block], values, -np.inf)
+        best = values.max(axis=own_axes, keepdims=True)
+        # A strictly larger feasible value along the own axes means the
+        # player can improve; equality (including ties) does not.
+        decided = equilibrium[block]  # a view: basic slices only
+        decided &= ~(values < best)
 
 
 def _decide_by_table(game: GameSpec, player: PlayerId, axes, feasible, equilibrium) -> None:
@@ -373,9 +422,8 @@ def _decide_by_table(game: GameSpec, player: PlayerId, axes, feasible, equilibri
             continue
         members = np.array(members)
         live = np.flatnonzero(live_view[i[members], :, k[members]])
-        chunk = max(1, _CHUNK_ENTRIES // pool.shape[0])
-        for start in range(0, live.size, chunk):
-            member, own = np.divmod(live[start : start + chunk], own_points.shape[0])
+        for block in _blocks(0, live.size, pool.shape[0]):
+            member, own = np.divmod(live[block], own_points.shape[0])
             rival = members[member]  # the live rival point of each profile
             profiles = np.empty((own.size, game.total_dim))
             profiles[:, : sl.start] = rivals[rival, : sl.start]

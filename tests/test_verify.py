@@ -3,6 +3,7 @@ properties between solver output and grid equilibria, continuity probes."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ordnash.corpus import (
     example_coordinate_pref,
     example_lhc_remark,
     example_trivial_pref,
+    quadratic_equilibrium,
     random_concave_quadratic,
 )
 from ordnash.errors import EvaluationError, GridBudgetError, InfeasiblePointError
@@ -30,6 +32,7 @@ from ordnash.model import (
     ThresholdBand,
     TrivialZero,
     UtilityPreference,
+    _joint_region,
     _strict_upper_table,
     feasible_region,
     split_profile,
@@ -168,6 +171,27 @@ class TestCheckGneGrid:
         player, deviation = bad.witness
         assert player == 1
         assert deviation[0] <= 0.95
+
+    def test_blocks_give_the_certificate_of_one_block(self, budget_game, monkeypatch):
+        """At cap 7 each player's grid is tested in many blocks; certificate
+        and witness (the first improving grid point) stay those of one block."""
+        from ordnash import verify
+
+        quadratic = random_concave_quadratic(2, 2, 2)
+        rng = np.random.default_rng(5)
+        cases = [
+            (quadratic, quadratic_equilibrium(2, 2, 2), 0.05),
+            *((quadratic, rng.uniform(-1, 1, 4), 0.05) for _ in range(4)),
+            (budget_game, [0.75, 0.25], 0.05),
+            (budget_game, [0.05, 0.95], 0.05),
+            (example_coordinate_pref(), [0.0, 0.0], 0.1),
+            (example_coordinate_pref(), [1.0, 1.0], 0.1),
+        ]
+        whole = [check_gne_grid(g, split_profile(g, x), h) for g, x, h in cases]
+        monkeypatch.setattr(verify, "_CHUNK_ENTRIES", 7)
+        blocked = [check_gne_grid(g, split_profile(g, x), h) for g, x, h in cases]
+        assert blocked == whole
+        assert {cert.passed for cert in whole} == {True, False}
 
     def test_finer_pass_implies_coarser_pass(self, pull_game):
         # A coarse grid is a subset of the half-stepped grid, so a pass at
@@ -415,14 +439,15 @@ def _scalar_game(exprs, box=(-1.0, 1.0), constraints=None):
 
 
 def _count_rows(game):
-    """Wrap each compiled utility to record the rows of every call, counted
-    as the bench's tracer counts them: prod(shape[:-1]) of the input."""
-    rows = []
-    for spec in game.players:
+    """Wrap each compiled utility to record the rows of every call, one list
+    per player, counted as the bench's tracer counts them: prod(shape[:-1])
+    of the input."""
+    rows = [[] for _ in game.players]
+    for spec, calls in zip(game.players, rows):
         fn = spec.preference.fn
 
-        def counted(values, fn=fn):
-            rows.append(math.prod(np.shape(values)[:-1]))
+        def counted(values, fn=fn, calls=calls):
+            calls.append(math.prod(np.shape(values)[:-1]))
             return fn(values)
 
         spec.preference.__dict__["fn"] = counted  # replaces the cached compile
@@ -481,10 +506,14 @@ class TestUtilityTensor:
         # product of its window sizes: own axes whole, each rival axis the
         # index range of the rival points still live before its pass (from
         # the full-tensor reference).  Once nothing is live, nothing is read.
+        # A player's reads are summed over its blocks, and no block reads
+        # more than the cap or one index of the window's first rival axis.
+        from ordnash import verify
+
         make, h = _TENSOR_GAMES[name]
         game = make()
         _, before = _ref_tensor_equilibria(make(), h)
-        rows = _count_rows(game)
+        calls = _count_rows(game)
         brute_force_gne(game, h)
         shape = tuple(a.size for a in _grid_axes(game.box_lo, game.box_hi, h, "profile"))
         expected = []
@@ -495,6 +524,9 @@ class TestUtilityTensor:
                 break
             spans = [int(np.ptp(index)) + 1 for index in np.nonzero(live)]
             expected.append(math.prod(shape[sl]) * math.prod(spans))
+            one_index = expected[-1] // spans[0]
+            assert max(calls[player]) <= max(verify._CHUNK_ENTRIES, one_index)
+        rows = [sum(player_calls) for player_calls in calls if player_calls]
         assert rows == expected
         assert rows[0] == math.prod(shape)
         if name == "no grid equilibrium":
@@ -555,9 +587,21 @@ def _ref_tensor_equilibria(game, h):
 _BOX_SHAPES = [(2, 1, 0.05), (3, 1, 0.1), (2, 2, 0.2), (3, 2, 0.5)]
 
 
+@pytest.fixture(params=[None, 7], ids=["default-cap", "cap-7"])
+def chunk_cap(request, monkeypatch):
+    """The block cap ``verify._CHUNK_ENTRIES`` at its default, and at 7,
+    where most blocks hold one index of their axis."""
+    from ordnash import verify
+
+    if request.param is not None:
+        monkeypatch.setattr(verify, "_CHUNK_ENTRIES", request.param)
+
+
+@pytest.mark.usefixtures("chunk_cap")
 class TestWindowedTensorMatchesFullTensor:
     """``brute_force_gne`` on utility games returns, bit for bit and in grid
-    order, the profiles of the full-tensor enumeration it replaced."""
+    order, the profiles of the full-tensor enumeration it replaced, whatever
+    the block cap."""
 
     @staticmethod
     def _assert_same(game, h):
@@ -592,6 +636,104 @@ class TestWindowedTensorMatchesFullTensor:
         make, h = _TENSOR_GAMES[name]
         count = self._assert_same(make(), h)
         assert (count == 0) == (name == "no grid equilibrium")
+
+    @pytest.mark.parametrize(
+        "game, h",
+        [
+            (_scalar_game(["x1^2"]), 0.5),
+            (_scalar_game(["-(x1-0.3)^2"]), 0.05),
+            (GameSpec((PlayerSpec(2, ((-1.0, 1.0),) * 2, UtilityPreference("x1*x2")),)), 0.1),
+        ],
+        ids=["corners", "interior", "two-coordinate"],
+    )
+    def test_one_player_game_is_one_block(self, game, h, monkeypatch):
+        """A lone player has no rival axis: its whole lattice is one block,
+        also when the cap is smaller than the lattice."""
+        from ordnash import verify
+
+        calls = []
+
+        def counted(game, player, axes, original=verify._utility_tensor):
+            calls.append(player)
+            return original(game, player, axes)
+
+        monkeypatch.setattr(verify, "_utility_tensor", counted)
+        assert self._assert_same(game, h)
+        assert calls == [0]
+
+    def test_later_player_non_finite_in_the_last_block_raises(self):
+        # Player 0 keeps x1 = x2 live for every x2, so player 1's window is
+        # the whole lattice; its utility is non-finite only at x1 = 1, the
+        # last index of its first rival axis, so the last block at cap 7.
+        game = _scalar_game(["-(x1-x2)^2", "x2/(x1-1)"])
+        with pytest.raises(EvaluationError, match="utility of player 1 is non-finite on the grid"):
+            brute_force_gne(game, 0.5)
+
+
+@pytest.mark.usefixtures("chunk_cap")
+class TestBlockedJointMask:
+    """The joint tensor, filled block by block, equals the joint region's
+    ``contains_many`` on the whole materialized lattice."""
+
+    @staticmethod
+    def _assert_same(game, h):
+        axes = _grid_axes(game.box_lo, game.box_hi, h, "profile")
+        expected = _joint_region(game).contains_many(_cartesian(axes))
+        feasible = _feasible_tensor(game, axes)
+        assert feasible.shape == tuple(a.size for a in axes)
+        np.testing.assert_array_equal(feasible.ravel(), expected)
+        return expected
+
+    @pytest.mark.parametrize("players, dims, h", _BOX_SHAPES)
+    def test_shared_random_rows(self, players, dims, h):
+        for seed in range(5):
+            box_game = random_concave_quadratic(seed, players, dims)
+            rows = _random_rows(np.random.default_rng(seed), box_game.total_dim)
+            mask = self._assert_same(GameSpec(box_game.players, rows), h)
+            assert mask.any() and not mask.all()
+
+    def test_arrow_debreu_games(self):
+        for seed in range(20):
+            assert self._assert_same(arrow_debreu_instance(seed), 0.02).any()
+
+    def test_box_only_game_has_no_mask(self):
+        game = random_concave_quadratic(0, 2, 1)
+        assert _feasible_tensor(game, _grid_axes(game.box_lo, game.box_hi, 0.1, "profile")) is None
+
+
+def _traced_peak_mib(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """The grid routines hold one byte per lattice point plus a few blocks;
+    building the lattice's float profiles or utility values at once takes
+    from 9.9 MiB (the 101^3 box game) to 63 MiB (the million-point grid)."""
+
+    BOUND_MIB = 4.0
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["box", "shared"])
+    def test_brute_force_on_a_million_profiles(self, shared):
+        game = random_concave_quadratic(3, 3, nonnegative_coupling=True)
+        if shared:
+            game = GameSpec(game.players, SharedLinear(((0.5, 0.6, 0.7),), (0.4,)))
+        found = []
+        peak = _traced_peak_mib(lambda: found.extend(brute_force_gne(game, 0.02)))
+        assert found
+        assert peak < self.BOUND_MIB
+
+    def test_grid_check_of_a_million_deviations(self):
+        game = random_concave_quadratic(2, 2, 2)
+        x = split_profile(game, quadratic_equilibrium(2, 2, 2))
+        certs = []
+        peak = _traced_peak_mib(lambda: certs.append(check_gne_grid(game, x, 0.002)))
+        assert certs[0].passed
+        assert peak < self.BOUND_MIB
 
 
 def _reference_equilibria(game, h):
