@@ -41,6 +41,7 @@ from .model import (
     PlayerId,
     Profile,
     UtilityPreference,
+    _dot,
     evaluate_contour_rows,
     linprog,
 )
@@ -95,7 +96,7 @@ class Direction:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
-        norm = float(np.linalg.norm(self.vector))
+        norm = float(np.sqrt(_dot(self.array, self.array)))
         # A non-finite entry gives a NaN or infinite norm, which fails both tests.
         if not (norm == 0.0 or abs(norm - 1.0) <= _UNIT_TOL):
             raise ValueError(
@@ -105,7 +106,7 @@ class Direction:
     @classmethod
     def unit(cls, player: PlayerId, vector) -> "Direction":
         arr = np.asarray(vector, dtype=np.float64)
-        norm = np.linalg.norm(arr)
+        norm = np.sqrt(_dot(arr, arr))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return cls(player, tuple(arr / norm))
@@ -138,25 +139,6 @@ class ConeGenerators:
                 raise ValueError(
                     f"generator for player {d.player} in a set for player {self.player}"
                 )
-
-
-def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """The dot of each row of the (m, d) ``rows`` with ``other``, one (d,)
-    vector or the same row of an (m, d) array, as an (m,) array.
-
-    Each entry is rounded as one 1-D dot of two contiguous vectors rounds:
-    a matvec, ``einsum``, ``norm(axis=1)`` or a dot of a strided row can
-    differ from it in the last bit, so rows of length two or more are dotted
-    one at a time, and rows of length one are multiplied.  A row norm is
-    ``np.sqrt(_row_dots(rows, rows))``, bit-equal to ``np.linalg.norm`` of
-    that row.
-    """
-    if rows.shape[1] == 1:
-        return (rows * other)[:, 0]
-    pairs = zip(
-        np.ascontiguousarray(rows), np.ascontiguousarray(np.broadcast_to(other, rows.shape))
-    )
-    return np.array([row @ o for row, o in pairs], dtype=np.float64)
 
 
 def own_gradients(game: GameSpec, player: PlayerId, points: np.ndarray) -> np.ndarray:
@@ -202,15 +184,15 @@ def gradient_directions(
     those of :func:`own_gradients`.  Returns the (R, dim) unit directions
     and the (R,) mask of flat rows, whose gradient norm is at most
     ``_FLAT_TOL`` and whose direction row is zero.  Each row is bit-equal to
-    the computation at that profile alone: the block norm is one 1-D dot per
-    row (:func:`_row_dots`).
+    the computation at that profile alone: the block norms are index-order
+    sums (:func:`model._dot`).
     """
     grad = own_gradients(game, player, points)
-    norms = np.sqrt(_row_dots(grad, grad))
+    norms = np.sqrt(_dot(grad, grad))
     flat = norms <= _FLAT_TOL
     # A flat row divides by norm + 1 (any nonzero value) and is zeroed below.
     directions = -grad / (norms + flat)[:, None]
-    unit = np.sqrt(np.add.reduce(directions * directions, axis=1))
+    unit = np.sqrt(_dot(directions, directions))
     if np.count_nonzero(flat):
         directions[flat], unit[flat] = 0.0, 1.0
     if np.maximum.reduce(np.abs(unit - 1.0), initial=0.0) > _UNIT_TOL:
@@ -306,12 +288,12 @@ def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     largest magnitude first; every other row is scaled as it is.
     """
     with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
-        norms = np.linalg.norm(a, axis=1)
+        norms = np.sqrt(_dot(a, a))
     overflowed = ~np.isfinite(norms)
     if overflowed.any():
         peak = np.where(overflowed, np.abs(a).max(axis=1), 1.0)
         a, b = a / peak[:, None], b / peak
-        norms = np.linalg.norm(a, axis=1)
+        norms = np.sqrt(_dot(a, a))
     keep = norms > 1e-15
     scale = np.where(keep, norms, 1.0)
     return a / scale[:, None], b / scale, keep
@@ -367,7 +349,7 @@ def polyhedral_normal_generators(
         )
     if not assume_nonempty and not _strictly_feasible(a, b):
         return ConeGenerators(xblock.player, (), Provenance.FULL_SPACE)
-    slack = a @ point - b
+    slack = _dot(a, point) - b
     active = slack >= -_ACTIVE_TOL
     if not np.any(active):
         raise InteriorPointError(
@@ -420,14 +402,14 @@ def sampled_separating_direction(samples, xblock: Block) -> Direction | None:
     if _is_zero(z):
         raise SeparatorError(
             "no separator found: sample hull reaches within "
-            f"{float(np.linalg.norm(z)):.3e} of the point"
+            f"{float(np.sqrt(_dot(z, z))):.3e} of the point"
         )
     return Direction.unit(xblock.player, -z)
 
 
 def _is_zero(z: np.ndarray) -> bool:
     """Does the hull min-norm point ``z`` count as zero?  One rule for every hull test."""
-    return float(np.linalg.norm(z)) <= _HULL_TOL
+    return float(np.sqrt(_dot(z, z))) <= _HULL_TOL
 
 
 def cone_membership(
@@ -441,7 +423,7 @@ def cone_membership(
     if pts.shape[0] == 0:
         return True
     offsets = pts - xblock.array
-    return bool(np.all(offsets @ direction.array <= tol))
+    return bool(np.all(_dot(offsets, direction.array) <= tol))
 
 
 def zero_in_hull(generators) -> bool:

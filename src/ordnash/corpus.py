@@ -20,6 +20,7 @@ from .model import (
     ThresholdBand,
     TrivialZero,
     UtilityPreference,
+    _dot,
 )
 
 __all__ = [
@@ -128,7 +129,13 @@ def _quadratic_params(
         rival_cols = [j for j in range(total) if not own.start <= j < own.stop]
         raw = rng.uniform(low, 1.0, size=(dims, len(rival_cols)))
         strength = max_coupling * rng.uniform(0.3, 1.0)
-        norm = np.linalg.norm(raw, 2) if raw.size else 0.0
+        # The spectral norm of the one or two rows u (and v) of raw: the root
+        # of the largest eigenvalue (p + r + sqrt((p - r)^2 + 4 q^2)) / 2 of
+        # the Gram matrix [[p, q], [q, r]] (q = 0 and r = p for one row), by
+        # index-order sums, so the bits do not depend on the LAPACK build.
+        p, r = _dot(raw[0], raw[0]), _dot(raw[-1], raw[-1])
+        q = _dot(raw[0], raw[1]) if dims == 2 else 0.0
+        norm = np.sqrt((p + r + np.sqrt((p - r) * (p - r) + 4.0 * q * q)) / 2.0)
         if norm > 0:
             raw = raw * (strength / norm)
         weights[own, rival_cols] = raw
@@ -204,7 +211,7 @@ def quadratic_equilibrium(
     )
     x = np.zeros(players * dims)
     for _ in range(_BR_ITERS):
-        new = np.clip(targets + weights @ x, -1.0, 1.0)
+        new = np.clip(targets + _dot(weights, x), -1.0, 1.0)
         if np.max(np.abs(new - x)) <= _BR_TOL:
             return new
         x = new

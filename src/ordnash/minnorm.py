@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _dot
+
 __all__ = ["MinNormResult", "min_norm_point"]
 
 # Wolfe gap ||x||^2 - min <p, x> at which the loop stops, as a share of
@@ -41,16 +43,16 @@ def min_norm_point(points) -> MinNormResult:
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.size == 0 or not np.isfinite(pts).all():
         raise ValueError("min_norm_point needs one or more finite points")
-    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    sq_norms = _dot(pts, pts)
     tol = _GAP_TOL * float(sq_norms.max())
 
     corral = np.array([np.argmin(sq_norms)])
     weights = np.ones(1)
     x = pts[corral[0]].copy()
-    sq = float(x @ x)
+    sq = float(_dot(x, x))
     cycles = 0
     while True:
-        scores = pts @ x
+        scores = _dot(pts, x)
         j = int(np.argmin(scores))
         gap = sq - float(scores[j])
         if gap <= tol:
@@ -79,8 +81,8 @@ def min_norm_point(points) -> MinNormResult:
             keep = lam > 0.0
             corral, lam = corral[keep], lam[keep]
 
-        new_x = mu @ pts[corral]
-        new_sq = float(new_x @ new_x)
+        new_x = _dot(pts[corral].T, mu)
+        new_sq = float(_dot(new_x, new_x))
         if not new_sq < sq:
             return MinNormResult(x, gap, cycles, False)
         weights, x, sq = mu, new_x, new_sq

@@ -84,6 +84,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum over the last axis of ``a * b``, the other axes broadcast.
+
+    The sum starts at the first product (so products that are all -0.0 sum
+    to -0.0) and adds the others in index order, each by one elementwise
+    multiply and one elementwise add.  So every entry rounds as a
+    left-to-right loop over Python floats does, whatever the layout or the
+    number of the rows and whatever BLAS kernel the host picks; a matmul,
+    ``dot``, ``einsum`` or ``np.sum`` promises none of that.  An empty last
+    axis sums to +0.0.
+    """
+    if a.shape[-1] == 0:
+        return np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    total = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        total += a[..., k] * b[..., k]
+    return total
+
+
 @dataclass(frozen=True)
 class Block:
     """One player's strategy block."""
@@ -384,7 +403,7 @@ class FeasibleRegion:
             return np.zeros(pts.shape[0], dtype=bool)
         mask = np.all((pts >= self.lo - _FEAS_TOL) & (pts <= self.hi + _FEAS_TOL), axis=1)
         if self.normals.size:
-            slack = pts @ self.normals.T - self.offsets
+            slack = _dot(pts[:, None, :], self.normals) - self.offsets
             mask &= np.all(
                 slack <= _FEAS_TOL * np.maximum(1.0, np.abs(self.offsets)), axis=1
             )
@@ -413,7 +432,7 @@ class FeasibleRegion:
         if self.lo.size <= _VERTEX_MAX_DIM and self.normals.shape[0] <= _VERTEX_MAX_ROWS:
             vertices = self._vertices()
             if vertices.shape[0]:
-                return vertices[int(np.argmin(vertices @ c))]
+                return vertices[int(np.argmin(_dot(vertices, c)))]
         return self._highs_min(c)
 
     @cached_property
@@ -571,12 +590,9 @@ def _contour_arrays(
     pref: HalfspaceContour, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """HalfspaceContour rows at each of the (k, n) profiles, unchecked:
-    A (k, rows, dim), b (k, rows)."""
+    A (k, rows, dim), b (k, rows), as views of one (rows, dim + 1, k) array."""
     values = np.array([[f(points) for f in row.fns] for row in pref.rows])
-    # values is (rows, dim + 1, k), the offset last.  One C-ordered (rows, dim)
-    # matrix per profile, the layout of a single profile's rows, so that
-    # ``y @ A.T`` rounds alike for one or many profiles.
-    return np.ascontiguousarray(values[:, :-1].transpose(2, 0, 1)), values[:, -1].T
+    return values[:, :-1].transpose(2, 0, 1), values[:, -1].T
 
 
 def _contour_rows(
@@ -594,18 +610,12 @@ def _inside_contour(own: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     of k profiles: ``own`` is (k or 1, m, dim), ``a`` (k, rows, dim) and
     ``b`` (k, rows); returns the (k, m) mask.
 
-    A product that overflows (inf, or NaN where infs of both signs meet) is
-    computed again with its row, offset too, divided by the row's largest
-    magnitude, as ``cones._normalize_rows`` does; every other entry is the
-    plain product.
+    A product (:func:`_dot`) that overflows (inf, or NaN where infs of both
+    signs meet) is computed again with its row, offset too, divided by the
+    row's largest magnitude, as ``cones._normalize_rows`` does.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # recomputed below
-        if own.shape[-1] == 1:
-            # One coordinate: a broadcast product, equal to the matmul up to
-            # the sign of zero, which ``<`` ignores.
-            lhs = own * a[:, None, :, 0]
-        else:
-            lhs = own @ a.transpose(0, 2, 1)
+        lhs = _dot(own[:, :, None, :], a[:, None, :, :])
     inside = lhs < b[:, None, :]
     if not np.isfinite(lhs).all():
         profile, point, row = np.nonzero(~np.isfinite(lhs))
@@ -613,7 +623,7 @@ def _inside_contour(own: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
         peak = np.abs(normals).max(axis=1)
         blocks = np.broadcast_to(own, (a.shape[0],) + own.shape[1:])[profile, point]
         with np.errstate(over="ignore"):  # a sum past the float range compares as inf
-            scaled = np.sum(blocks * (normals / peak[:, None]), axis=1)
+            scaled = _dot(blocks, normals / peak[:, None])
         inside[profile, point, row] = scaled < offsets / peak
     return np.all(inside, axis=2)
 
@@ -723,15 +733,12 @@ def _feasible_offsets(
     The set is the box ``game.player_box`` cut by the binding rows, whose
     normals are ``game._row_split[player][1]``.  Returns their offsets, (k,)
     or (m, k), and the 0-d or (m,) mask of rivals that violate a non-binding
-    row, which empties the set.  Each row equals the one-point call bit for
-    bit: one matvec per row (a batched product can differ in the last bit).
+    row, which empties the set.  The products with the rival columns are
+    index-order sums (:func:`_dot`), so each row equals the one-point call
+    bit for bit.
     """
     rival_a, _, binding, other = game._row_split[player]
-    if rivals.ndim == 1:
-        products = rival_a @ rivals
-    else:
-        products = np.array([rival_a @ row for row in rivals])
-    offsets = game.constraints.rhs - products
+    offsets = game.constraints.rhs - _dot(rivals[..., None, :], rival_a)
     if other.size:
         forced_empty = offsets.take(other, axis=-1).min(axis=-1) < -_FEAS_TOL
     else:

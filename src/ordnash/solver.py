@@ -82,12 +82,12 @@ selection depends only on the game, the point and the seed, so that final
 polish selects again only at the rows it moves (those not bit-identical to
 the point the loop left); the others keep theirs.  Every row is
 bit-identical to iterating its start alone, so results, traces and the
-lowest-index tie-break do not depend on R.  That is kept by one rule: a
-reduction of length two or more (a block norm, a halfspace product, the
-residual over the stacked vector) is one 1-D ``dot`` per contiguous row,
-because a matvec, ``einsum``, ``norm(axis=1)`` or a strided row can differ
-from it in the last bit; length-1 reductions and elementwise steps are
-vectorized.
+lowest-index tie-break do not depend on R.  That is kept by one rule: every
+reduction (a block norm, a halfspace product, the residual over the stacked
+vector) is an index-order sum of elementwise products (``model._dot``), and
+the Newton step eliminates elementwise (``_solve``), never by BLAS or
+LAPACK.  So a row's bits depend neither on the batch nor on the OpenBLAS
+kernel the host picks.
 
 A row's reported residual is always that of its returned point, and its
 trace ends there.
@@ -104,7 +104,6 @@ import numpy as np
 from .cones import (
     Direction,
     Provenance,
-    _row_dots,
     contour_polyhedron,
     flat_maxima,
     gradient_directions,
@@ -125,6 +124,7 @@ from .model import (
     ThresholdBand,
     TrivialZero,
     UtilityPreference,
+    _dot,
     _feasible_offsets,
     _joint_region,
     _require_feasible,
@@ -303,18 +303,18 @@ def _dykstra(
     Row ``r`` of the (m, dim) ``points`` is projected onto the box [lo, hi]
     intersected with {y : normals @ y <= offsets[r]}, offsets being (m, k),
     or (k,) for one region.  Every row cycles until its own iterate stops
-    moving, so each row equals the projection of that point alone.  A settled
-    row leaves the cycle with its value, so a batch costs about what its rows
-    cost one by one.
+    moving, and its products with the normals are index-order sums
+    (:func:`model._dot`), so each row equals the projection of that point
+    alone bit for bit.  A settled row leaves the cycle with its value, so a
+    batch costs about what its rows cost one by one.
     """
     if normals.size == 0:
         return np.clip(points, lo, hi)
     out = np.array(points, dtype=np.float64)
-    if offsets.ndim == 1:  # one region for every row
-        offsets = np.broadcast_to(offsets, (out.shape[0], offsets.size))
+    offsets = np.broadcast_to(offsets, (out.shape[0], normals.shape[0]))
     y, rows = out, np.arange(out.shape[0])  # the rows still cycling
     corrections = np.zeros((1 + normals.shape[0],) + y.shape)
-    sq_norms = np.einsum("ij,ij->i", normals, normals)
+    sq_norms = _dot(normals, normals)
     for _ in range(_DYKSTRA_CYCLES):
         y_start = y
         w = y + corrections[0]
@@ -322,7 +322,7 @@ def _dykstra(
         corrections[0] = w - y
         for i, normal in enumerate(normals):
             w = y + corrections[i + 1]
-            excess = _row_dots(w, normal)[:, None] - offsets[:, i : i + 1]
+            excess = _dot(w, normal)[:, None] - offsets[:, i : i + 1]
             y = np.where(excess > 0.0, w - (excess / sq_norms[i]) * normal, w)
             corrections[i + 1] = w - y
         settled = np.maximum.reduce(np.abs(y - y_start), axis=1) < _DYKSTRA_MOVE_TOL
@@ -406,7 +406,7 @@ def _residuals(game: GameSpec, x: np.ndarray, g: np.ndarray, step: float, offset
     """Natural residual ``||x - Proj_K(x)(x - step * g)||`` of every row of ``x``."""
     moves = x - _project_rows(game, offsets, _targets(x, step, g))
     with np.errstate(over="ignore"):  # an infinite residual fails any tolerance
-        return np.sqrt(_row_dots(moves, moves))
+        return np.sqrt(_dot(moves, moves))
 
 
 def natural_residual(game: GameSpec, x: Profile, operator_value, alpha: float) -> float:
@@ -508,6 +508,25 @@ class _Restarts:
     traces: list[list[tuple[int, float]]]
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of the square system ``a x = b`` by Gaussian elimination
+    with partial pivoting (the first row of largest magnitude on ties) on
+    the augmented matrix, then back substitution that divides x_k by its
+    pivot and subtracts its products from the rows above, k from last to
+    first.  Every step is elementwise and in index order, so the bits do not
+    depend on the LAPACK build.  A singular ``a`` divides by a zero pivot, so
+    its solution is not finite."""
+    m = np.column_stack((a, b))
+    for k in range(len(b)):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        m[[k, p]] = m[[p, k]]
+        m[k + 1 :] -= np.multiply.outer(m[k + 1 :, k] / m[k, k], m[k])
+    for k in reversed(range(len(b))):
+        m[k, -1] /= m[k, k]
+        m[:k, -1] -= m[:k, k] * m[k, -1]
+    return m[:, -1]
+
+
 def _newton_point(game: GameSpec, x: np.ndarray) -> np.ndarray | None:
     """One Newton step from the (n,) profile ``x`` towards a zero of the
     stacked own-gradients (:func:`cones.own_gradients`) of the utility players.
@@ -517,8 +536,9 @@ def _newton_point(game: GameSpec, x: np.ndarray) -> np.ndarray | None:
     Jacobian of the gradient G by unit-step central differences: one
     compiled call per utility player on the stacked shifted profiles.  Those
     differences are exact when every utility is quadratic.  Returns None
-    when no coordinate is free, a utility value or a difference is
-    non-finite, or J is singular.
+    when no coordinate is free or a utility value or a difference is
+    non-finite; a singular J gives a point that is not finite
+    (:func:`_solve`), which no box contains.
     """
     players = [
         p for p, spec in enumerate(game.players) if isinstance(spec.preference, UtilityPreference)
@@ -544,12 +564,9 @@ def _newton_point(game: GameSpec, x: np.ndarray) -> np.ndarray | None:
         return None
     if not (np.isfinite(jacobian).all() and np.isfinite(grads[0]).all()):
         return None
-    try:
-        move = np.linalg.solve(jacobian, grads[0, free])
-    except np.linalg.LinAlgError:
-        return None
     point = x.copy()
-    point[free] -= move
+    with np.errstate(all="ignore"):  # a point that is not finite is not offered
+        point[free] -= _solve(jacobian, grads[0, free])
     return point
 
 
@@ -671,12 +688,8 @@ def _run_restarts(game: GameSpec, cfg: SolverConfig, starts: np.ndarray) -> _Res
 
         if it % _ADAPT_WINDOW == 0:
             moves = x - anchor
-            net = np.column_stack(
-                [
-                    np.sqrt(_row_dots(moves[:, sl], moves[:, sl]))
-                    for sl in map(game.own_slice, range(game.n_players))
-                ]
-            )
+            blocks = [moves[:, game.own_slice(player)] for player in range(game.n_players)]
+            net = np.sqrt(np.column_stack([_dot(block, block) for block in blocks]))
             # Shrink where the net move is at most half the window's budget
             # _ADAPT_WINDOW * alpha, grow where it is at least 0.9 of it, up to
             # the configured step.  Scaling by a power of two is exact in the

@@ -40,6 +40,7 @@ from .model import (
     Profile,
     TrivialZero,
     UtilityPreference,
+    _dot,
     _joint_region,
     _require_feasible,
     _strict_upper_table,
@@ -80,8 +81,8 @@ _SEPARATOR_SEED = 0
 # lhc_probe: tolerance on the distances, and points sampled per base interval.
 _LHC_TOL = 1e-6
 _LHC_SAMPLES_PER_BASE = 5
-# check_svip: below this norm the squares that np.linalg.norm sums are
-# subnormal and lose bits, so the operator value is rescaled first.
+# check_svip: below this norm the squares summed for the norm are subnormal
+# and lose bits, so the operator value is rescaled first.
 _NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
@@ -219,11 +220,10 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
     regions = _require_feasible(game, x)
     g = _stack_operator(game, operator_value)
     with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
-        norm = float(np.linalg.norm(g))
-    if not _NORM_FLOOR <= norm < np.inf:  # zero, or squares out of range
-        if g.any():
-            g = g / np.abs(g).max()
-            norm = float(np.linalg.norm(g))
+        norm = float(np.sqrt(_dot(g, g)))
+    if g.any() and not _NORM_FLOOR <= norm < np.inf:  # squares out of range
+        g = g / np.abs(g).max()
+        norm = float(np.sqrt(_dot(g, g)))
     if norm == 0.0:
         return Certificate(
             kind="svip",
@@ -241,7 +241,7 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
         own = x.stacked[sl]
         y = region.linear_min(g[sl])
         minimizer[sl] = own if y is None else y
-        margin += float(g[sl] @ minimizer[sl]) - float(g[sl] @ own)
+        margin += float(_dot(g[sl], minimizer[sl])) - float(_dot(g[sl], own))
     passed = margin >= -tol
     witness = None
     if not passed:

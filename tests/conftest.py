@@ -13,20 +13,57 @@ from ordnash.model import (
     PlayerSpec,
     SharedLinear,
     UtilityPreference,
+    _dot,
 )
 
 UNIT_BOX = ((-1.0, 1.0),)
 UNIT_INTERVAL = ((0.0, 1.0),)
 
 
+def pytest_report_header(config):
+    """Name the kernel that numpy's bundled OpenBLAS picked for this CPU (or
+    that ``OPENBLAS_CORETYPE`` chose): the reductions route around BLAS so
+    that no pinned bit depends on it, and a failing log then says which
+    kernel ran."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    name = "unknown"
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename().decode()
+        break
+    return f"OpenBLAS kernel: {name}"
+
+
+def ref_dot(u, v):
+    """The sum of ``u[k] * v[k]`` over Python floats, left to right from the
+    first product, and +0.0 when empty: the reference for ``model._dot``."""
+    pairs = [(float(a), float(b)) for a, b in zip(u, v, strict=True)]
+    if not pairs:
+        return 0.0
+    total = pairs[0][0] * pairs[0][1]
+    for a, b in pairs[1:]:
+        total += a * b
+    return total
+
+
 def formula_contains(region, points, tol=1e-9):
-    """``FeasibleRegion.contains_many`` written out: shifted box, then rows."""
+    """``FeasibleRegion.contains_many`` written out: shifted box, then rows,
+    whose products are ``model._dot``'s index-order sums (``TestDot`` checks
+    those against :func:`ref_dot`)."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if region.forced_empty:
         return np.zeros(pts.shape[0], dtype=bool)
     mask = np.all((pts >= region.lo - tol) & (pts <= region.hi + tol), axis=1)
     if region.normals.size:
-        slack = pts @ region.normals.T - region.offsets
+        slack = _dot(pts[:, None, :], region.normals) - region.offsets
         mask &= np.all(slack <= tol * np.maximum(1.0, np.abs(region.offsets)), axis=1)
     return mask
 
@@ -48,7 +85,7 @@ def formula_linear_min(region, c):
         points = np.linalg.solve(a_sq[regular], b_all[bases[regular]][..., None])[..., 0]
         vertices = points[formula_contains(region, points)]
         if vertices.shape[0]:
-            return vertices[int(np.argmin(vertices @ c))]
+            return vertices[int(np.argmin(_dot(vertices, c)))]
     result = linprog(
         c=c, A_ub=normals, b_ub=offsets, bounds=list(zip(lo, hi)), method="highs"
     )

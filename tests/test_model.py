@@ -12,6 +12,7 @@ from conftest import (
     formula_linear_min,
     make_budget_pair,
     make_pull_to_half_rival,
+    ref_dot,
 )
 from ordnash import model
 from ordnash.corpus import (
@@ -44,6 +45,65 @@ from ordnash.model import (
     strictly_prefers,
     validate_spec,
 )
+
+
+def _sum_key(value):
+    """A float's bits as hex, sign of zero included; every NaN alike."""
+    return "nan" if value != value else float(value).hex()
+
+
+class TestDot:
+    """``model._dot`` is the left-to-right sum over Python floats (``ref_dot``)."""
+
+    SHAPES = [
+        ((), ()),
+        ((7,), ()),
+        ((), (7,)),
+        ((5, 1), (3,)),
+        ((2, 1, 4), (3, 1)),
+        ((4, 3), (4, 3)),
+    ]
+    SPECIALS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300]
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("lead_a, lead_b", SHAPES)
+    def test_equals_a_left_to_right_loop(self, lead_a, lead_b, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=lead_a + (n,)) * 10.0 ** rng.integers(-8, 9, size=lead_a + (n,))
+        b = rng.normal(size=lead_b + (n,))
+        # -0.0, inf, NaN, and products that overflow or cancel an overflow.
+        a[rng.random(a.shape) < 0.15] = rng.choice(self.SPECIALS)
+        b[rng.random(b.shape) < 0.15] = rng.choice(self.SPECIALS)
+        b = np.swapaxes(np.swapaxes(b, 0, -1).copy(), 0, -1)  # a strided layout
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = model._dot(a, b)
+        wide_a, wide_b = np.broadcast_arrays(a, b)
+        rows = int(np.prod(wide_a.shape[:-1]))
+        want = [ref_dot(u, v) for u, v in zip(wide_a.reshape(rows, n), wide_b.reshape(rows, n))]
+        assert np.shape(got) == wide_a.shape[:-1]
+        assert [_sum_key(v) for v in np.ravel(got)] == [_sum_key(v) for v in want]
+
+    def test_the_sum_starts_at_the_first_product(self):
+        # From +0.0, -0.0 products would sum to +0.0; a pairwise or reordered
+        # sum would keep the 1.0 that the index-order sum loses.
+        cases = [
+            ([-0.0], [1.0], "-0x0.0p+0"),
+            ([-0.0, 0.0], [1.0, -1.0], "-0x0.0p+0"),
+            ([1.0, 1e16, -1e16], [1.0, 1.0, 1.0], "0x0.0p+0"),
+            ([1e308, 1e308, -1e308], [10.0, 1.0, 1.0], "inf"),
+        ]
+        for a, b, bits in cases:
+            with np.errstate(over="ignore"):
+                assert float(model._dot(np.array(a), np.array(b))).hex() == bits
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b, shape",
+        [((0,), (0,), ()), ((3, 0), (0,), (3,)), ((2, 1, 0), (4, 0), (2, 4))],
+    )
+    def test_an_empty_axis_sums_to_zero(self, shape_a, shape_b, shape):
+        got = model._dot(np.empty(shape_a), np.empty(shape_b))
+        assert np.shape(got) == shape
+        assert [float(v).hex() for v in np.ravel(got)] == ["0x0.0p+0"] * int(np.prod(shape))
 
 
 class TestProfiles:
@@ -516,7 +576,7 @@ class TestFeasibleRegion:
             rivals = np.delete(x, np.arange(sl.start, sl.stop))
             own_cols = np.zeros(sum(dims), dtype=bool)
             own_cols[sl] = True
-            offsets = b - a[:, ~own_cols] @ rivals
+            offsets = b - np.array([ref_dot(row, rivals) for row in a[:, ~own_cols]])
             rows = [i for i in range(5) if np.max(np.abs(a[i, sl])) > 1e-15]
             free = [i for i in range(5) if i not in rows]
             region = feasible_region(game, player, rivals)
@@ -528,10 +588,12 @@ class TestFeasibleRegion:
     @pytest.mark.parametrize("rival_dim", range(4))
     def test_feasible_offsets_equal_feasible_region_at_each_row(self, rival_dim, rows):
         """The array builder's offsets and forced-empty mask at each rival row
-        equal the one-row region bit for bit, and both equal the matvec
-        ``b - A_rivals @ rivals``.  Row 0 never binds player 0, and the
-        rivals violate it at some rows; zeros in A and the rivals make
-        products of -0.0, subtracted from offsets of -0.0."""
+        equal the one-row region bit for bit, and both equal
+        ``b - A_rivals @ rivals`` summed in index order.  Row 0 never binds
+        player 0, and the rivals violate it at some rows; zeros in A and the
+        rivals make products of -0.0, subtracted from offsets of -0.0.  At
+        rival_dim 0 the game has one player and no rival coordinates, so the
+        products are empty sums."""
         rng = np.random.default_rng(10 * rival_dim + rows)
         empty_seen = set()
         for trial in range(6):
@@ -559,7 +621,7 @@ class TestFeasibleRegion:
                 binding = np.max(np.abs(a[:, sl]), axis=1) > 1e-15
                 for row, values in enumerate(rivals):
                     region = feasible_region(game, player, values)
-                    reference = b - a[:, ~own_cols] @ values
+                    reference = b - np.array([ref_dot(r, values) for r in a[:, ~own_cols]])
                     assert offsets[row].tobytes() == region.offsets.tobytes()
                     assert region.offsets.tobytes() == reference[binding].tobytes()
                     assert forced_empty[row] == region.forced_empty

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from conftest import formula_linear_min, make_budget_pair, make_pull_to_half_rival
+from conftest import formula_linear_min, make_budget_pair, make_pull_to_half_rival, ref_dot
 from ordnash.cones import Direction
 from ordnash.corpus import (
     arrow_debreu_instance,
@@ -238,14 +238,15 @@ def _assert_margin_matches_linprog(dim, rows, seed):
 
 def _formula_margin(game, point, g):
     """check_svip's margin and minimizer written out over the region formulas."""
-    g = np.asarray(g, dtype=np.float64) / np.linalg.norm(g)
+    g = np.asarray(g, dtype=np.float64)
+    g = g / math.sqrt(ref_dot(g, g))
     margin = 0.0
     minimizer = []
     for player in range(game.n_players):
         sl = game.own_slice(player)
         region = feasible_region(game, player, np.delete(point, np.arange(sl.start, sl.stop)))
         best = formula_linear_min(region, g[sl])
-        margin += float(g[sl] @ best) - float(g[sl] @ point[sl])
+        margin += ref_dot(g[sl], best) - ref_dot(g[sl], point[sl])
         minimizer.extend(best)
     return margin, minimizer
 
