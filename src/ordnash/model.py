@@ -639,6 +639,11 @@ def evaluate_contour_rows(
     return a[0], b[0]
 
 
+def _require_band_game(game: GameSpec) -> None:
+    if game.total_dim != 2:
+        raise GameFormatError("ThresholdBand preference requires a two-coordinate game")
+
+
 def _threshold_band_weak(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     # (a, b) weakly beats (x, y) iff a >= 0 and b >= y, on two-coordinate profiles.
     return (z[..., 0] >= 0.0) & (z[..., 1] >= w[..., 1])
@@ -692,10 +697,7 @@ def _strict_upper_table(
         return _inside_contour(own[None], a, b)
 
     if isinstance(pref, ThresholdBand):
-        if game.total_dim != 2:
-            raise GameFormatError(
-                "ThresholdBand preference requires a two-coordinate game"
-            )
+        _require_band_game(game)
         moved = _own_block_view(game, player, own, points)
         base = points[:, None, :]
         return _threshold_band_weak(moved, base) & ~_threshold_band_weak(base, moved)
@@ -803,6 +805,38 @@ def _require_feasible(game: GameSpec, x: Profile) -> list[FeasibleRegion]:
     return regions
 
 
+def _contour_box(
+    game: GameSpec, player: PlayerId, x: Profile, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """A box inside [lo, hi] that holds the strict upper contour set U of
+    ``player`` at ``x`` cut to [lo, hi], read from the class's mask in
+    :func:`_strict_upper_table`; None when that cut has no interior.
+
+    ``TrivialZero`` has no U.  ``CoordinateOrder``'s U lies above the own
+    block.  At the profile (u, v), ``ThresholdBand``'s U lies in {first >= 0,
+    second >= v}; it is empty for the sole owner of the first coordinate when
+    u >= 0, and for the sole owner of the second when u < 0.  A raised floor
+    that meets ``hi`` leaves a face of zero volume, which is None too.  Every
+    other class gets [lo, hi] itself.
+    """
+    pref = game.players[player].preference
+    if isinstance(pref, TrivialZero):
+        return None
+    sl = game.own_slice(player)
+    if isinstance(pref, CoordinateOrder):
+        floor = x.stacked[sl]
+    elif isinstance(pref, ThresholdBand):
+        _require_band_game(game)
+        first, second = x.stacked
+        if (sl.stop == 1 and first >= 0.0) or (sl.start == 1 and first < 0.0):
+            return None
+        floor = np.array([0.0, second])[sl]
+    else:
+        return lo, hi
+    lo = np.maximum(lo, floor)
+    return None if np.any(lo >= hi) else (lo, hi)
+
+
 def sample_contour(
     game: GameSpec,
     player: PlayerId,
@@ -813,12 +847,21 @@ def sample_contour(
 ) -> np.ndarray:
     """Seeded rejection sample of the strict upper contour set over ``bounds``.
 
+    The draws are made over the class box (lo, hi): the part of ``bounds``
+    (default: the player's box) where the preference's class lets the
+    contour set lie.  It is above the own block for ``CoordinateOrder``,
+    above the band's floor for ``ThresholdBand``, and all of ``bounds`` for
+    utilities and ``HalfspaceContour``.  It holds every point of the contour
+    set within ``bounds``, so the sample is uniform on that set either way.
     Returns the first ``count`` of ``max(20 * count, 2000)`` uniform draws
-    from ``bounds`` (default: the player's box) that ``player`` strictly
-    prefers at ``x``, in draw order, as one (m, dim) float64 array: the draws
-    of ``default_rng(seed).uniform(lo, hi, (attempts, dim))``, masked and cut
-    to ``count``.  ``m`` is below ``count`` (possibly 0, shape ``(0, dim)``)
-    when the contour set misses the sampling box or is thin.
+    from (lo, hi) that ``player`` strictly prefers at ``x``, in draw order,
+    as one (m, dim) float64 array: the draws of
+    ``default_rng(seed).uniform(lo, hi, (attempts, dim))``, masked and cut to
+    ``count``.  ``m`` is below ``count`` (possibly 0, shape ``(0, dim)``)
+    when the contour set misses the sampling box or is thin.  Nothing is
+    drawn where the class box is empty: for ``TrivialZero``, for a band
+    owner on the wrong side of 0, or where a floor meets the top of
+    ``bounds``.
 
     The draws are made and tested in chunks from one generator, the first of
     ``2 * count`` rows and each later one twice the last, and drawing stops
@@ -828,11 +871,12 @@ def sample_contour(
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     if bounds is None:
-        lo, hi = game.player_box(player)
-    else:
-        lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
-    if count == 0:
+        bounds = game.player_box(player)
+    lo, hi = (np.asarray(b, dtype=np.float64) for b in bounds)
+    box = None if count == 0 else _contour_box(game, player, x, lo, hi)
+    if box is None:
         return np.empty((0, game.dims[player]))
+    lo, hi = box
     attempts = max(20 * count, 2000)
     rng = np.random.default_rng(seed)
     accepted = [np.empty((0, game.dims[player]))]

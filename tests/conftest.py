@@ -8,10 +8,13 @@ from scipy.optimize import linprog
 
 from ordnash.model import (
     ContourRow,
+    CoordinateOrder,
     GameSpec,
     HalfspaceContour,
     PlayerSpec,
     SharedLinear,
+    ThresholdBand,
+    TrivialZero,
     UtilityPreference,
     _dot,
 )
@@ -66,6 +69,40 @@ def formula_contains(region, points, tol=1e-9):
         slack = _dot(pts[:, None, :], region.normals) - region.offsets
         mask &= np.all(slack <= tol * np.maximum(1.0, np.abs(region.offsets)), axis=1)
     return mask
+
+
+def formula_contour_box(game, player, x, lo, hi):
+    """The box that ``sample_contour`` draws over inside (lo, hi), written
+    out per class from its strict preference: None where the strict upper
+    contour set cannot meet the interior of (lo, hi).
+
+    TrivialZero prefers nothing.  CoordinateOrder prefers own blocks above x
+    in every coordinate.  ThresholdBand at (x, y): the sole owner of the first
+    coordinate prefers a >= 0 when x < 0 and nothing otherwise; the sole
+    owner of the second prefers b > y when x >= 0 and nothing otherwise; one
+    owner of both prefers within a >= 0, b >= y.  Other classes keep (lo, hi).
+    """
+    pref = game.players[player].preference
+    w = [float(v) for v in x.stacked]
+    own = list(range(game.offsets[player], game.offsets[player] + game.dims[player]))
+    lo = np.array(lo, dtype=np.float64)
+    hi = np.array(hi, dtype=np.float64)
+    if isinstance(pref, TrivialZero):
+        return None
+    if isinstance(pref, CoordinateOrder):
+        floors = [w[k] for k in own]
+    elif isinstance(pref, ThresholdBand):
+        if own == [0] and w[0] >= 0.0:
+            return None
+        if own == [1] and w[0] < 0.0:
+            return None
+        floors = [[0.0, w[1]][k] for k in own]
+    else:
+        return lo, hi
+    floored = np.array([max(a, f) for a, f in zip(lo, floors)])
+    if any(a >= b for a, b in zip(floored, hi)):
+        return None
+    return floored, hi
 
 
 def formula_linear_min(region, c):

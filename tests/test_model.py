@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from conftest import (
     formula_contains,
+    formula_contour_box,
     formula_linear_min,
     make_budget_pair,
     make_pull_to_half_rival,
@@ -21,7 +22,7 @@ from ordnash.corpus import (
     example_trivial_pref,
     random_concave_quadratic,
 )
-from ordnash.errors import EvaluationError, ProfileError
+from ordnash.errors import EvaluationError, GameFormatError, ProfileError
 from ordnash.model import (
     Block,
     BoxOnly,
@@ -842,9 +843,11 @@ class TestSampleContour:
         assert isinstance(samples, np.ndarray)
         assert samples.dtype == np.float64
         assert samples.ndim == 2 and samples.shape[1] == dim
-        lo, hi = game.player_box(player) if bounds is None else bounds
+        box = formula_contour_box(
+            game, player, x, *(game.player_box(player) if bounds is None else bounds)
+        )
         draws = np.random.default_rng(seed).uniform(
-            lo, hi, size=(max(20 * count, 2000), dim)
+            *box, size=(max(20 * count, 2000), dim)
         )
         expected = draws[strict_upper_mask(game, player, draws, x)][:count]
         np.testing.assert_array_equal(samples, expected)
@@ -880,6 +883,10 @@ def _halfspace_block_game():
     )
 
 
+def _one_player_game(preference):
+    return GameSpec((PlayerSpec(2, ((-1.0, 1.0),) * 2, preference),))
+
+
 # (game, coords, player): one sampling player of every preference variant.
 _SWEEP_GAMES = [
     (make_pull_to_half_rival(), [1.0, 0.0], 0),
@@ -889,14 +896,20 @@ _SWEEP_GAMES = [
     (example_trivial_pref(), [0.2, -0.2], 0),
     (_halfspace_block_game(), [0.1, 0.4, -0.6], 0),
     (example_lhc_remark()[2], [-0.5, 0.3], 0),
+    (example_lhc_remark()[2], [0.4, -0.3], 1),
+    (_one_player_game(ThresholdBand()), [-0.5, 0.3], 0),
 ]
 
 
 def _reference_sample(game, player, x, count, seed, bounds=None):
-    """sample_contour by its definition: every draw made, masked, then cut."""
+    """sample_contour by its definition: every draw over the class box made,
+    masked, then cut; nothing where the class box is empty."""
     lo, hi = game.player_box(player) if bounds is None else bounds
+    box = formula_contour_box(game, player, x, lo, hi)
+    if box is None:
+        return np.empty((0, game.dims[player]))
     attempts = max(20 * count, 2000)
-    draws = np.random.default_rng(seed).uniform(lo, hi, size=(attempts, game.dims[player]))
+    draws = np.random.default_rng(seed).uniform(*box, size=(attempts, game.dims[player]))
     return draws[strict_upper_mask(game, player, draws, x)][:count]
 
 
@@ -943,6 +956,103 @@ class TestEarlyStop:
         sample_contour(pull_game, 0, x, count=100, seed=rng)
         twin.uniform(-1.0, 1.0, size=(200, 1))
         assert rng.random() == twin.random()
+
+
+class TestContourBox:
+    """The class box holds every candidate the strict preference accepts
+    within the sampling bounds, and an empty one draws nothing."""
+
+    @pytest.mark.parametrize(
+        "game, player",
+        [
+            (example_coordinate_pref(), 0),
+            (example_coordinate_pref(), 1),
+            (_one_player_game(CoordinateOrder()), 0),
+            (example_lhc_remark()[2], 0),
+            (example_lhc_remark()[2], 1),
+            (_one_player_game(ThresholdBand()), 0),
+        ],
+    )
+    def test_holds_every_accepted_candidate(self, game, player):
+        rng = np.random.default_rng(29)
+        n, dim = game.total_dim, game.dims[player]
+        profiles = np.concatenate(
+            [
+                rng.uniform(-1.0, 1.0, (140, n)),
+                rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], (60, n)),
+            ]
+        )
+        box_lo, box_hi = game.player_box(player)
+        wide = (np.full(dim, -1.5), np.full(dim, 1.25))
+        boxes = seen = 0
+        for coords in profiles:
+            x = split_profile(game, coords)
+            for lo, hi in ((box_lo, box_hi), wide):
+                axes = [np.linspace(a, b, 40, endpoint=False) for a, b in zip(lo, hi)]
+                grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+                accepted = grid[strict_upper_mask(game, player, grid, x)]
+                box = model._contour_box(game, player, x, lo, hi)
+                if box is None:
+                    assert accepted.shape[0] == 0, coords
+                    continue
+                inner_lo, inner_hi = box
+                assert np.all(lo <= inner_lo) and np.all(inner_hi <= hi)
+                assert np.all((accepted >= inner_lo) & (accepted <= inner_hi)), coords
+                boxes += 1
+                seen += accepted.shape[0]
+        assert boxes > 0 and seen > 0
+
+    @pytest.mark.parametrize(
+        "game, coords, player",
+        [
+            (example_trivial_pref(), [0.2, -0.2], 0),
+            (example_lhc_remark()[2], [0.0, 0.3], 0),
+            (example_lhc_remark()[2], [-0.4, 0.3], 1),
+            (_one_player_game(CoordinateOrder()), [0.1, 1.0], 0),
+        ],
+        ids=["trivial", "band-first-owner", "band-second-owner", "coordinate-at-hi"],
+    )
+    def test_an_empty_box_draws_nothing(self, game, coords, player, monkeypatch):
+        calls = []
+        real = model.strict_upper_mask
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(model, "strict_upper_mask", counting)
+        x = split_profile(game, coords)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        got = sample_contour(game, player, x, count=1000, seed=rng)
+        assert got.shape == (0, game.dims[player])
+        assert calls == []
+        assert rng.bit_generator.state == state
+
+    def test_coordinate_draws_fit_one_chunk(self, monkeypatch):
+        rows = []
+        real = model.strict_upper_mask
+
+        def counting(game, player, candidates, x):
+            rows.append(len(candidates))
+            return real(game, player, candidates, x)
+
+        monkeypatch.setattr(model, "strict_upper_mask", counting)
+        game = _one_player_game(CoordinateOrder())
+        x = split_profile(game, [0.1, -0.3])
+        assert sample_contour(game, 0, x, count=1000, seed=0).shape == (1000, 2)
+        assert rows == [2000]
+
+    def test_a_band_outside_two_coordinates_still_raises(self):
+        game = GameSpec(
+            players=(
+                PlayerSpec(1, ((-1.0, 1.0),), ThresholdBand()),
+                PlayerSpec(2, ((-1.0, 1.0), (-1.0, 1.0)), TrivialZero()),
+            )
+        )
+        x = split_profile(game, [-0.5, 0.0, 0.0])
+        with pytest.raises(GameFormatError):
+            sample_contour(game, 0, x, count=10, seed=0)
 
 
 class TestRepeatedSeeds:
