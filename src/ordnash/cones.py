@@ -300,7 +300,12 @@ def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _strictly_feasible(a: np.ndarray, b: np.ndarray) -> bool:
-    """Is the open polyhedron {y : a y < b} nonempty (with unit-normal rows)?"""
+    """Is the open polyhedron {y : a y < b} nonempty (with unit-normal rows)?
+
+    One Chebyshev-centre LP.  :func:`model.linprog` solves it in-house up to 2
+    coordinates and ``model._LP_MAX_BASES`` bases (31 rows in 1-D, 14 in
+    2-D); a polyhedron without a vertex (one row in 2-D), of 3 coordinates or
+    of more rows goes to HiGHS."""
     dim = a.shape[1]
     # max t subject to a y + t <= b, t <= 1; strictly feasible iff optimum > 0.
     c = np.zeros(dim + 1)
@@ -311,7 +316,6 @@ def _strictly_feasible(a: np.ndarray, b: np.ndarray) -> bool:
         A_ub=a_ub,
         b_ub=b,
         bounds=[(None, None)] * dim + [(None, 1.0)],
-        method="highs",
     )
     if result.status != 0:
         return False

@@ -11,8 +11,10 @@ verifier) is built on that single predicate and on the feasible-region map.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,9 +59,13 @@ __all__ = [
 PlayerId = int
 
 _FEAS_TOL = 1e-9
-# FeasibleRegion.linear_min enumerates vertices up to this shape, else one LP.
+# FeasibleRegion.linear_min enumerates vertices up to this shape, else one LP;
+# linprog solves LPs of up to _VERTEX_MAX_DIM variables and _LP_MAX_BASES
+# bases (n-subsets of rows) by basis enumeration: near that many bases it
+# takes about as long as one HiGHS call, and its arrays grow with the bases.
 _VERTEX_MAX_DIM = 3
 _VERTEX_MAX_ROWS = 4
+_LP_MAX_BASES = 500
 # A shared row binds a player when one of its own coefficients exceeds this.
 _BIND_TOL = 1e-15
 # validate_spec's irreflexivity probe: this many seeded profiles.
@@ -67,12 +73,66 @@ _PROBE_COUNT = 16
 _PROBE_SEED = 0
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call: importing
-    scipy.optimize takes most of the time of a fresh ``import ordnash``."""
+def linprog(c, A_ub, b_ub, bounds):
+    """``scipy.optimize.linprog``'s min <c, y> s.t. A_ub y <= b_ub within
+    ``bounds`` (None for no bound); returns an object with ``status`` and ``x``.
+
+    An LP of at most ``_VERTEX_MAX_DIM`` variables and ``_LP_MAX_BASES``
+    bases, with finite c, A_ub, b_ub and bounds, is solved in-house, exact up
+    to ``_FEAS_TOL``: its rows are one per finite upper bound, one per finite
+    lower bound, then A_ub.  Of the basic solutions
+    (:func:`_basic_solutions`), those that pass the test of
+    :meth:`FeasibleRegion.contains_many` (within ``_FEAS_TOL`` of the bounds,
+    and of each A_ub row relative to max(1, |b|)) and whose basis also solves
+    A_B^T lam = -c with lam >= -``_FEAS_TOL`` are optimal, and the first of
+    least objective is returned.  No regular, feasible and dual-feasible
+    basis (an unbounded or infeasible LP, a polyhedron without a vertex) and
+    any larger or non-finite LP go to ``scipy.optimize.linprog``'s HiGHS,
+    imported only then: importing scipy.optimize takes most of the time and
+    memory of a fresh ``import ordnash``.
+    """
+    cost = np.asarray(c, dtype=np.float64)
+    a = np.asarray(A_ub, dtype=np.float64)
+    b = np.asarray(b_ub, dtype=np.float64)
+    limits = np.array(bounds, dtype=np.float64)  # None reads as nan: no bound
+    upper, lower = ~np.isnan(limits[:, 1]), ~np.isnan(limits[:, 0])
+    given = [v for pair in bounds for v in pair if v is not None]
+    finite = np.isfinite(np.concatenate([cost, a.ravel(), b, given])).all()
+    rows = a.shape[0] + int(upper.sum()) + int(lower.sum())
+    if cost.size <= _VERTEX_MAX_DIM and finite and math.comb(rows, cost.size) <= _LP_MAX_BASES:
+        eye = np.eye(cost.size)
+        a_all = np.vstack([eye[upper], -eye[lower], a])
+        b_all = np.concatenate([limits[upper, 1], -limits[lower, 0], b])
+        bases, points = _basic_solutions(a_all, b_all)
+        floor = np.where(lower, limits[:, 0], -np.inf)
+        ceiling = np.where(upper, limits[:, 1], np.inf)
+        feasible = np.all((points >= floor - _FEAS_TOL) & (points <= ceiling + _FEAS_TOL), axis=1)
+        slack = _dot(points[:, None, :], a) - b
+        feasible &= np.all(slack <= _FEAS_TOL * np.maximum(1.0, np.abs(b)), axis=1)
+        if feasible.any():
+            a_t = np.swapaxes(a_all[bases[feasible]], 1, 2)
+            duals = np.linalg.solve(a_t, np.broadcast_to(-cost[:, None], a_t.shape[:2] + (1,)))
+            optimal = points[feasible][np.all(duals[..., 0] >= -_FEAS_TOL, axis=1)]
+            if optimal.shape[0]:
+                best = optimal[int(np.argmin(_dot(optimal, cost)))]
+                return SimpleNamespace(status=0, x=best)
     from scipy.optimize import linprog as scipy_linprog
 
-    return scipy_linprog(*args, **kwargs)
+    return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+
+def _basic_solutions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The basic solutions of the rows ``a y <= b`` in basis order: every
+    ``dim``-subset of rows in ``itertools.combinations`` order whose matrix has
+    |det| >= 1e-12, solved for ``a_B y = b_B`` in one stacked call.  Returns
+    the regular bases (row indices) and their points, both (r, dim)."""
+    dim = a.shape[1]
+    bases = np.array(list(itertools.combinations(range(a.shape[0]), dim)), dtype=np.intp)
+    bases = bases.reshape(-1, dim)
+    a_sq = a[bases]
+    regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
+    points = np.linalg.solve(a_sq[regular], b[bases[regular]][..., None])[..., 0]
+    return bases[regular], points
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -418,10 +478,15 @@ class FeasibleRegion:
         """A minimizer of ``<c, y>`` over the region, or None if it is empty.
 
         A box gives its best corner.  An interval (one coordinate) and a
-        polytope of 2-3 coordinates give their best vertex, the first in basis
-        order on ties; both are exact by construction.  More coordinates or
-        rows than that, or a shape without a contained vertex, take one HiGHS
-        LP, exact only up to the solver's tolerances.
+        polytope of 2-3 coordinates with at most ``_VERTEX_MAX_ROWS`` rows give
+        their best vertex, the first in basis order on ties; both are exact by
+        construction.  More rows than that, or a shape without a contained
+        vertex, take one :func:`linprog`: in-house up to 3 coordinates and
+        ``_LP_MAX_BASES`` bases, exact up to ``_FEAS_TOL``; beyond that, or
+        where no basis is feasible and dual feasible, HiGHS, exact only up to
+        its own tolerances.  The vertex route does not defer to
+        :func:`linprog`: the two pick different vertices at the edge of the
+        tolerance and between bases of one degenerate vertex.
         """
         if self.lo.size == 1:
             return self._interval_min(c)
@@ -433,7 +498,7 @@ class FeasibleRegion:
             vertices = self._vertices()
             if vertices.shape[0]:
                 return vertices[int(np.argmin(_dot(vertices, c)))]
-        return self._highs_min(c)
+        return self._lp_min(c)
 
     @cached_property
     def _interval(self) -> tuple[float, float, list[tuple[float, float]]]:
@@ -479,31 +544,27 @@ class FeasibleRegion:
                         best, least = y, value
             if best is not None:
                 return np.array([best])
-        return self._highs_min(c)
+        return self._lp_min(c)
 
-    def _highs_min(self, c: np.ndarray) -> np.ndarray | None:
-        """:meth:`linear_min` by one HiGHS LP, within the solver's tolerances."""
+    def _lp_min(self, c: np.ndarray) -> np.ndarray | None:
+        """:meth:`linear_min` by one :func:`linprog`: an optimal basis up to 3
+        coordinates and ``_LP_MAX_BASES`` bases, exact up to ``_FEAS_TOL``,
+        else HiGHS within its tolerances."""
         result = linprog(
             c=c,
             A_ub=self.normals,
             b_ub=self.offsets,
             bounds=list(zip(self.lo, self.hi)),
-            method="highs",
         )
         return result.x if result.status == 0 else None
 
     def _vertices(self) -> np.ndarray:
-        """Vertices of a region of 2-3 coordinates in basis order: of the rows
-        ``[I; -I; normals]``, every ``dim``-subset in ``itertools.combinations``
-        order whose matrix has |det| >= 1e-12, solved in one stacked call, and
-        kept if contained."""
+        """Vertices of a region of 2-3 coordinates in basis order: the basic
+        solutions of the rows ``[I; -I; normals]`` that the region contains."""
         dim = self.lo.size
         a_all = np.vstack([np.eye(dim), -np.eye(dim), self.normals])
         b_all = np.concatenate([self.hi, -self.lo, self.offsets])
-        bases = np.array(list(itertools.combinations(range(a_all.shape[0]), dim)))
-        a_sq = a_all[bases]
-        regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
-        points = np.linalg.solve(a_sq[regular], b_all[bases[regular]][..., None])[..., 0]
+        points = _basic_solutions(a_all, b_all)[1]
         return points[self.contains_many(points)]
 
 

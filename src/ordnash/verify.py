@@ -4,7 +4,9 @@ Everything here re-derives its verdict from the game definition alone:
 grid search over feasible deviations (``check_gne_grid``, ``brute_force_gne``),
 the variational inequality margin minimized over each feasible region by
 ``FeasibleRegion.linear_min`` (``check_svip``; exact by construction up to 3
-coordinates and 4 rows, else one HiGHS LP, exact up to its tolerances),
+coordinates and 4 rows; else one ``model.linprog``, exact up to ``_FEAS_TOL``
+up to 3 coordinates and ``_LP_MAX_BASES`` bases, and a HiGHS LP, exact up to
+its tolerances, beyond that or where no basis is feasible and dual feasible),
 executable forms of the two bridge properties between variational solutions
 and equilibria, and a numeric lower-hemicontinuity probe for contour maps.
 Feasibility comes from ``model`` alone: the player regions at a profile
@@ -210,8 +212,10 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
     m = min over feasible y of <g, y - x>, player by player over
     ``model.feasible_region`` with the rivals at ``x``.  Each minimum comes
     from :meth:`FeasibleRegion.linear_min`: exact by construction on a box, an
-    interval, or 2-3 coordinates with at most 4 rows; on a larger region, or
-    one without a vertex, HiGHS finds it within its own tolerances.  Should it
+    interval, or 2-3 coordinates with at most 4 rows; with more rows, up to 3
+    coordinates and ``model._LP_MAX_BASES`` bases, an optimal basis with a
+    dual certificate gives it, exact up to ``_FEAS_TOL``; beyond that, or with
+    no certified basis, HiGHS finds it within its own tolerances.  Should it
     find none, the own block stands in.  Passes when m >= -tol.  A zero
     operator value passes vacuously, and a non-finite one raises ValueError.
     One whose squares overflow, or underflow below the normal range, is

@@ -685,8 +685,8 @@ class TestVersion:
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
-    """The first LP imports scipy.optimize only when a command needs it, and
-    nothing imports scipy.stats."""
+    """Importing the CLI loads neither module: scipy.optimize waits for an LP
+    that the in-house route cannot decide, and nothing imports scipy.stats."""
     env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
     code = f"import sys, ordnash.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
@@ -769,5 +769,46 @@ def test_the_verifier_path_leaves_scipy_optimize_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _VERIFIER_PATH], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
+# The solve workload's pipeline in a fresh interpreter: solve, grid certificate
+# and check_svip on a mixed budget game (one emptiness LP per polyhedral
+# selection), on an Arrow-Debreu game and on a box quadratic game.
+_SOLVE_PATH = """
+import sys
+import ordnash.cli
+from ordnash import corpus
+from ordnash.model import ContourRow, GameSpec, HalfspaceContour, PlayerSpec, SharedLinear
+from ordnash.model import UtilityPreference
+from ordnash.solver import SolverConfig, solve_svip
+from ordnash.verify import check_gne_grid, check_svip
+
+unit = ((0.0, 1.0),)
+mixed = GameSpec(
+    (
+        PlayerSpec(1, unit, UtilityPreference("-(x1-1.1)^2")),
+        PlayerSpec(1, unit, UtilityPreference("-(x2-1.5+0.4*x3)^2")),
+        PlayerSpec(1, unit, HalfspaceContour((ContourRow(("-(1+0.4*x1)",), "-(1+0.4*x1)*x3"),))),
+    ),
+    SharedLinear(((1.0, 1.0, 1.0),), (1.0,)),
+)
+cfg = SolverConfig(max_iters=300, restarts=4, seed=42)
+for game in (mixed, corpus.arrow_debreu_instance(3), corpus.random_concave_quadratic(5, 3, 2)):
+    solution = solve_svip(game, cfg)
+    assert solution.converged
+    check_gne_grid(game, solution.point, 0.02)
+    check_svip(game, solution.point, solution.operator_value)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_the_solve_path_leaves_scipy_optimize_unloaded():
+    """Every LP of the solve workload has at most 3 variables and a certified
+    basis, so none imports scipy.optimize."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _SOLVE_PATH], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"

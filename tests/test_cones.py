@@ -412,3 +412,77 @@ class TestMechanismConsistency:
             samples = sample_contour(game, 0, x, count=400, seed=rng.integers(1 << 30))
             for d in gens.directions:
                 assert cone_membership(d, samples, x.block(0), tol=1e-7)
+
+
+def _chebyshev_lp(a, b):
+    """The LP of ``cones._strictly_feasible``: max t s.t. a y + t <= b, t <= 1."""
+    dim = a.shape[1]
+    c = np.zeros(dim + 1)
+    c[-1] = -1.0
+    bounds = [(None, None)] * dim + [(None, 1.0)]
+    return c, np.hstack([a, np.ones((a.shape[0], 1))]), b, bounds
+
+
+class TestStrictFeasibilityLP:
+    """The emptiness LP of a polyhedral selection, solved by ``model.linprog``
+    in-house, against scipy's HiGHS on the same LP."""
+
+    def test_random_chebyshev_lps_match_highs(self, monkeypatch):
+        import scipy.optimize
+
+        from ordnash import cones, model
+
+        highs = scipy.optimize.linprog
+        fallbacks = []
+        monkeypatch.setattr(
+            scipy.optimize, "linprog", lambda *a, **k: fallbacks.append(1) or highs(*a, **k)
+        )
+        rng = np.random.default_rng(30)
+        for _ in range(600):
+            dim, rows = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            a = rng.normal(size=(rows, dim))
+            a /= np.linalg.norm(a, axis=1, keepdims=True)
+            b = np.round(rng.uniform(-1.0, 1.0, rows), int(rng.integers(1, 4)))
+            c, a_ub, b_ub, bounds = _chebyshev_lp(a, b)
+            before = len(fallbacks)
+            got = model.linprog(c, a_ub, b_ub, bounds)
+            want = highs(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+            assert got.status == want.status
+            # Only a 2-D polyhedron of one row has no vertex: HiGHS decides it.
+            assert (len(fallbacks) > before) == (dim == 2 and rows == 1)
+            if want.status == 0:
+                assert got.x[-1] == pytest.approx(want.x[-1], abs=1e-9)
+                assert cones._strictly_feasible(a, b) == (want.x[-1] > cones._FEASIBLE_MARGIN)
+
+    def test_many_rows_fall_back_to_highs(self, monkeypatch):
+        # 40 rows in 2-D: C(41, 3) bases, more than model._LP_MAX_BASES.
+        import scipy.optimize
+
+        from ordnash import cones
+
+        highs = scipy.optimize.linprog
+        rng = np.random.default_rng(33)
+        a = rng.normal(size=(40, 2))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b = rng.uniform(0.1, 1.0, 40)
+        c, a_ub, b_ub, bounds = _chebyshev_lp(a, b)
+        want = highs(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        calls = []
+        monkeypatch.setattr(
+            scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or highs(*a, **k)
+        )
+        assert cones._strictly_feasible(a, b) == (want.x[-1] > cones._FEASIBLE_MARGIN)
+        assert calls == [1]
+
+    def test_one_row_in_two_dims_falls_back_and_agrees(self):
+        import scipy.optimize
+
+        from ordnash import cones, model
+
+        a, b = np.array([[0.6, 0.8]]), np.array([-0.3])
+        got = model.linprog(*_chebyshev_lp(a, b))
+        c, a_ub, b_ub, bounds = _chebyshev_lp(a, b)
+        want = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert got.status == want.status == 0
+        np.testing.assert_array_equal(got.x, want.x)
+        assert cones._strictly_feasible(a, b)

@@ -1381,3 +1381,101 @@ def _inside_where_non_finite(game, player, probes):
             if not np.isfinite(values).all() and (a @ row[sl] < b).all():
                 return True
     return False
+
+
+class TestLinprog:
+    """``model.linprog``: LPs of at most 3 variables by basis enumeration with
+    a dual certificate, every other LP by HiGHS."""
+
+    @staticmethod
+    def _count_highs(monkeypatch):
+        import scipy.optimize
+
+        calls = []
+        highs = scipy.optimize.linprog
+        monkeypatch.setattr(
+            scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or highs(*a, **k)
+        )
+        return calls
+
+    def test_regions_with_more_rows_match_highs(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        calls = self._count_highs(monkeypatch)
+        solved = 0
+        for _ in range(300):
+            dim, rows = int(rng.integers(1, 4)), int(rng.integers(5, 9))
+            lo = rng.uniform(-1.0, 0.0, dim)
+            hi = lo + rng.uniform(0.2, 1.5, dim)
+            normals = rng.normal(size=(rows, dim))
+            centre = rng.uniform(lo, hi)
+            offsets = normals @ centre + rng.uniform(-0.02, 0.5, rows)
+            region = FeasibleRegion(lo, hi, normals, offsets)
+            c = rng.normal(size=dim)
+            reference = linprog(
+                c, A_ub=normals, b_ub=offsets, bounds=list(zip(lo, hi)), method="highs"
+            )
+            before = len(calls)
+            y = region.linear_min(c)
+            if reference.status == 0 and y is not None:
+                assert len(calls) == before  # solved in-house
+                assert region.contains(y)
+                assert float(c @ y) == pytest.approx(reference.fun, abs=1e-9)
+                solved += 1
+            else:  # empty, or empty within HiGHS's tolerances only
+                assert y is None or region.contains(y)
+        assert solved >= 250
+
+    @pytest.mark.parametrize("dim, rows", [(1, 600), (3, 200)])
+    def test_many_rows_fall_back_to_highs(self, monkeypatch, dim, rows):
+        # More than _LP_MAX_BASES bases: one HiGHS call, whose point is returned.
+        rng = np.random.default_rng(32)
+        lo, hi = -np.ones(dim), np.ones(dim)
+        normals = rng.normal(size=(rows, dim))
+        offsets = normals @ rng.uniform(-0.5, 0.5, dim) + rng.uniform(0.0, 0.5, rows)
+        region = FeasibleRegion(lo, hi, normals, offsets)
+        c = rng.normal(size=dim)
+        want = linprog(c, A_ub=normals, b_ub=offsets, bounds=list(zip(lo, hi)), method="highs")
+        assert want.status == 0
+        calls = self._count_highs(monkeypatch)
+        got = region.linear_min(c)
+        assert calls == [1]
+        np.testing.assert_array_equal(got, want.x)
+
+    def test_bounds_take_the_absolute_tolerance(self, monkeypatch):
+        # The rows x <= 1e6 + 1e-4 and y <= 1e6 + 1e-4 meet 1e-4 beyond the
+        # box: within _FEAS_TOL of them relative to their offsets, but outside
+        # the absolute _FEAS_TOL of the box that contains_many applies.
+        hi = np.array([1e6, 1e6])
+        normals = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        offsets = np.array([1e6 + 1e-4, 1e6 + 1e-4, 3e6, 1.0, 1.0])
+        region = FeasibleRegion(np.zeros(2), hi, normals, offsets)
+        calls = self._count_highs(monkeypatch)
+        y = region.linear_min(np.array([-1.0, -1.0]))
+        assert calls == []
+        assert region.contains(y)
+        np.testing.assert_array_equal(y, hi)
+
+    def test_non_finite_cost_raises(self):
+        with pytest.raises(ValueError):
+            model.linprog(np.array([np.nan]), np.array([[1.0]]), np.array([1.0]), [(0.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "a_ub, b_ub, status",
+        [
+            ([[-1.0]], [0.5], 3),  # -y <= 0.5, minimize -y: unbounded
+            ([[1.0], [-1.0]], [0.5, -1.0], 2),  # y <= 0.5 and y >= 1: infeasible
+        ],
+    )
+    def test_unbounded_and_infeasible_fall_back_to_highs(self, monkeypatch, a_ub, b_ub, status):
+        calls = self._count_highs(monkeypatch)
+        result = model.linprog(np.array([-1.0]), np.array(a_ub), np.array(b_ub), [(None, None)])
+        assert result.status == status
+        assert calls == [1]
+
+    def test_bounded_lp_is_solved_in_house(self, monkeypatch):
+        calls = self._count_highs(monkeypatch)
+        result = model.linprog(np.array([-1.0, -2.0]), np.array([[1.0, 1.0]]), np.array([1.5]),
+                               [(0.0, 1.0), (0.0, 1.0)])
+        assert result.status == 0
+        np.testing.assert_array_equal(result.x, [0.5, 1.0])
+        assert calls == []
