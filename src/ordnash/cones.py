@@ -302,24 +302,15 @@ def _normalize_rows(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _strictly_feasible(a: np.ndarray, b: np.ndarray) -> bool:
     """Is the open polyhedron {y : a y < b} nonempty (with unit-normal rows)?
 
-    One Chebyshev-centre LP.  :func:`model.linprog` solves it in-house up to 2
-    coordinates and ``model._LP_MAX_BASES`` bases (31 rows in 1-D, 14 in
-    2-D); a polyhedron without a vertex (one row in 2-D), of 3 coordinates or
-    of more rows goes to HiGHS."""
+    One Chebyshev-centre LP, max t subject to a y + t <= b and t <= 1, by
+    the in-house simplex :func:`model.linprog`: nonempty iff the optimal t
+    exceeds ``_FEASIBLE_MARGIN``."""
     dim = a.shape[1]
-    # max t subject to a y + t <= b, t <= 1; strictly feasible iff optimum > 0.
     c = np.zeros(dim + 1)
     c[-1] = -1.0
     a_ub = np.hstack([a, np.ones((a.shape[0], 1))])
-    result = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b,
-        bounds=[(None, None)] * dim + [(None, 1.0)],
-    )
-    if result.status != 0:
-        return False
-    return float(result.x[-1]) > _FEASIBLE_MARGIN
+    centre = linprog(c, a_ub, b, [(None, None)] * dim + [(None, 1.0)])
+    return centre is not None and float(centre[-1]) > _FEASIBLE_MARGIN
 
 
 def polyhedral_normal_generators(

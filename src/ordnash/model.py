@@ -10,11 +10,8 @@ verifier) is built on that single predicate and on the feasible-region map.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Sequence, Union
 
 import numpy as np
@@ -59,13 +56,6 @@ __all__ = [
 PlayerId = int
 
 _FEAS_TOL = 1e-9
-# FeasibleRegion.linear_min enumerates vertices up to this shape, else one LP;
-# linprog solves LPs of up to _VERTEX_MAX_DIM variables and _LP_MAX_BASES
-# bases (n-subsets of rows) by basis enumeration: near that many bases it
-# takes about as long as one HiGHS call, and its arrays grow with the bases.
-_VERTEX_MAX_DIM = 3
-_VERTEX_MAX_ROWS = 4
-_LP_MAX_BASES = 500
 # A shared row binds a player when one of its own coefficients exceeds this.
 _BIND_TOL = 1e-15
 # validate_spec's irreflexivity probe: this many seeded profiles.
@@ -73,66 +63,137 @@ _PROBE_COUNT = 16
 _PROBE_SEED = 0
 
 
-def linprog(c, A_ub, b_ub, bounds):
-    """``scipy.optimize.linprog``'s min <c, y> s.t. A_ub y <= b_ub within
-    ``bounds`` (None for no bound); returns an object with ``status`` and ``x``.
+def linprog(c, A_ub, b_ub, bounds) -> np.ndarray | None:
+    """A minimizer of <c, y> subject to A_ub y <= b_ub within ``bounds`` (one
+    (lo, hi) pair per variable, None for no bound), or None when the LP is
+    infeasible or unbounded; a non-finite input raises ValueError.
 
-    An LP of at most ``_VERTEX_MAX_DIM`` variables and ``_LP_MAX_BASES``
-    bases, with finite c, A_ub, b_ub and bounds, is solved in-house, exact up
-    to ``_FEAS_TOL``: its rows are one per finite upper bound, one per finite
-    lower bound, then A_ub.  Of the basic solutions
-    (:func:`_basic_solutions`), those that pass the test of
-    :meth:`FeasibleRegion.contains_many` (within ``_FEAS_TOL`` of the bounds,
-    and of each A_ub row relative to max(1, |b|)) and whose basis also solves
-    A_B^T lam = -c with lam >= -``_FEAS_TOL`` are optimal, and the first of
-    least objective is returned.  No regular, feasible and dual-feasible
-    basis (an unbounded or infeasible LP, a polyhedron without a vertex) and
-    any larger or non-finite LP go to ``scipy.optimize.linprog``'s HiGHS,
-    imported only then: importing scipy.optimize takes most of the time and
-    memory of a fresh ``import ordnash``.
+    One simplex in Chvátal's dictionary form with Bland's rule (the least
+    variable index enters, and leaves on a tied ratio; only entries above
+    ``_FEAS_TOL`` pivot), on a condensed tableau of one row per finite upper
+    bound, one per finite lower bound, then A_ub, each in the units of
+    :meth:`FeasibleRegion.contains_many`'s test: a bound row as it is, an
+    A_ub row divided by max(1, |b|).  The variables are free, each split
+    into two nonnegative parts.  Phase I minimizes one auxiliary x0 over
+    ``g y - x0 <= h``, so its optimum is the least worst-row violation in
+    those units, and the LP is infeasible when that exceeds ``_FEAS_TOL``.
+    Otherwise x0 leaves the basis on the entry of largest magnitude in its
+    row and stays at that optimum, so Phase II works on the rows relaxed by
+    it, from a basis feasible for them, until every reduced cost is >=
+    -``_FEAS_TOL``; a column without a pivot entry is a ray.  The minimizer
+    is solved again from its active (relaxed) rows by elementwise
+    elimination (:func:`_solve`) and returned only if it passes the
+    containment test.  Every step is elementwise or a :func:`_dot`, so no
+    bit depends on the BLAS kernel, and the tableau is the one (m + 1) x
+    (2n + 2) array.
     """
     cost = np.asarray(c, dtype=np.float64)
-    a = np.asarray(A_ub, dtype=np.float64)
-    b = np.asarray(b_ub, dtype=np.float64)
-    limits = np.array(bounds, dtype=np.float64)  # None reads as nan: no bound
-    upper, lower = ~np.isnan(limits[:, 1]), ~np.isnan(limits[:, 0])
+    n = cost.size
+    a = np.asarray(A_ub, dtype=np.float64).reshape(-1, n)
+    b = np.asarray(b_ub, dtype=np.float64).ravel()
     given = [v for pair in bounds for v in pair if v is not None]
-    finite = np.isfinite(np.concatenate([cost, a.ravel(), b, given])).all()
-    rows = a.shape[0] + int(upper.sum()) + int(lower.sum())
-    if cost.size <= _VERTEX_MAX_DIM and finite and math.comb(rows, cost.size) <= _LP_MAX_BASES:
-        eye = np.eye(cost.size)
-        a_all = np.vstack([eye[upper], -eye[lower], a])
-        b_all = np.concatenate([limits[upper, 1], -limits[lower, 0], b])
-        bases, points = _basic_solutions(a_all, b_all)
-        floor = np.where(lower, limits[:, 0], -np.inf)
-        ceiling = np.where(upper, limits[:, 1], np.inf)
-        feasible = np.all((points >= floor - _FEAS_TOL) & (points <= ceiling + _FEAS_TOL), axis=1)
-        slack = _dot(points[:, None, :], a) - b
-        feasible &= np.all(slack <= _FEAS_TOL * np.maximum(1.0, np.abs(b)), axis=1)
-        if feasible.any():
-            a_t = np.swapaxes(a_all[bases[feasible]], 1, 2)
-            duals = np.linalg.solve(a_t, np.broadcast_to(-cost[:, None], a_t.shape[:2] + (1,)))
-            optimal = points[feasible][np.all(duals[..., 0] >= -_FEAS_TOL, axis=1)]
-            if optimal.shape[0]:
-                best = optimal[int(np.argmin(_dot(optimal, cost)))]
-                return SimpleNamespace(status=0, x=best)
-    from scipy.optimize import linprog as scipy_linprog
+    if not np.isfinite(np.concatenate([cost, a.ravel(), b, given])).all():
+        raise ValueError("linprog needs finite costs, rows, offsets and bounds")
+    limits = np.array(bounds, dtype=np.float64).reshape(n, 2)  # None reads as nan
+    floor, ceiling = np.where(np.isnan(limits), [-np.inf, np.inf], limits).T
+    upper, lower = np.isfinite(ceiling), np.isfinite(floor)
+    a_all = np.vstack([np.eye(n)[upper], -np.eye(n)[lower], a])
+    b_all = np.concatenate([ceiling[upper], -floor[lower], b])
+    m = b_all.size
+    scale = np.concatenate([np.ones(m - b.size), np.maximum(1.0, np.abs(b))])
+    rows, rhs = a_all / scale[:, None], b_all / scale
+    table = np.vstack([np.column_stack([rows, -rows, -np.ones(m), rhs]), np.zeros(2 * n + 2)])
+    # Variables: y's parts u (0..n-1) and v (n..2n-1), x0 (2n), row slacks.
+    column, basic = np.arange(2 * n + 1), np.arange(2 * n + 1, 2 * n + 1 + m)
+    violation = 0.0
+    if m and rhs.min() < 0.0:
+        table[m, 2 * n] = 1.0
+        _exchange(table, column, basic, int(np.argmin(rhs)), 2 * n)
+        _bland(table, column, basic)
+        if 2 * n in basic:
+            p = int(np.flatnonzero(basic == 2 * n)[0])
+            violation = table[p, -1]
+            if violation > _FEAS_TOL:
+                return None
+            _exchange(table, column, basic, p, int(np.argmax(np.abs(table[p, :-1]))))
+    q = np.flatnonzero(column == 2 * n)
+    table[:, -1] -= violation * table[:, q[0]]
+    table[:, q] = 0.0
+    full = np.concatenate([cost, -cost, np.zeros(m + 1)])
+    table[m] = np.append(full[column], 0.0)
+    for p in np.flatnonzero(full[basic]):
+        table[m] -= full[basic[p]] * table[p]
+    if not _bland(table, column, basic):
+        return None
+    point = np.zeros(n)
+    active, free = column[column > 2 * n] - (2 * n + 1), basic[basic < 2 * n] % n
+    with np.errstate(all="ignore"):  # a singular basis gives a point no test contains
+        point[free] = _solve(a_all[np.ix_(active, free)], (b_all + violation * scale)[active])
+        return point if _within(point[None, :], floor, ceiling, a, b)[0] else None
 
-    return scipy_linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+
+def _within(points, lo, hi, normals, offsets) -> np.ndarray:
+    """Which rows of the (m, dim) ``points`` lie within ``_FEAS_TOL`` of the
+    box [lo, hi] and of each row ``normals y <= offsets`` relative to
+    max(1, |offset|): the one containment test."""
+    mask = np.all((points >= lo - _FEAS_TOL) & (points <= hi + _FEAS_TOL), axis=1)
+    if normals.size:
+        slack = _dot(points[:, None, :], normals) - offsets
+        mask &= np.all(slack <= _FEAS_TOL * np.maximum(1.0, np.abs(offsets)), axis=1)
+    return mask
 
 
-def _basic_solutions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The basic solutions of the rows ``a y <= b`` in basis order: every
-    ``dim``-subset of rows in ``itertools.combinations`` order whose matrix has
-    |det| >= 1e-12, solved for ``a_B y = b_B`` in one stacked call.  Returns
-    the regular bases (row indices) and their points, both (r, dim)."""
-    dim = a.shape[1]
-    bases = np.array(list(itertools.combinations(range(a.shape[0]), dim)), dtype=np.intp)
-    bases = bases.reshape(-1, dim)
-    a_sq = a[bases]
-    regular = np.abs(np.linalg.det(a_sq)) >= 1e-12
-    points = np.linalg.solve(a_sq[regular], b[bases[regular]][..., None])[..., 0]
-    return bases[regular], points
+def _exchange(table: np.ndarray, column: np.ndarray, basic: np.ndarray, p: int, q: int) -> None:
+    """Pivot the condensed tableau in place: the nonbasic variable of column
+    ``q`` enters the basis at row ``p``, whose basic variable takes column
+    ``q``.  The update is one elementwise outer product and subtraction."""
+    pivot = table[p, q]
+    row = table[p] / pivot
+    row[q] = 1.0 / pivot
+    col = table[:, q].copy()
+    col[p] = 0.0
+    table[:, q] = 0.0
+    table -= np.multiply.outer(col, row)
+    table[p] = row
+    column[q], basic[p] = basic[p], column[q]
+
+
+def _bland(table: np.ndarray, column: np.ndarray, basic: np.ndarray) -> bool:
+    """Minimize the tableau's last row by Bland's rule: the column of least
+    variable index with reduced cost below -``_FEAS_TOL`` enters, and of
+    the rows whose entry there exceeds ``_FEAS_TOL`` the least ratio
+    leaves, the least variable index on ties.  False on a ray (no such
+    row), True at the optimum."""
+    while True:
+        entering = np.flatnonzero(table[-1, :-1] < -_FEAS_TOL)
+        if entering.size == 0:
+            return True
+        q = int(entering[np.argmin(column[entering])])
+        rows = np.flatnonzero(table[:-1, q] > _FEAS_TOL)
+        if rows.size == 0:
+            return False
+        ratios = np.maximum(table[rows, -1], 0.0) / table[rows, q]
+        ties = rows[ratios == ratios.min()]
+        _exchange(table, column, basic, int(ties[np.argmin(basic[ties])]), q)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of the square system ``a x = b`` by Gaussian elimination
+    with partial pivoting (the first row of largest magnitude on ties) on
+    the augmented matrix, then back substitution that divides x_k by its
+    pivot and subtracts its products from the rows above, k from last to
+    first.  Every step is elementwise and in index order, so the bits do not
+    depend on the LAPACK build.  A singular ``a`` divides by a zero pivot, so
+    its solution is not finite."""
+    m = np.column_stack((a, b))
+    for k in range(len(b)):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        m[[k, p]] = m[[p, k]]
+        m[k + 1 :] -= np.multiply.outer(m[k + 1 :, k] / m[k, k], m[k])
+    for k in reversed(range(len(b))):
+        m[k, -1] /= m[k, k]
+        m[:k, -1] -= m[:k, k] * m[k, -1]
+    return m[:, -1]
 
 
 def _as_float_tuple(values) -> tuple[float, ...]:
@@ -461,13 +522,7 @@ class FeasibleRegion:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if self.forced_empty:
             return np.zeros(pts.shape[0], dtype=bool)
-        mask = np.all((pts >= self.lo - _FEAS_TOL) & (pts <= self.hi + _FEAS_TOL), axis=1)
-        if self.normals.size:
-            slack = _dot(pts[:, None, :], self.normals) - self.offsets
-            mask &= np.all(
-                slack <= _FEAS_TOL * np.maximum(1.0, np.abs(self.offsets)), axis=1
-            )
-        return mask
+        return _within(pts, self.lo, self.hi, self.normals, self.offsets)
 
     @cached_property
     def is_empty(self) -> bool:
@@ -477,16 +532,11 @@ class FeasibleRegion:
     def linear_min(self, c: np.ndarray) -> np.ndarray | None:
         """A minimizer of ``<c, y>`` over the region, or None if it is empty.
 
-        A box gives its best corner.  An interval (one coordinate) and a
-        polytope of 2-3 coordinates with at most ``_VERTEX_MAX_ROWS`` rows give
-        their best vertex, the first in basis order on ties; both are exact by
-        construction.  More rows than that, or a shape without a contained
-        vertex, take one :func:`linprog`: in-house up to 3 coordinates and
-        ``_LP_MAX_BASES`` bases, exact up to ``_FEAS_TOL``; beyond that, or
-        where no basis is feasible and dual feasible, HiGHS, exact only up to
-        its own tolerances.  The vertex route does not defer to
-        :func:`linprog`: the two pick different vertices at the edge of the
-        tolerance and between bases of one degenerate vertex.
+        A box gives its best corner, and an interval (one coordinate) its best
+        vertex, the first in basis order on ties; both are exact by
+        construction.  Every other region with rows, and an interval none of
+        whose vertices it contains, is one in-house simplex
+        (:func:`linprog`), whose minimizer passes :meth:`contains_many`.
         """
         if self.lo.size == 1:
             return self._interval_min(c)
@@ -494,11 +544,7 @@ class FeasibleRegion:
             return None
         if self.normals.shape[0] == 0:
             return np.where(c > 0, self.lo, self.hi)
-        if self.lo.size <= _VERTEX_MAX_DIM and self.normals.shape[0] <= _VERTEX_MAX_ROWS:
-            vertices = self._vertices()
-            if vertices.shape[0]:
-                return vertices[int(np.argmin(_dot(vertices, c)))]
-        return self._lp_min(c)
+        return linprog(c, self.normals, self.offsets, list(zip(self.lo, self.hi)))
 
     @cached_property
     def _interval(self) -> tuple[float, float, list[tuple[float, float]]]:
@@ -522,10 +568,9 @@ class FeasibleRegion:
         """:meth:`linear_min` of a one-coordinate region, on Python floats.
 
         The vertices are, in basis order, ``hi``, ``lo`` and ``b / a`` for each
-        row with |a| >= 1e-12 (``b / a`` is bit for bit what a 1x1
-        ``np.linalg.solve`` returns).  Of those the region contains,
-        the first of least ``c * y`` wins, and a NaN product counts as least,
-        as in ``np.argmin``.
+        row with |a| >= 1e-12.  Of those the region contains, the first of
+        least ``c * y`` wins, and a NaN product counts as least, as in
+        ``np.argmin``.  Where it contains none, :func:`linprog` decides.
         """
         lo, hi, rows = self._interval
         if self.forced_empty or lo > hi:
@@ -533,39 +578,17 @@ class FeasibleRegion:
         cost = float(c[0])
         if not rows:
             return np.array([lo if cost > 0 else hi])
-        if len(rows) <= _VERTEX_MAX_ROWS:
-            best = least = None
-            for y in [hi, lo] + [b / a for a, b in rows if abs(a) >= 1e-12]:
-                if self._interval_contains(y):
-                    value = y * cost
-                    if value != value:
-                        return np.array([y])
-                    if best is None or value < least:
-                        best, least = y, value
-            if best is not None:
-                return np.array([best])
-        return self._lp_min(c)
-
-    def _lp_min(self, c: np.ndarray) -> np.ndarray | None:
-        """:meth:`linear_min` by one :func:`linprog`: an optimal basis up to 3
-        coordinates and ``_LP_MAX_BASES`` bases, exact up to ``_FEAS_TOL``,
-        else HiGHS within its tolerances."""
-        result = linprog(
-            c=c,
-            A_ub=self.normals,
-            b_ub=self.offsets,
-            bounds=list(zip(self.lo, self.hi)),
-        )
-        return result.x if result.status == 0 else None
-
-    def _vertices(self) -> np.ndarray:
-        """Vertices of a region of 2-3 coordinates in basis order: the basic
-        solutions of the rows ``[I; -I; normals]`` that the region contains."""
-        dim = self.lo.size
-        a_all = np.vstack([np.eye(dim), -np.eye(dim), self.normals])
-        b_all = np.concatenate([self.hi, -self.lo, self.offsets])
-        points = _basic_solutions(a_all, b_all)[1]
-        return points[self.contains_many(points)]
+        best = least = None
+        for y in [hi, lo] + [b / a for a, b in rows if abs(a) >= 1e-12]:
+            if self._interval_contains(y):
+                value = y * cost
+                if value != value:
+                    return np.array([y])
+                if best is None or value < least:
+                    best, least = y, value
+        if best is not None:
+            return np.array([best])
+        return linprog(c, self.normals, self.offsets, [(lo, hi)])
 
 
 @dataclass(frozen=True)

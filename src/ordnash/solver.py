@@ -85,7 +85,7 @@ bit-identical to iterating its start alone, so results, traces and the
 lowest-index tie-break do not depend on R.  That is kept by one rule: every
 reduction (a block norm, a halfspace product, the residual over the stacked
 vector) is an index-order sum of elementwise products (``model._dot``), and
-the Newton step eliminates elementwise (``_solve``), never by BLAS or
+the Newton step eliminates elementwise (``model._solve``), never by BLAS or
 LAPACK.  So a row's bits depend neither on the batch nor on the OpenBLAS
 kernel the host picks.
 
@@ -128,6 +128,7 @@ from .model import (
     _feasible_offsets,
     _joint_region,
     _require_feasible,
+    _solve,
     sample_contour,
     split_profile,
 )
@@ -506,25 +507,6 @@ class _Restarts:
     iters: np.ndarray
     converged: np.ndarray
     traces: list[list[tuple[int, float]]]
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The solution of the square system ``a x = b`` by Gaussian elimination
-    with partial pivoting (the first row of largest magnitude on ties) on
-    the augmented matrix, then back substitution that divides x_k by its
-    pivot and subtracts its products from the rows above, k from last to
-    first.  Every step is elementwise and in index order, so the bits do not
-    depend on the LAPACK build.  A singular ``a`` divides by a zero pivot, so
-    its solution is not finite."""
-    m = np.column_stack((a, b))
-    for k in range(len(b)):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        m[[k, p]] = m[[p, k]]
-        m[k + 1 :] -= np.multiply.outer(m[k + 1 :, k] / m[k, k], m[k])
-    for k in reversed(range(len(b))):
-        m[k, -1] /= m[k, k]
-        m[:k, -1] -= m[:k, k] * m[k, -1]
-    return m[:, -1]
 
 
 def _newton_point(game: GameSpec, x: np.ndarray) -> np.ndarray | None:

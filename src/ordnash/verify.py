@@ -3,12 +3,11 @@
 Everything here re-derives its verdict from the game definition alone:
 grid search over feasible deviations (``check_gne_grid``, ``brute_force_gne``),
 the variational inequality margin minimized over each feasible region by
-``FeasibleRegion.linear_min`` (``check_svip``; exact by construction up to 3
-coordinates and 4 rows; else one ``model.linprog``, exact up to ``_FEAS_TOL``
-up to 3 coordinates and ``_LP_MAX_BASES`` bases, and a HiGHS LP, exact up to
-its tolerances, beyond that or where no basis is feasible and dual feasible),
-executable forms of the two bridge properties between variational solutions
-and equilibria, and a numeric lower-hemicontinuity probe for contour maps.
+``FeasibleRegion.linear_min`` (``check_svip``; exact by construction on a box
+or an interval, else one in-house simplex, ``model.linprog``, whose minimizer
+passes the ``_FEAS_TOL`` containment test), executable forms of the two
+bridge properties between variational solutions and equilibria, and a
+numeric lower-hemicontinuity probe for contour maps.
 Feasibility comes from ``model`` alone: the player regions at a profile
 (``_require_feasible``, through ``feasible_region``, the one-point case of
 the ``_feasible_offsets`` rule the solver projects with at all its rows)
@@ -211,11 +210,9 @@ def check_svip(game: GameSpec, x: Profile, operator_value, tol: float = 1e-6) ->
     Normalizes the stacked operator value to unit norm, then computes
     m = min over feasible y of <g, y - x>, player by player over
     ``model.feasible_region`` with the rivals at ``x``.  Each minimum comes
-    from :meth:`FeasibleRegion.linear_min`: exact by construction on a box, an
-    interval, or 2-3 coordinates with at most 4 rows; with more rows, up to 3
-    coordinates and ``model._LP_MAX_BASES`` bases, an optimal basis with a
-    dual certificate gives it, exact up to ``_FEAS_TOL``; beyond that, or with
-    no certified basis, HiGHS finds it within its own tolerances.  Should it
+    from :meth:`FeasibleRegion.linear_min`: exact by construction on a box or
+    an interval; any other region is one in-house simplex whose minimizer
+    passes the region's ``_FEAS_TOL`` containment test.  Should it
     find none, the own block stands in.  Passes when m >= -tol.  A zero
     operator value passes vacuously, and a non-finite one raises ValueError.
     One whose squares overflow, or underflow below the normal range, is

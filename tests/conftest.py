@@ -106,14 +106,18 @@ def formula_contour_box(game, player, x, lo, hi):
 
 
 def formula_linear_min(region, c):
-    """``FeasibleRegion.linear_min`` written out, vertices rebuilt on every call."""
+    """``FeasibleRegion.linear_min`` as vertex enumeration, vertices rebuilt on
+    every call: exactly the interval route in one coordinate, where a region
+    that contains no vertex is empty (its simplex rejects a non-finite cost
+    first); the reference for regions of 2-3 coordinates with at most 4
+    rows; HiGHS for the rest, or where no vertex is contained."""
     lo, hi, normals, offsets = region.lo, region.hi, region.normals, region.offsets
     if region.forced_empty or np.any(lo > hi):
         return None
     if normals.shape[0] == 0:
         return np.where(c > 0, lo, hi)
     dim = lo.size
-    if dim <= 3 and normals.shape[0] <= 4:
+    if dim == 1 or (dim <= 3 and normals.shape[0] <= 4):
         a_all = np.vstack([np.eye(dim), -np.eye(dim), normals])
         b_all = np.concatenate([hi, -lo, offsets])
         bases = np.array(list(itertools.combinations(range(a_all.shape[0]), dim)))
@@ -123,6 +127,10 @@ def formula_linear_min(region, c):
         vertices = points[formula_contains(region, points)]
         if vertices.shape[0]:
             return vertices[int(np.argmin(_dot(vertices, c)))]
+        if dim == 1:
+            if not np.isfinite(c).all():
+                raise ValueError("non-finite cost")
+            return None
     result = linprog(
         c=c, A_ub=normals, b_ub=offsets, bounds=list(zip(lo, hi)), method="highs"
     )
@@ -185,6 +193,21 @@ def shared_three_player_game():
             a=((1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 1.0, 1.0)), b=(1.8, 0.9)
         ),
     )
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """The calls of ``scipy.optimize.linprog`` made while a test runs; a
+    reference to HiGHS bound at import, as the test modules hold, is not
+    counted."""
+    import scipy.optimize
+
+    calls = []
+    highs = scipy.optimize.linprog
+    monkeypatch.setattr(
+        scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or highs(*a, **k)
+    )
+    return calls
 
 
 @pytest.fixture

@@ -685,8 +685,8 @@ class TestVersion:
 
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize"])
 def test_cli_import_leaves_scipy_stats_unloaded(module):
-    """Importing the CLI loads neither module: scipy.optimize waits for an LP
-    that the in-house route cannot decide, and nothing imports scipy.stats."""
+    """Importing the CLI loads neither module: no module of ``src`` imports
+    scipy, which only the tests use as a reference."""
     env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
     code = f"import sys, ordnash.cli; print({module!r} in sys.modules)"
     out = subprocess.run(
@@ -805,10 +805,65 @@ print("scipy.optimize" in sys.modules)
 
 
 def test_the_solve_path_leaves_scipy_optimize_unloaded():
-    """Every LP of the solve workload has at most 3 variables and a certified
-    basis, so none imports scipy.optimize."""
+    """Every LP of the solve workload is the in-house simplex
+    (``model.linprog``), so none imports scipy.optimize."""
     env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _SOLVE_PATH], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# A fresh interpreter in which every import of scipy fails: the library's
+# runtime dependencies are numpy and click alone.
+_BLOCK_SCIPY = """
+import sys
+
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+# The LP shapes that once went to HiGHS: an infeasible 2-D region, a 2-D
+# one-row contour polyhedron (no vertex), a region of 4 coordinates with rows,
+# and a 3-coordinate region of 200 rows.
+_LP_SHAPES = """
+import numpy as np
+from click.testing import CliRunner
+from ordnash.cli import main
+from ordnash.cones import polyhedral_normal_generators
+from ordnash.corpus import EXAMPLES
+from ordnash.model import Block, FeasibleRegion
+
+for name in sorted(EXAMPLES):
+    result = CliRunner().invoke(main, ["examples", "--name", name, "--run"])
+    assert result.exit_code == 0 and result.exception is None, (name, result.output)
+rows = np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([0.5, -1.5])
+assert FeasibleRegion(np.zeros(2), np.ones(2), *rows).is_empty
+gens = polyhedral_normal_generators((np.array([[0.6, 0.8]]), np.array([0.0])), Block(0, (0.0, 0.0)))
+assert gens.directions
+rng = np.random.default_rng(0)
+for dim, count in ((4, 3), (3, 200)):
+    normals = rng.normal(size=(count, dim))
+    offsets = normals @ rng.uniform(-0.5, 0.5, dim) + rng.uniform(0.0, 0.5, count)
+    region = FeasibleRegion(-np.ones(dim), np.ones(dim), normals, offsets)
+    assert region.contains(region.linear_min(rng.normal(size=dim)))
+print(any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+def test_the_library_runs_with_scipy_blocked():
+    """The five examples, the solve and verify workloads' pipelines and every
+    LP shape run in an interpreter that cannot import scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ordnash.__file__).parents[1]))
+    code = _BLOCK_SCIPY + _SOLVE_PATH + _VERIFIER_PATH + _LP_SHAPES
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "False", "False"]

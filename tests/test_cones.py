@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog as highs
 
 from conftest import make_halfspace_orthant, make_pull_to_half_rival
 from ordnash.cones import (
@@ -425,64 +426,51 @@ def _chebyshev_lp(a, b):
 
 class TestStrictFeasibilityLP:
     """The emptiness LP of a polyhedral selection, solved by ``model.linprog``
-    in-house, against scipy's HiGHS on the same LP."""
+    in-house at every size and never by scipy.optimize, against scipy's HiGHS
+    on the same LP."""
 
-    def test_random_chebyshev_lps_match_highs(self, monkeypatch):
-        import scipy.optimize
-
+    def test_random_chebyshev_lps_match_highs(self, highs_calls):
         from ordnash import cones, model
 
-        highs = scipy.optimize.linprog
-        fallbacks = []
-        monkeypatch.setattr(
-            scipy.optimize, "linprog", lambda *a, **k: fallbacks.append(1) or highs(*a, **k)
-        )
         rng = np.random.default_rng(30)
         for _ in range(600):
-            dim, rows = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+            dim, rows = int(rng.integers(1, 4)), int(rng.integers(1, 5))
             a = rng.normal(size=(rows, dim))
             a /= np.linalg.norm(a, axis=1, keepdims=True)
             b = np.round(rng.uniform(-1.0, 1.0, rows), int(rng.integers(1, 4)))
             c, a_ub, b_ub, bounds = _chebyshev_lp(a, b)
-            before = len(fallbacks)
             got = model.linprog(c, a_ub, b_ub, bounds)
             want = highs(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            assert got.status == want.status
-            # Only a 2-D polyhedron of one row has no vertex: HiGHS decides it.
-            assert (len(fallbacks) > before) == (dim == 2 and rows == 1)
+            assert (got is None) == (want.status != 0)
             if want.status == 0:
-                assert got.x[-1] == pytest.approx(want.x[-1], abs=1e-9)
+                assert got[-1] == pytest.approx(want.x[-1], abs=1e-9)
                 assert cones._strictly_feasible(a, b) == (want.x[-1] > cones._FEASIBLE_MARGIN)
+        assert highs_calls == []
 
-    def test_many_rows_fall_back_to_highs(self, monkeypatch):
-        # 40 rows in 2-D: C(41, 3) bases, more than model._LP_MAX_BASES.
-        import scipy.optimize
+    @pytest.mark.parametrize("dim, rows", [(2, 40), (3, 200)])
+    def test_many_rows_are_solved_in_house(self, highs_calls, dim, rows):
+        from ordnash import cones, model
 
-        from ordnash import cones
-
-        highs = scipy.optimize.linprog
         rng = np.random.default_rng(33)
-        a = rng.normal(size=(40, 2))
+        a = rng.normal(size=(rows, dim))
         a /= np.linalg.norm(a, axis=1, keepdims=True)
-        b = rng.uniform(0.1, 1.0, 40)
+        b = rng.uniform(0.1, 1.0, rows)
         c, a_ub, b_ub, bounds = _chebyshev_lp(a, b)
         want = highs(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        calls = []
-        monkeypatch.setattr(
-            scipy.optimize, "linprog", lambda *a, **k: calls.append(1) or highs(*a, **k)
-        )
+        assert model.linprog(c, a_ub, b_ub, bounds)[-1] == pytest.approx(want.x[-1], abs=1e-9)
         assert cones._strictly_feasible(a, b) == (want.x[-1] > cones._FEASIBLE_MARGIN)
-        assert calls == [1]
+        assert highs_calls == []
 
-    def test_one_row_in_two_dims_falls_back_and_agrees(self):
-        import scipy.optimize
-
+    def test_one_row_in_two_dims_agrees(self, highs_calls):
+        # A polyhedron without a vertex: y stays free along the row.
         from ordnash import cones, model
 
         a, b = np.array([[0.6, 0.8]]), np.array([-0.3])
-        got = model.linprog(*_chebyshev_lp(a, b))
         c, a_ub, b_ub, bounds = _chebyshev_lp(a, b)
-        want = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        assert got.status == want.status == 0
-        np.testing.assert_array_equal(got.x, want.x)
+        got = model.linprog(c, a_ub, b_ub, bounds)
+        want = highs(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+        assert want.status == 0
+        assert got[-1] == want.x[-1] == 1.0
+        assert np.all(a_ub @ got <= b_ub + 1e-9)
         assert cones._strictly_feasible(a, b)
+        assert highs_calls == []

@@ -356,14 +356,16 @@ class TestCheckSvip:
     @pytest.mark.parametrize("dim, rows", [(4, 2), (2, 6)])
     @pytest.mark.parametrize("seed", range(5))
     def test_margin_matches_linprog_beyond_vertex_shapes(self, dim, rows, seed):
-        """Blocks outside the vertex-enumeration shapes take HiGHS; they match
-        the reference LP's objective to 1e-9."""
+        """Blocks of 4 coordinates, or of 2 with more than 4 rows, beyond the
+        vertex formula's shapes: the in-house simplex matches the HiGHS
+        objective to 1e-9."""
         _assert_margin_matches_linprog(dim, rows, seed)
 
     @pytest.mark.parametrize("dim, rows", [(1, 1), (2, 3), (3, 4)])
     @pytest.mark.parametrize("seed", range(5))
     def test_margin_matches_linprog_within_vertex_shapes(self, dim, rows, seed):
-        """Blocks inside the vertex-enumeration cap match the HiGHS objective too."""
+        """Blocks of 1-3 coordinates and at most 4 rows match the HiGHS
+        objective too."""
         _assert_margin_matches_linprog(dim, rows, seed)
 
     @given(
